@@ -8,7 +8,7 @@ canonical equality through the images of the affine simple roots.
 from __future__ import annotations
 
 from .errors import LiesphError, MismatchedSystems
-from .roots import RootSystem, plane_solver
+from .roots import RootSystem, has_plane_positive_system, has_summing_pair, key_mask
 
 
 class AffineRoot:
@@ -77,14 +77,6 @@ def affine_pairing(a: AffineRoot, b: AffineRoot) -> int:
     if a.system is not b.system:
         raise MismatchedSystems("affine roots from different systems")
     return a.system.pairing_table[a.findex][b.findex]
-
-
-def affine_sum(rs: RootSystem, a: AffineRoot, b: AffineRoot):
-    """a + b when it is a real affine root, else None."""
-    s = rs.sum_table[a.findex][b.findex]
-    if s is None:
-        return None
-    return AffineRoot(rs, s, a.level + b.level)
 
 
 class AffineRootSet:
@@ -274,93 +266,13 @@ def element_from_biconvex_affine(S: AffineRootSet) -> AffineWeylWord:
 
 
 def is_commutative_affine(S: AffineRootSet) -> bool:
-    """No two (not necessarily distinct) members sum to a real root."""
-    rs = S.system
-    pairs = sorted(S.keys)
-    for x, (_, fa) in enumerate(pairs):
-        for _, fb in pairs[x:]:
-            if rs.sum_table[fa][fb] is not None:
-                return False
-    return True
+    """No two (not necessarily distinct) members sum to a real root.
 
-
-def _affine_plane_data(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]):
-    """Parabolic of the plane spanned by two positive affine roots with
-    independent finite parts: (irreducible, positive systems entirely made of
-    positive affine roots, base-pair set)."""
-    cache = getattr(rs, "_affine_plane_cache", None)
-    if cache is None:
-        cache = rs._affine_plane_cache = {}
-    key = (u, v) if u <= v else (v, u)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-
-    (lu, fu), (lv, fv) = key
-    solve = plane_solver(rs.roots[fu].coords, rs.roots[fv].coords)
-    members = []
-    for f in range(len(rs.roots)):
-        sol = solve(rs.roots[f].coords)
-        if sol is None:
-            continue
-        level = sol[0] * lu + sol[1] * lv
-        if level.denominator == 1:
-            members.append((int(level), f))
-    neg = rs.neg_index
-    irreducible = any(
-        rs.pairing_table[fa][fb] != 0
-        for xi, (la, fa) in enumerate(members)
-        for lb, fb in members[xi + 1 :]
-        if not (fb == neg(fa) and lb == -la)
-    )
-    half = len(members) // 2
-    psys = set()
-    base_pairs = set()
-    for xi, a in enumerate(members):
-        for b in members[xi + 1 :]:
-            if b[1] == neg(a[1]) and b[0] == -a[0]:
-                continue
-            bs = plane_solver(rs.roots[a[1]].coords, rs.roots[b[1]].coords)
-            pos = []
-            ok = True
-            for m in members:
-                sm = bs(rs.roots[m[1]].coords)
-                if sm is None or sm[0] * a[0] + sm[1] * b[0] != m[0]:
-                    ok = False
-                    break
-                if sm[0] >= 0 and sm[1] >= 0:
-                    pos.append(m)
-                elif not (sm[0] <= 0 and sm[1] <= 0):
-                    ok = False
-                    break
-            if not ok or len(pos) != half:
-                continue
-            base_pairs.add(frozenset((a, b)))
-            if all(l > 0 or (l == 0 and f < rs.num_positive) for l, f in pos):
-                psys.add(frozenset(pos))
-    data = (irreducible, tuple(sorted(psys, key=sorted)), base_pairs)
-    cache[key] = data
-    return data
+    A sum of real affine roots is real iff their finite parts sum to a root,
+    so only the distinct finite parts matter."""
+    return not has_summing_pair(S.system, {f for _, f in S.keys})
 
 
 def is_fc_affine(S: AffineRootSet) -> bool:
-    """No irreducible rank-2 parabolic positive subsystem inside S.
-
-    Planes through two members with proportional finite parts contain the
-    imaginary direction; their parabolics have only infinite positive
-    systems, which can never lie inside the finite set S, so they are
-    skipped."""
-    rs = S.system
-    neg = rs.neg_index
-    pairs = sorted(S.keys)
-    for x, (la, fa) in enumerate(pairs):
-        for lb, fb in pairs[x + 1 :]:
-            if fb in (fa, neg(fa)):
-                continue
-            irreducible, psys, _ = _affine_plane_data(rs, (la, fa), (lb, fb))
-            if not irreducible:
-                continue
-            for p in psys:
-                if all(m in S.keys for m in p):
-                    return False
-    return True
+    """No irreducible rank-2 parabolic positive subsystem inside S."""
+    return not has_plane_positive_system(S.system, sorted(S.keys), key_mask(S.system, S.keys))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LiesphError, MismatchedSystems
-from .roots import PosRootSet, Root, RootSystem
+from .roots import PosRootSet, Root, RootSystem, root_string_p
 
 
 class NilpotentElement:
@@ -146,15 +146,6 @@ def _coroot_table(rs: RootSystem):
     return table
 
 
-def _string_p(rs: RootSystem, a: int, b: int) -> int:
-    p = 0
-    cur = tuple(rs.roots[b].coords[i] - rs.roots[a].coords[i] for i in range(rs.rank))
-    while cur in rs.index_of:
-        p += 1
-        cur = tuple(cur[i] - rs.roots[a].coords[i] for i in range(rs.rank))
-    return p
-
-
 def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
     m = rs.num_positive
     neg = rs.neg_index
@@ -206,7 +197,7 @@ def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
                 pairs.append((a, b))
         pairs.sort()
         x, y = pairs[0]  # extraspecial: minimal first component
-        store(x, y, es_sign * (_string_p(rs, x, y) + 1))
+        store(x, y, es_sign * (root_string_p(rs, rs.roots[x], rs.roots[y]) + 1))
         if len(pairs) == 1:
             continue
         denom = lookup(g, neg(x))

@@ -1,7 +1,8 @@
 """Command-line frontend: exhaustive verifiers, atlases, and single-subject
 inspection, with JSON/CSV/markdown reports and an optional result cache.
 
-Exit codes: 0 success, 1 mismatch found, 2 usage error, 3 budget exceeded.
+Exit codes: 0 success, 1 mismatch found, 2 usage error, 3 budget exceeded,
+4 I/O error (reading or writing a report or cache file).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import BudgetExceeded, LiesphError
 from .roots import CartanType, build_root_system
 
 DEFAULT_BUDGET = 200_000
-EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
+EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_BUDGET, EXIT_IO = 0, 1, 2, 3, 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,17 +143,32 @@ def _cache_fetch(args, key_fields: dict):
     key = json.dumps({"version": __version__, **key_fields}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
     path = os.path.join(args.cache, f"{digest}.json")
-    if os.path.exists(path):
+    try:
         with open(path) as fh:
-            return json.load(fh), path
-    return None, path
+            report = json.load(fh)
+    except FileNotFoundError:
+        return None, path
+    except (OSError, ValueError):
+        report = None
+    if not isinstance(report, dict):
+        print(f"warning: unreadable cache entry {path}; recomputing", file=sys.stderr)
+        return None, path
+    return report, path
 
 
 def _cache_store(path: str | None, report: dict):
-    if path:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
+    """Write the entry atomically: readers see the old file or the whole new one."""
+    if not path:
+        return
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
             fh.write(_canonical_json(report))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # -- commands ---------------------------------------------------------------------
@@ -213,8 +229,13 @@ def _g2_report(rs) -> dict:
     def record(name, ok, **extra):
         checks.append({"name": name, "ok": bool(ok), **extra})
 
-    i = rs.root_from_coords
-    a1, a2 = (1, 0), (0, 1)
+    # coordinates below are Bourbaki's (short, long); --swap lists long first
+    flip = not rs.simple_root(1).is_short
+    s_short, s_long = (2, 1) if flip else (1, 2)
+
+    def i(coords):
+        return rs.root_from_coords(coords[::-1] if flip else coords)
+
     pair_orth = {i((0, 1)).index: 1, i((2, 1)).index: 1}
     record("orthogonal_pair_height_4", height(L, pair_orth) == 4)
 
@@ -243,8 +264,8 @@ def _g2_report(rs) -> dict:
 
     record(
         "s2_conjugates_case_iii_to_case_ii",
-        W.apply_simple(rs, 2, i((1, 1))) == i((1, 0))
-        and W.apply_simple(rs, 2, i((2, 1))) == i((2, 1)),
+        W.apply_simple(rs, s_long, i((1, 1))) == i((1, 0))
+        and W.apply_simple(rs, s_long, i((2, 1))) == i((2, 1)),
     )
 
     t1 = S.verify_theorem1(rs)
@@ -254,7 +275,7 @@ def _g2_report(rs) -> dict:
            ideals=t2["ideals"], spherical=t2["spherical"])
 
     els = list(W.enumerate_weyl(rs))
-    s2s1s2 = W.from_word(rs, (2, 1, 2))
+    s2s1s2 = W.from_word(rs, (s_long, s_short, s_long))
     record(
         "commutative_iff_bruhat_below_s2s1s2",
         all(W.is_commutative_inv(e) == W.bruhat_leq(e, s2s1s2) for e in els),
@@ -362,7 +383,7 @@ def cmd_inspect(args) -> int:
             "members": [list(rs.roots[i].coords) for i in ps],
             "layers": [[list(rs.roots[i].coords) for i in layer.indices()] for layer in ideal.layers],
             "psi_hat": Shat.to_json_list(),
-            "w_word": list(I.w_of_ideal(rs, ideal).word),
+            "w_word": list(A.element_from_biconvex_affine(Shat).word),
             "abelian": I.is_abelian(rs, ps),
             "fully_commutative": A.is_fc_affine(Shat),
             "commutative": A.is_commutative_affine(Shat),
@@ -401,6 +422,9 @@ def main(argv=None) -> int:
     except LiesphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

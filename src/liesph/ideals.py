@@ -15,16 +15,13 @@ from dataclasses import dataclass
 from .affine import (
     AffineRootSet,
     AffineWeylWord,
-    affine_inversions,
     element_from_biconvex_affine,
-    is_biconvex_affine,
     is_commutative_affine,
     is_fc_affine,
 )
 from .chevalley import ChevalleyAlgebra, build_chevalley
 from .errors import LiesphError, MismatchedSystems
-from .roots import PosRootSet, Root, RootSystem
-from . import weyl as _weyl
+from .roots import PosRootSet, Root, RootSystem, has_summing_pair, iter_bits
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,10 @@ def _layers(rs: RootSystem, mask: int) -> tuple[PosRootSet, ...]:
     npos = rs.num_positive
     out = [PosRootSet(mask, npos)]
     cur = mask
-    members = list(_iter_bits(mask))
+    members = list(iter_bits(mask))
     while cur:
         nxt = 0
-        for a in _iter_bits(cur):
+        for a in iter_bits(cur):
             row = rs.sum_table[a]
             for b in members:
                 s = row[b]
@@ -96,13 +93,6 @@ def _layers(rs: RootSystem, mask: int) -> tuple[PosRootSet, ...]:
         out.append(PosRootSet(nxt, npos))
         cur = nxt
     return tuple(out)
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def make_ideal(rs: RootSystem, ps: PosRootSet) -> CombinatorialIdeal:
@@ -180,25 +170,19 @@ def is_abelian(rs: RootSystem, ps: PosRootSet) -> bool:
     """No two members (with repetition) sum to a root."""
     if ps.width != rs.num_positive:
         raise MismatchedSystems("bit vector from another system")
-    idxs = list(ps.indices())
-    for x, a in enumerate(idxs):
-        row = rs.sum_table[a]
-        for b in idxs[x:]:
-            if row[b] is not None:
-                return False
-    return True
+    return not has_summing_pair(rs, ps.indices())
 
 
 def psi_hat(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineRootSet:
-    """Affine encoding: union over k of {k*delta - a : a in Psi^(k)}."""
+    """Affine encoding: union over k of {k*delta - a : a in Psi^(k)}.
+
+    The set is biconvex (Cellini-Papi); ``element_from_biconvex_affine``
+    checks that once, when it turns the set into its element."""
     keys = []
     for k, layer in enumerate(ideal.layers, start=1):
         for i in layer.indices():
             keys.append((k, rs.neg_index(i)))
-    S = AffineRootSet(rs, keys)
-    if not is_biconvex_affine(S):
-        raise LiesphError("ideal encoding failed to be biconvex (internal error)")
-    return S
+    return AffineRootSet(rs, keys)
 
 
 def w_of_ideal(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineWeylWord:
@@ -208,7 +192,8 @@ def w_of_ideal(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineWeylWord:
 def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     """Per ideal: spherical iff the affine element is fully commutative
     (commutative in G2); abelian iff commutative; spherical forces the third
-    layer to vanish.  The affine inversion set is also checked to round-trip."""
+    layer to vanish.  Building the affine element checks that the encoding is
+    biconvex and round-trips, and raises otherwise."""
     from .spherical import is_spherical_subspace
 
     L = L or build_chevalley(rs)
@@ -219,9 +204,7 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     for ideal in ideal_list:
         coords = [list(rs.roots[i].coords) for i in ideal.members]
         S = psi_hat(rs, ideal)
-        w = element_from_biconvex_affine(S)
-        if affine_inversions(w) != S:
-            mismatches.append({"members": coords, "reason": "round trip failed"})
+        element_from_biconvex_affine(S)  # raises unless biconvex and round-tripping
         sph = is_spherical_subspace(L, ideal.members)
         fc = is_fc_affine(S)
         comm = is_commutative_affine(S)
@@ -264,7 +247,7 @@ def maximal_spherical_ideals(rs: RootSystem, L: ChevalleyAlgebra | None = None) 
     out = []
     for m in spherical_masks:
         if not any(o != m and m & ~o == 0 for o in spherical_masks):
-            out.append(sorted([list(rs.roots[i].coords) for i in _iter_bits(m)]))
+            out.append(sorted([list(rs.roots[i].coords) for i in iter_bits(m)]))
     return sorted(out)
 
 
@@ -277,7 +260,7 @@ def ideal_atlas(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> list[dict]
     records = []
     for ideal in enumerate_ideals(rs):
         S = psi_hat(rs, ideal)
-        w = w_of_ideal(rs, ideal)
+        w = element_from_biconvex_affine(S)
         records.append(
             {
                 "generators": [list(rs.roots[i].coords) for i in minimal_generators(rs, ideal.members)],

@@ -185,11 +185,7 @@ class PosRootSet:
         return cls(mask, width)
 
     def indices(self):
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter_bits(self.mask)
 
     def __contains__(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
@@ -244,9 +240,10 @@ class RootSystem:
     descending lexicographic coordinates; ``roots[i + num_positive]`` is the
     negative of ``roots[i]``.
 
-    Downstream modules stash memo tables on instances (parabolic planes,
-    poset up-sets); those fill lazily and idempotently, so concurrent
-    readers at worst duplicate work.
+    Memo tables fill lazily and idempotently, so concurrent readers at worst
+    duplicate work: ``_plane_cache`` holds every rank-2 plane parabolic, finite
+    and affine alike (see ``plane_parabolic``), and the ideals module stashes
+    the root poset's up-sets.
     """
 
     def __init__(self, cartan_type: CartanType, swap: bool = False):
@@ -310,8 +307,8 @@ class RootSystem:
             tuple(self._reflect_index(i, j) for j in range(size)) for i in range(self.rank)
         )
 
-        # memo caches shared by downstream modules (read-only after fill)
-        self._plane_cache: dict[tuple[int, int], tuple] = {}
+        # plane_parabolic's memo, keyed by a sorted pair of (level, root index)
+        self._plane_cache: dict[tuple[tuple[int, int], tuple[int, int]], tuple] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -492,18 +489,117 @@ def plane_solver(a_coords, b_coords):
 _RANK2_TAGS = {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}
 
 
+def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> tuple:
+    """The rank-2 parabolic through two real affine roots, memoized on rs.
+
+    ``u`` and ``v`` are ``(level, root index)`` keys of ``root + level*delta``
+    whose finite parts are linearly independent; level 0 is the finite case.
+    Returns ``(members, irreducible, base, positive_systems)``:
+
+    - ``members``: the keys of every real affine root in span{u, v}, in root
+      index order.  They form a rank-2 root system, irreducible unless it has
+      only the four roots of A1xA1.
+    - ``base``: whether {u, v} is a base of one of its positive systems.
+    - ``positive_systems``: those made only of positive affine roots, as
+      ``key_mask`` bit masks.
+    """
+    key = (u, v) if u <= v else (v, u)
+    hit = rs._plane_cache.get(key)
+    if hit is not None:
+        return hit
+    (lu, fu), (lv, fv) = key
+    a, b = rs.roots[fu].coords, rs.roots[fv].coords
+    minors = ((a[k] * b[l] - a[l] * b[k], k, l)
+              for k in range(rs.rank) for l in range(k + 1, rs.rank))
+    det, k, l = next((m for m in minors if m[0]), (0, 0, 0))
+    if not det:
+        raise LiesphError("a plane parabolic needs linearly independent roots")
+    # a member c = (x*a + y*b) / det, at level (x*lu + y*lv) / det
+    members, coeffs = [], []
+    for f, r in enumerate(rs.roots):
+        c = r.coords
+        x = c[k] * b[l] - c[l] * b[k]
+        y = a[k] * c[l] - a[l] * c[k]
+        level, rest = divmod(x * lu + y * lv, det)
+        if not rest and all(x * a[i] + y * b[i] == det * c[i] for i in range(rs.rank)):
+            members.append((level, f))
+            coeffs.append((x, y))
+    # a pair is a base when every member is a nonnegative or a nonpositive
+    # combination of it; the nonnegative members are its positive system
+    base = all(x * y >= 0 for x, y in coeffs)
+    npos = rs.num_positive
+    psys = []
+    for i, (xi, yi) in enumerate(coeffs):
+        for xj, yj in coeffs[i + 1 :]:
+            d = xi * yj - yi * xj
+            if not d:  # opposite roots
+                continue
+            pos = []
+            for m, (x, y) in zip(members, coeffs):
+                # m is (s*p + t*q) / d**2 in this pair p, q; only signs matter
+                s, t = (x * yj - y * xj) * d, (xi * y - yi * x) * d
+                if s * t < 0:
+                    break
+                if s > 0 or t > 0:
+                    pos.append(m)
+            else:
+                if all(level > 0 or (level == 0 and f < npos) for level, f in pos):
+                    psys.append(key_mask(rs, pos))
+    data = (members, len(members) > 4, base, tuple(psys))
+    rs._plane_cache[key] = data
+    return data
+
+
+def has_plane_positive_system(rs: RootSystem, keys: list, mask: int) -> bool:
+    """Whether an irreducible plane parabolic through two of the keys has a
+    positive system inside mask (a ``key_mask``).  Pairs with proportional
+    finite parts are skipped: their plane contains the imaginary direction,
+    whose positive systems are infinite and never inside a finite set."""
+    for x, u in enumerate(keys):
+        for v in keys[x + 1 :]:
+            if v[1] in (u[1], rs.neg_index(u[1])):
+                continue
+            _, irreducible, _, psys = plane_parabolic(rs, u, v)
+            if irreducible:
+                for p in psys:
+                    if p & ~mask == 0:
+                        return True
+    return False
+
+
+def key_mask(rs: RootSystem, keys) -> int:
+    """Bit mask of positive affine roots given as (level, root index) keys,
+    with bit ``level * len(rs.roots) + index``; at level 0 it is the
+    PosRootSet mask of those positive roots."""
+    width = len(rs.roots)
+    mask = 0
+    for level, f in keys:
+        mask |= 1 << (level * width + f)
+    return mask
+
+
 def rank2_parabolic(rs: RootSystem, a: Root, b: Root) -> tuple[list[Root], str]:
     """All roots in span{a, b}, with the isomorphism type of that rank-2 system."""
     _check_roots(rs, a, b)
-    key = (min(a.index, b.index), max(a.index, b.index))
-    cached = rs._plane_cache.get(key)
-    if cached is not None:
-        members, tag = cached
-        return [rs.roots[i] for i in members], tag
-    solve = plane_solver(a.coords, b.coords)
-    if solve is None:
-        raise LiesphError("rank2_parabolic requires linearly independent roots")
-    members = [r.index for r in rs.roots if solve(r.coords) is not None]
-    tag = _RANK2_TAGS[len(members)]
-    rs._plane_cache[key] = (tuple(members), tag)
-    return [rs.roots[i] for i in members], tag
+    members = plane_parabolic(rs, (0, a.index), (0, b.index))[0]
+    return [rs.roots[f] for _, f in members], _RANK2_TAGS[len(members)]
+
+
+def has_summing_pair(rs: RootSystem, indices) -> bool:
+    """Whether two (not necessarily distinct) of the given roots sum to a root."""
+    idxs = list(indices)
+    st = rs.sum_table
+    for x, a in enumerate(idxs):
+        row = st[a]
+        for b in idxs[x:]:
+            if row[b] is not None:
+                return True
+    return False
+
+
+def iter_bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

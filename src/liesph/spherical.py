@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -379,29 +380,28 @@ def verify_subspace_theorem(rs: RootSystem, L: ChevalleyAlgebra | None = None,
     }
 
 
-# fork-inherited state for worker processes; set right before the pool starts
-_WORKER_CTX: dict = {}
+# (rs, L, elements) while verify_theorem1 runs; forked pool workers inherit
+# it instead of receiving it pickled
+_T1_STATE = None
 
 
-def _t1_check_words(words: list[tuple[int, ...]]):
-    rs = _WORKER_CTX["rs"]
-    L = _WORKER_CTX["L"]
+def _t1_check(span: range):
+    rs, L, elements = _T1_STATE
     is_g2 = rs.cartan_type.name == "G2"
     simply = rs.cartan_type.is_simply_laced
     n_dec = n_sph = 0
     mismatches = []
-    for word in words:
-        w = _weyl.from_word(rs, word)
+    for w in elements[span.start : span.stop]:
         sph = is_spherical_subspace(L, w.inv)
         dec = _weyl.is_commutative_inv(w) if is_g2 else _weyl.is_fc_inv_base_pair(w)
         n_dec += dec
         n_sph += sph
         if simply and _weyl.is_commutative_inv(w) != dec:
-            mismatches.append({"word": list(word), "reason": "fc != commutative in simply laced type"})
+            mismatches.append({"word": list(w.word), "reason": "fc != commutative in simply laced type"})
         if dec != sph:
             mismatches.append(
                 {
-                    "word": list(word),
+                    "word": list(w.word),
                     "decider": "commutative" if is_g2 else "fully_commutative",
                     "decider_value": dec,
                     "spherical": sph,
@@ -413,18 +413,20 @@ def _t1_check_words(words: list[tuple[int, ...]]):
 def _parallel_chunks(fn, chunks, workers: int):
     """Run a module-level worker over chunks, forking when workers > 1.
 
-    Falls back to serial execution if a pool cannot be created; results come
-    back in submission order either way."""
+    Runs serially, with one line on stderr, only when no pool can be
+    created; an exception raised by fn propagates.  Results come back in
+    submission order either way."""
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
     try:
         import multiprocessing as mp
 
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            return pool.map(fn, chunks)
-    except Exception:
+        pool = mp.get_context("fork").Pool(workers)
+    except (ImportError, OSError, ValueError) as exc:
+        print(f"warning: no worker pool ({exc}); running serially", file=sys.stderr)
         return [fn(c) for c in chunks]
+    with pool:
+        return pool.map(fn, chunks)
 
 
 def _split(items, workers: int):
@@ -439,12 +441,15 @@ def verify_theorem1(rs: RootSystem, L: ChevalleyAlgebra | None = None,
 
     In simply laced types the commutative decider must agree with the fully
     commutative one; disagreements are reported as mismatches too."""
+    global _T1_STATE
     L = L or build_chevalley(rs)
     quartic_obstructions(L)  # materialize before any worker split
-    words = [w.word for w in _weyl.enumerate_weyl(rs, budget)]
-    _WORKER_CTX["rs"] = rs
-    _WORKER_CTX["L"] = L
-    results = _parallel_chunks(_t1_check_words, _split(words, workers), workers)
+    elements = list(_weyl.enumerate_weyl(rs, budget))
+    _T1_STATE = (rs, L, elements)
+    try:
+        results = _parallel_chunks(_t1_check, _split(range(len(elements)), workers), workers)
+    finally:
+        _T1_STATE = None
     mismatches = []
     n_dec = n_sph = 0
     for dec, sph, out in results:
@@ -454,7 +459,7 @@ def verify_theorem1(rs: RootSystem, L: ChevalleyAlgebra | None = None,
     return {
         "type": rs.cartan_type.name,
         "decider": "commutative" if rs.cartan_type.name == "G2" else "fully_commutative",
-        "elements": len(words),
+        "elements": len(elements),
         "decider_count": n_dec,
         "spherical_count": n_sph,
         "mismatches": mismatches,

@@ -12,7 +12,16 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import BudgetExceeded, LiesphError, MismatchedSystems, WordCapExceeded
-from .roots import PosRootSet, Root, RootSystem, plane_solver
+from .roots import (
+    PosRootSet,
+    Root,
+    RootSystem,
+    has_plane_positive_system,
+    has_summing_pair,
+    iter_bits,
+    plane_parabolic,
+    plane_solver,
+)
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -207,15 +216,8 @@ def longest_element(rs: RootSystem) -> WeylElement:
 # -- biclosed / biconvex sets -------------------------------------------------
 
 
-def _mask_indices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _is_closed_mask(rs: RootSystem, mask: int) -> bool:
-    idxs = list(_mask_indices(mask))
+    idxs = list(iter_bits(mask))
     st = rs.sum_table
     for x, a in enumerate(idxs):
         row = st[a]
@@ -234,7 +236,7 @@ def is_biclosed(rs: RootSystem, ps: PosRootSet) -> bool:
 
 
 def _is_convex_mask(rs: RootSystem, mask: int) -> bool:
-    idxs = list(_mask_indices(mask))
+    idxs = list(iter_bits(mask))
     for x, a in enumerate(idxs):
         for b in idxs[x + 1 :]:
             solve = plane_solver(rs.roots[a].coords, rs.roots[b].coords)
@@ -272,7 +274,7 @@ def element_from_biconvex(rs: RootSystem, ps: PosRootSet) -> WeylElement:
         rev.append(i + 1)
         perm = rs.simple_perms[i]
         new_mask = 0
-        for j in _mask_indices(mask & ~(1 << simples[i])):
+        for j in iter_bits(mask & ~(1 << simples[i])):
             new_mask |= 1 << perm[j]
         mask = new_mask
     return from_word(rs, tuple(reversed(rev)))
@@ -423,108 +425,23 @@ def pairing_nonneg(rs: RootSystem, ps: PosRootSet) -> bool:
 
 def is_commutative_inv(w: WeylElement) -> bool:
     """No two (not necessarily distinct) inversions sum to a root."""
-    rs = w.system
-    idxs = list(_mask_indices(w.inv_mask))
-    st = rs.sum_table
-    for x, a in enumerate(idxs):
-        row = st[a]
-        for b in idxs[x:]:
-            if row[b] is not None:
-                return False
-    return True
-
-
-def _pair_fc_data(rs: RootSystem, a: int, b: int):
-    """For a pair of positive roots: (irreducible, base_pair, positive-system masks).
-
-    The plane's parabolic is computed once per unordered pair; positive
-    systems that contain a negative root of the ambient system are dropped
-    (they can never sit inside a set of positive roots)."""
-    cache = getattr(rs, "_pair_fc_cache", None)
-    if cache is None:
-        cache = rs._pair_fc_cache = {}
-    key = (a, b) if a < b else (b, a)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-
-    solve = plane_solver(rs.roots[a].coords, rs.roots[b].coords)
-    if solve is None:  # proportional positive roots: impossible (a != b reduced)
-        data = (False, False, ())
-        cache[key] = data
-        return data
-    members = []
-    coeffs = {}
-    for r in rs.roots:
-        sol = solve(r.coords)
-        if sol is not None:
-            members.append(r.index)
-            coeffs[r.index] = sol
-    half = len(members) // 2
-    irreducible = any(
-        rs.pairing_table[x][y] != 0
-        for xi, x in enumerate(members)
-        for y in members[xi + 1 :]
-        if y != rs.neg_index(x)
-    )
-    psys_masks = set()
-    base = False
-    npos = rs.num_positive
-    for xi, x in enumerate(members):
-        for y in members[xi + 1 :]:
-            if y == rs.neg_index(x):
-                continue
-            bs = plane_solver(rs.roots[x].coords, rs.roots[y].coords)
-            pos = []
-            ok = True
-            for m in members:
-                sm = bs(rs.roots[m].coords)
-                if sm is None:
-                    ok = False
-                    break
-                if sm[0] >= 0 and sm[1] >= 0:
-                    pos.append(m)
-                elif not (sm[0] <= 0 and sm[1] <= 0):
-                    ok = False
-                    break
-            if not ok or len(pos) != half:
-                continue
-            if {x, y} == {key[0], key[1]}:
-                base = True
-            if all(m < npos for m in pos):
-                mask = 0
-                for m in pos:
-                    mask |= 1 << m
-                psys_masks.add(mask)
-    data = (irreducible, base, tuple(sorted(psys_masks)))
-    cache[key] = data
-    return data
+    return not has_summing_pair(w.system, iter_bits(w.inv_mask))
 
 
 def is_fc_inv(w: WeylElement) -> bool:
     """Inversion set contains no irreducible rank-2 parabolic positive system."""
-    rs = w.system
-    inv = w.inv_mask
-    idxs = list(_mask_indices(inv))
-    for x, a in enumerate(idxs):
-        for b in idxs[x + 1 :]:
-            irreducible, _, psys = _pair_fc_data(rs, a, b)
-            if not irreducible:
-                continue
-            for mask in psys:
-                if mask & ~inv == 0:
-                    return False
-    return True
+    keys = [(0, a) for a in iter_bits(w.inv_mask)]
+    return not has_plane_positive_system(w.system, keys, w.inv_mask)
 
 
 def is_fc_inv_base_pair(w: WeylElement) -> bool:
     """Same decision as is_fc_inv for biclosed sets: some inversion pair is a
     base of an irreducible rank-2 parabolic."""
     rs = w.system
-    idxs = list(_mask_indices(w.inv_mask))
+    idxs = list(iter_bits(w.inv_mask))
     for x, a in enumerate(idxs):
         for b in idxs[x + 1 :]:
-            irreducible, base, _ = _pair_fc_data(rs, a, b)
+            _, irreducible, base, _ = plane_parabolic(rs, (0, a), (0, b))
             if irreducible and base:
                 return False
     return True

@@ -14,6 +14,7 @@ from liesph import spherical as S
 from liesph import weyl as W
 from liesph.cli import _g2_report
 from liesph.errors import WordCapExceeded
+from liesph.roots import root_string_p
 
 TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 IDEAL_COUNTS = {
@@ -139,7 +140,7 @@ def test_criterion_6_chevalley_integrity():
         LA = get_algebra(name, 1)
         LB = get_algebra(name, -1)
         for (i, j), n in LA.ntab.items():
-            assert abs(n) == C._string_p(rs, i, j) + 1
+            assert abs(n) == root_string_p(rs, rs.roots[i], rs.roots[j]) + 1
         assert rs.rank <= 4
         for tri in itertools.combinations_with_replacement(range(LA.dim), 3):
             assert C.jacobi_defect(LA, *tri) == {}

@@ -9,6 +9,7 @@ import pytest
 from conftest import GOLDEN_DIR, get_algebra, get_rs
 from liesph import chevalley as C
 from liesph.errors import LiesphError
+from liesph.roots import root_string_p
 
 
 def test_sl2_relations():
@@ -39,7 +40,7 @@ def test_magnitude_rule_all_pairs():
         rs = get_rs(name)
         L = get_algebra(name)
         for (i, j), n in L.ntab.items():
-            assert abs(n) == C._string_p(rs, i, j) + 1
+            assert abs(n) == root_string_p(rs, rs.roots[i], rs.roots[j]) + 1
             assert L.ntab[(j, i)] == -n
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from liesph.cli import main
 
 
@@ -40,6 +42,13 @@ def test_verify_g2_units(capsys):
     assert all(c["ok"] for c in rep["checks"])
     code, _ = run(capsys, "verify", "g2", "--type", "B2")
     assert code == 2
+
+
+def test_verify_g2_both_labellings(capsys):
+    for swap in ([], ["--swap"]):
+        code, rep = run_json(capsys, "verify", "g2", "--type", "G2", *swap)
+        assert code == 0 and rep["mismatches"] == []
+        assert len(rep["checks"]) == 9 and all(c["ok"] for c in rep["checks"])
 
 
 def test_budget_exit_code(capsys):
@@ -138,3 +147,44 @@ def test_swap_flag(capsys):
 def test_workers_flag(capsys):
     code, rep = run_json(capsys, "verify", "theorem1", "--type", "B3", "--workers", "2")
     assert code == 0 and rep["mismatches"] == []
+
+
+def _cache_entry(tmp_path, capsys, content):
+    """Cache one report, then overwrite its entry with content."""
+    argv = ["verify", "theorem1", "--type", "A2", "--cache", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(content)
+    return argv
+
+
+# (failure, argv builder, exit code, start of the one stderr line)
+IO_FAILURES = [
+    ("truncated cache entry",
+     lambda tmp, cap: _cache_entry(tmp, cap, '{\n  "command": "verify-the'),
+     0, "warning: unreadable cache entry "),
+    ("cache entry not an object",
+     lambda tmp, cap: _cache_entry(tmp, cap, "[]\n"),
+     0, "warning: unreadable cache entry "),
+    ("--out into a missing directory",
+     lambda tmp, cap: ["verify", "theorem1", "--type", "A2", "--out", str(tmp / "no" / "r.json")],
+     4, "error: [Errno 2] No such file or directory: "),
+    ("--out onto a directory",
+     lambda tmp, cap: ["verify", "theorem1", "--type", "A2", "--out", str(tmp)],
+     4, "error: [Errno 21] Is a directory: "),
+]
+
+
+@pytest.mark.parametrize("build, code, line", [c[1:] for c in IO_FAILURES],
+                         ids=[c[0] for c in IO_FAILURES])
+def test_io_failures_keep_their_exit_code(tmp_path, capsys, build, code, line):
+    argv = build(tmp_path, capsys)
+    capsys.readouterr()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith(line), err
+    if code == 0:
+        # the entry was recomputed, rewritten whole, and the report is unchanged
+        (entry,) = tmp_path.glob("*.json")
+        assert json.loads(entry.read_text()) == json.loads(out)
+        assert run(capsys, *argv[:-2]) == (0, out)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -9,7 +10,10 @@ from liesph.roots import (
     CartanType,
     PosRootSet,
     build_root_system,
+    key_mask,
     pairing,
+    plane_parabolic,
+    plane_solver,
     rank2_parabolic,
     root_string_p,
     root_sum,
@@ -185,6 +189,47 @@ def test_rank2_parabolic():
     assert tag == "B2" and len(members) == 8
     with pytest.raises(LiesphError):
         rank2_parabolic(g2, g2.theta, -g2.theta)
+
+
+def _plane_oracle(rs, u, v):
+    """plane_parabolic by rational solves: each member in the basis u, v for
+    membership and level, and in every member pair for the bases."""
+    solve = plane_solver(rs.roots[u[1]].coords, rs.roots[v[1]].coords)
+    members = []
+    for f, r in enumerate(rs.roots):
+        sol = solve(r.coords)
+        if sol is not None:
+            level = sol[0] * u[0] + sol[1] * v[0]
+            if level.denominator == 1:
+                members.append((int(level), f))
+    bases, psys = set(), set()
+    for x, y in itertools.combinations(members, 2):
+        in_basis = plane_solver(rs.roots[x[1]].coords, rs.roots[y[1]].coords)
+        if in_basis is None:
+            continue
+        sols = [in_basis(rs.roots[f].coords) for _, f in members]
+        if all(min(s, t) >= 0 or max(s, t) <= 0 for s, t in sols):
+            bases.add(frozenset((x, y)))
+            pos = frozenset(m for m, (s, t) in zip(members, sols) if s >= 0 and t >= 0)
+            if all(l > 0 or (l == 0 and f < rs.num_positive) for l, f in pos):
+                psys.add(pos)
+    irreducible = any(
+        rs.pairing_table[a[1]][b[1]] for a, b in itertools.combinations(members, 2)
+        if b[1] != rs.neg_index(a[1])
+    )
+    return members, irreducible, frozenset((u, v)) in bases, sorted(key_mask(rs, p) for p in psys)
+
+
+def test_plane_parabolic_against_rational_oracle():
+    for name in ["A3", "B3", "C3", "G2"]:
+        rs = get_rs(name)
+        keys = [(0, f) for f in range(rs.num_positive)] + [(1, f) for f in range(len(rs.roots))]
+        for u, v in itertools.combinations(keys, 2):
+            if v[1] in (u[1], rs.neg_index(u[1])):
+                continue
+            members, irreducible, base, masks = plane_parabolic(rs, u, v)
+            assert (members, irreducible, base, sorted(masks)) == _plane_oracle(rs, u, v), (name, u, v)
+            assert plane_parabolic(rs, v, u) is plane_parabolic(rs, u, v)
 
 
 def test_swap_flag():

@@ -1,4 +1,6 @@
 import itertools
+import multiprocessing
+import os
 
 import pytest
 
@@ -301,3 +303,34 @@ def test_spherical_report():
     assert rep.spherical and rep.witness is None and rep.pairing_ok
     bad = S.make_report(L, W.from_word(g2, [1, 2, 1]).inv, "biconvex")
     assert not bad.spherical and bad.witness is not None
+
+
+_PARENT_PID = os.getpid()
+
+
+def _fail_in_worker(chunk):
+    if os.getpid() == _PARENT_PID:
+        raise AssertionError("chunk rerun in the parent process")
+    raise ValueError(f"worker failed on {chunk}")
+
+
+def test_worker_exception_propagates_without_serial_rerun():
+    with pytest.raises(ValueError, match="worker failed"):
+        S._parallel_chunks(_fail_in_worker, [1, 2, 3], 2)
+
+
+def test_pool_failure_runs_serially_and_says_so(monkeypatch, capsys):
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert S._parallel_chunks(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: no worker pool (cannot find context")
+
+
+def test_theorem1_pool_matches_serial():
+    rs = get_rs("B3")
+    L = get_algebra("B3")
+    assert S.verify_theorem1(rs, L, workers=2) == S.verify_theorem1(rs, L)
+    assert S._T1_STATE is None
