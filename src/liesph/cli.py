@@ -2,7 +2,8 @@
 inspection, with JSON/CSV/markdown reports and an optional result cache.
 
 Exit codes: 0 success, 1 mismatch found, 2 usage error, 3 budget exceeded,
-4 I/O error (reading or writing a report or cache file).
+4 I/O error (reading or writing a report or cache file), 5 internal error
+(an unexpected exception; never reported as a mismatch).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import BudgetExceeded, LiesphError
 from .roots import CartanType, build_root_system
 
 DEFAULT_BUDGET = 200_000
-EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_BUDGET, EXIT_IO = 0, 1, 2, 3, 4
+EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_BUDGET, EXIT_IO, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,9 +269,9 @@ def _g2_report(rs) -> dict:
         and W.apply_simple(rs, s_long, i((2, 1))) == i((2, 1)),
     )
 
-    t1 = S.verify_theorem1(rs)
+    t1 = S.verify_theorem1(rs, L)
     record("commutative_iff_spherical", not t1["mismatches"], elements=t1["elements"])
-    t2 = I.verify_theorem2(rs)
+    t2 = I.verify_theorem2(rs, L)
     record("ideals_spherical_iff_abelian", not t2["mismatches"],
            ideals=t2["ideals"], spherical=t2["spherical"])
 
@@ -297,12 +298,12 @@ def cmd_atlas(args) -> int:
     report, cache_path = _cache_fetch(args, key)
     if report is None:
         rs = build_root_system(ct, swap=args.swap)
+        L = build_chevalley(rs)
         maximal_spherical = None
         if args.what == "ideals":
-            records = I.ideal_atlas(rs)
-            maximal_spherical = I.maximal_spherical_ideals(rs)
+            records = I.ideal_atlas(rs, L)
+            maximal_spherical = I.maximal_spherical_ideals(rs, L)
         else:
-            L = build_chevalley(rs)
             records = []
             for e in W.enumerate_weyl(rs, budget=args.budget):
                 if not W.is_fc_inv(e):
@@ -425,6 +426,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # a crash is not a verdict: keep it off exit code 1
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

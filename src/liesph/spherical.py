@@ -7,18 +7,34 @@ operator of each multiset is a sum over the distinct orderings of the
 multiset, evaluated with unit coefficients.  In characteristic zero the
 quartic vanishes identically iff every such operator vanishes, so the
 decision is exact and needs no genericity assumption.  The nonvanishing
-multisets depend only on the algebra and are computed once per algebra.
-"""
+multisets depend only on the algebra and are computed once per algebra:
 
+- Weight filter.  The operator of a multiset with weight sigma moves a basis
+  vector of weight mu to weight mu + sigma, so it can only be nonzero when
+  sigma is in Phi or Phi - Phi.  Each such sigma maps to its chain starts,
+  and one lookup of the multiset's weight skips every other multiset
+  (3 131 of 3 876 on B4).
+- Scalar chains.  Root spaces are one-dimensional, so ad(e_g) acts on them
+  through int tables read off the sum and structure-constant tables; only
+  a chain through weight 0 carries a rank-tuple on the Cartan.
+- Shared suffixes.  The sum over distinct orderings is a pass over the
+  sub-multisets, S(M)v = sum over distinct g in M of ad(e_g) S(M - g)v: at
+  most 16 states per start instead of up to 24 orderings of four steps.
+- Minimal supports.  A witness is the first table entry whose support lies
+  in the set.  That entry always has an inclusion-minimal support, so the
+  scan reads only the first entry of each minimal support (37 of 706
+  entries on B4, 255 of 13 434 on E6).
+"""
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chevalley import ChevalleyAlgebra, ad_matrix, ad_root_apply, build_chevalley, height
+from .chevalley import ChevalleyAlgebra, ad_matrix, build_chevalley, height
 from .errors import LiesphError, MismatchedSystems
 from .linalg import mat_is_zero, mat_mul, matrix_rank
 from .roots import PosRootSet, Root, RootSystem
@@ -46,79 +62,178 @@ class SphericalReport:
 # -- deterministic quartic oracle ------------------------------------------------
 
 
-def _p_multiset_vanishes(L: ChevalleyAlgebra, multiset: tuple[int, ...]) -> bool:
-    """Whether the summed chain operator of one size-4 root multiset is zero.
+class _ChainTables:
+    """Integer tables for evaluating ad(e_g) chains, g positive, built with
+    an algebra's quartic table.
 
-    Chains start only from basis weights mu with mu + sum(multiset) again a
-    basis weight; every other start dies for weight reasons.
+    ``target[g][b]`` is the root index of g + b, ``cartan`` when b = -g, and
+    -1 when [e_g, e_b] = 0; ``const[g][b]`` is N_{g,b}.  ``coroot[g]`` is
+    [e_g, e_{-g}] on the simple coroots and ``cartan_row[g][k]`` the
+    coefficient -<g, alpha_k> of [e_g, h_k] = -<g, alpha_k> e_g.  ``packed``
+    turns a positive root into one int, so that the weight of a multiset is
+    the sum of its members' ints, and ``starts`` maps each weight sigma that
+    can move some basis vector to another to its chain starts (state, value):
+    the roots mu with mu + sigma in Phi or 0, after the rank Cartan starts
+    when sigma is a root.
     """
-    rs = L.rs
-    rank = rs.rank
-    sigma = [0] * rank
-    for idx in multiset:
-        c = rs.roots[idx].coords
-        for k in range(rank):
-            sigma[k] += c[k]
-    sigma = tuple(sigma)
-    zero = tuple([0] * rank)
 
-    starts: list[int] = []
-    if sigma in rs.index_of:  # from the Cartan space into g_sigma
-        starts.extend(range(L.num_roots, L.dim))
-    for b in range(L.num_roots):
-        mu = rs.roots[b].coords
-        target = tuple(mu[k] + sigma[k] for k in range(rank))
-        if target == zero or target in rs.index_of:
-            starts.append(b)
-    if not starts:
-        return True
+    __slots__ = ("cartan", "target", "const", "coroot", "cartan_row", "packed", "starts")
 
-    orderings = sorted(set(itertools.permutations(multiset)))
-    for b in starts:
-        acc: dict = {}
-        for seq in orderings:
-            v = {b: 1}
-            for g in reversed(seq):
-                v = ad_root_apply(L, g, v)
-                if not v:
-                    break
-            for key, val in v.items():
-                tot = acc.get(key, 0) + val
-                if tot:
-                    acc[key] = tot
-                else:
-                    acc.pop(key, None)
-        if acc:
+    def __init__(self, L: ChevalleyAlgebra):
+        rs = L.rs
+        nr, npos, rank = L.num_roots, rs.num_positive, rs.rank
+        self.cartan = nr
+        self.target = []
+        self.const = []
+        for g in range(npos):
+            sums = rs.sum_table[g]
+            target = [-1 if s is None else s for s in sums]
+            target[rs.neg_index(g)] = nr
+            self.target.append(target)
+            self.const.append([0 if s is None else L.ntab[(g, b)] for b, s in enumerate(sums)])
+        self.coroot = L.coroot[:npos]
+        simple = [rs.simple_root(k + 1).index for k in range(rank)]
+        self.cartan_row = [tuple(-rs.pairing_table[g][a] for a in simple) for g in range(npos)]
+
+        # digits in base 4 * (largest coefficient of theta) + 1: a sum of four
+        # positive roots never carries
+        base = 4 * max(rs.theta.coords) + 1
+
+        def pack(coords):
+            return sum(c * base**k for k, c in enumerate(coords))
+
+        self.packed = [pack(r.coords) for r in rs.positive_roots]
+        units = [tuple(int(k == j) for j in range(rank)) for k in range(rank)]
+        self.starts: dict[int, list] = {pack(r.coords): [(nr, u) for u in units]
+                                        for r in rs.positive_roots}
+        ends = [r.coords for r in rs.roots] + [(0,) * rank]
+        for b, mu in enumerate(r.coords for r in rs.roots):
+            for end in ends:
+                sigma = [end[k] - mu[k] for k in range(rank)]
+                if min(sigma) >= 0 and any(sigma):
+                    self.starts.setdefault(pack(sigma), []).append((b, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _sub_multiset_plan(mult: tuple[int, ...]) -> tuple:
+    """The nonempty sub-multisets of a multiset with these multiplicities,
+    smallest first; each is given by its (predecessor, distinct member)
+    pairs, N - g for every distinct g in N.  State 0 is the empty multiset."""
+    states = sorted(itertools.product(*(range(m + 1) for m in mult)), key=sum)
+    pos = {c: i for i, c in enumerate(states)}
+    return tuple(
+        tuple((pos[c[:e] + (c[e] - 1,) + c[e + 1 :]], e) for e in range(len(c)) if c[e])
+        for c in states[1:]
+    )
+
+
+def _p_multiset_vanishes(T: _ChainTables, multiset: tuple[int, ...], starts) -> bool:
+    """Whether S(M), the sum of ad(e_g1)...ad(e_g4) over the distinct
+    orderings of the sorted multiset M, kills every chain start.
+
+    S(M)v = sum over distinct g in M of ad(e_g) S(M - g)v, so each start is
+    one pass over the sub-multisets of M.  The weight of S(N)v is fixed by N,
+    so a state is one int on a root space, or a rank-tuple on the Cartan;
+    contributions to one state all land in the same place.
+    """
+    gs: list[int] = []
+    mult: list[int] = []
+    for g in multiset:
+        if gs and gs[-1] == g:
+            mult[-1] += 1
+        else:
+            gs.append(g)
+            mult.append(1)
+    plan = _sub_multiset_plan(tuple(mult))
+    cartan = T.cartan
+    rows = [(g, T.target[g], T.const[g], T.coroot[g], T.cartan_row[g]) for g in gs]
+    for where0, val0 in starts:
+        where = [where0]  # root index or cartan; -1 once the state is zero
+        val = [val0]
+        for preds in plan:
+            at = -1
+            acc = 0
+            for p, e in preds:
+                w = where[p]
+                if w < 0:
+                    continue
+                g, target, const, coroot, cartan_row = rows[e]
+                x = val[p]
+                if w == cartan:
+                    at = g
+                    acc += sum(h * c for h, c in zip(x, cartan_row))
+                elif target[w] == cartan:
+                    at = cartan
+                    h = tuple(x * c for c in coroot)
+                    acc = tuple(a + c for a, c in zip(acc, h)) if acc else h
+                elif target[w] >= 0:
+                    at = target[w]
+                    acc += x * const[w]
+            live = any(acc) if at == cartan else acc
+            where.append(at if live else -1)
+            val.append(acc)
+        if where[-1] >= 0:
             return False
     return True
 
 
 def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]]]:
     """All size-4 positive-root multisets whose chain operator is nonzero,
-    as (support mask, multiset) pairs; computed once per algebra."""
+    as (support mask, multiset) pairs; computed once per algebra.
+
+    A multiset whose weight has no chain start vanishes for weight reasons
+    alone; only the others reach _p_multiset_vanishes."""
     cached = getattr(L, "_quartic_bad", None)
     if cached is not None:
         return cached
-    bad = []
+    T = _ChainTables(L)
+    packed, starts_of = T.packed, T.starts
     npos = L.rs.num_positive
-    for multiset in itertools.combinations_with_replacement(range(npos), 4):
-        if not _p_multiset_vanishes(L, multiset):
-            mask = 0
-            for i in multiset:
-                mask |= 1 << i
-            bad.append((mask, multiset))
+    bad = []
+    for a in range(npos):
+        wa = packed[a]
+        for b in range(a, npos):
+            wb = wa + packed[b]
+            for c in range(b, npos):
+                wc = wb + packed[c]
+                for d in range(c, npos):
+                    starts = starts_of.get(wc + packed[d])
+                    if starts is not None and not _p_multiset_vanishes(T, (a, b, c, d), starts):
+                        bad.append(((1 << a) | (1 << b) | (1 << c) | (1 << d), (a, b, c, d)))
     # small supports first: witnesses are found quickly on non-spherical sets
     bad.sort(key=lambda t: (t[0].bit_count(), t[1]))
     L._quartic_bad = bad
     return bad
 
 
+def _minimal_obstructions(L: ChevalleyAlgebra, table) -> list[tuple[int, tuple[int, ...]]]:
+    """The first table entry of each inclusion-minimal support, in table order.
+
+    The first entry of the table inside a set always has a minimal support:
+    a smaller support inside it has fewer bits and sorts earlier."""
+    cached = getattr(L, "_quartic_minimal", None)
+    if cached is not None:
+        return cached
+    seen: set[int] = set()
+    minimal = []
+    for mask, multiset in table:
+        sub = mask
+        while sub and sub not in seen:
+            sub = (sub - 1) & mask
+        if not sub:
+            seen.add(mask)
+            minimal.append((mask, multiset))
+    L._quartic_minimal = minimal
+    return minimal
+
+
 def spherical_witness(L: ChevalleyAlgebra, ps: PosRootSet) -> Optional[tuple[int, ...]]:
-    """A nonvanishing multiset supported in ps, or None when spherical."""
+    """A nonvanishing multiset supported in ps, or None when spherical: the
+    first such entry of the quartic table."""
     if ps.width != L.rs.num_positive:
         raise MismatchedSystems("bit vector from another system")
     inv = ps.mask
-    for mask, multiset in quartic_obstructions(L):
+    for mask, multiset in _minimal_obstructions(L, quartic_obstructions(L)):
         if mask & ~inv == 0:
             return multiset
     return None

@@ -188,3 +188,35 @@ def test_io_failures_keep_their_exit_code(tmp_path, capsys, build, code, line):
         (entry,) = tmp_path.glob("*.json")
         assert json.loads(entry.read_text()) == json.loads(out)
         assert run(capsys, *argv[:-2]) == (0, out)
+
+
+def test_crash_exits_internal_error_not_mismatch(monkeypatch, capsys):
+    from liesph import spherical
+
+    def crash(L):
+        raise RuntimeError("table build failed\nsecond line")
+
+    monkeypatch.setattr(spherical, "quartic_obstructions", crash)
+    assert main(["verify", "theorem1", "--type", "A2"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: table build failed second line"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("atlas", "ideals", "--type", "B3"),
+    ("verify", "g2", "--type", "G2"),
+])
+def test_one_algebra_per_command(monkeypatch, capsys, argv):
+    from liesph.chevalley import ChevalleyAlgebra
+
+    built = []
+    init = ChevalleyAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChevalleyAlgebra, "__init__", counting_init)
+    assert run(capsys, *argv)[0] == 0
+    assert len(built) == 1

@@ -334,3 +334,174 @@ def test_theorem1_pool_matches_serial():
     L = get_algebra("B3")
     assert S.verify_theorem1(rs, L, workers=2) == S.verify_theorem1(rs, L)
     assert S._T1_STATE is None
+
+
+# -- the chain-dict reference for the quartic table ---------------------------------
+
+
+def _reference_starts(L, multiset):
+    """Basis indices (Cartan after the roots) whose weight allows a nonzero end."""
+    rs = L.rs
+    rank = rs.rank
+    sigma = [0] * rank
+    for idx in multiset:
+        c = rs.roots[idx].coords
+        for k in range(rank):
+            sigma[k] += c[k]
+    sigma = tuple(sigma)
+    zero = tuple([0] * rank)
+
+    starts = []
+    if sigma in rs.index_of:  # from the Cartan space into g_sigma
+        starts.extend(range(L.num_roots, L.dim))
+    for b in range(L.num_roots):
+        mu = rs.roots[b].coords
+        target = tuple(mu[k] + sigma[k] for k in range(rank))
+        if target == zero or target in rs.index_of:
+            starts.append(b)
+    return starts
+
+
+def _reference_image(L, orderings, b):
+    """Sum over the orderings of the chain applied to e_b, as a sparse dict."""
+    from liesph.chevalley import ad_root_apply
+
+    acc = {}
+    for seq in orderings:
+        v = {b: 1}
+        for g in reversed(seq):
+            v = ad_root_apply(L, g, v)
+            if not v:
+                break
+        for key, val in v.items():
+            tot = acc.get(key, 0) + val
+            if tot:
+                acc[key] = tot
+            else:
+                acc.pop(key, None)
+    return acc
+
+
+def _reference_vanishes(L, multiset):
+    """Chain-dict oracle: every distinct ordering of the multiset applied
+    with ad_root_apply from every start whose weight allows a nonzero end."""
+    orderings = sorted(set(itertools.permutations(multiset)))
+    return not any(_reference_image(L, orderings, b) for b in _reference_starts(L, multiset))
+
+
+def _reference_table(L):
+    bad = []
+    for multiset in itertools.combinations_with_replacement(range(L.rs.num_positive), 4):
+        if not _reference_vanishes(L, multiset):
+            mask = 0
+            for i in multiset:
+                mask |= 1 << i
+            bad.append((mask, multiset))
+    bad.sort(key=lambda t: (t[0].bit_count(), t[1]))
+    return bad
+
+
+def _fresh_algebra(name, swap=False, sign=1):
+    from liesph.chevalley import build_chevalley
+    from liesph.roots import build_root_system
+
+    return build_chevalley(build_root_system(name, swap=swap), sign)
+
+
+# swap is defined on the rank-2 types B2, C2 and G2 only
+QUARTIC_CASES = [(n, False, 1) for n in
+                 ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2"]]
+QUARTIC_CASES += [(n, True, 1) for n in ["B2", "C2", "G2"]]
+QUARTIC_CASES += [(n, False, -1) for n in ["B3", "G2"]]
+
+
+@pytest.mark.parametrize("name, swap, sign", QUARTIC_CASES,
+                         ids=[f"{n}{'-swap' if w else ''}{'-neg' if s < 0 else ''}"
+                              for n, w, s in QUARTIC_CASES])
+def test_quartic_table_matches_chain_dict_reference(name, swap, sign):
+    L = _fresh_algebra(name, swap, sign)
+    assert S.quartic_obstructions(L) == _reference_table(L)
+
+
+@pytest.mark.slow
+def test_quartic_table_matches_chain_dict_reference_e6():
+    L = _fresh_algebra("E6")
+    table = S.quartic_obstructions(L)
+    assert len(table) == 13434
+    assert table == _reference_table(L)
+
+
+@pytest.mark.parametrize("name, sign", [("B3", 1), ("C3", -1), ("G2", 1)])
+def test_chain_starts_and_values_match_reference_per_start(name, sign):
+    # the table alone cannot see a wrong Cartan start: on these types no
+    # multiset is nonvanishing on the Cartan only
+    L = _fresh_algebra(name, sign=sign)
+    T = S._ChainTables(L)
+    nonzero_on_cartan = 0
+    for multiset in itertools.combinations_with_replacement(range(L.rs.num_positive), 4):
+        ref = _reference_starts(L, multiset)
+        starts = T.starts.get(sum(T.packed[i] for i in multiset), [])
+        assert [b if b < L.num_roots else b + v.index(1) for b, v in starts] == ref
+        orderings = sorted(set(itertools.permutations(multiset)))
+        for start, b in zip(starts, ref):
+            image = _reference_image(L, orderings, b)
+            assert S._p_multiset_vanishes(T, multiset, [start]) == (not image)
+            nonzero_on_cartan += b >= L.num_roots and bool(image)
+    assert nonzero_on_cartan > 0
+
+
+def test_weight_filter_skips_inadmissible_multisets(monkeypatch):
+    # on B4, 745 of the 3876 multisets have a weight with chain starts
+    calls = []
+    vanishes = S._p_multiset_vanishes
+    monkeypatch.setattr(S, "_p_multiset_vanishes", lambda *a: calls.append(a) or vanishes(*a))
+    assert len(S.quartic_obstructions(_fresh_algebra("B4"))) == 706
+    assert len(calls) == 745
+
+
+def _first_full_table_hit(L, ps):
+    for mask, multiset in S.quartic_obstructions(L):
+        if mask & ~ps.mask == 0:
+            return multiset
+    return None
+
+
+@pytest.mark.parametrize("name, minimal", [("B4", 37), ("F4", 113)])
+def test_witness_scan_over_minimal_supports(name, minimal):
+    rs = get_rs(name)
+    L = get_algebra(name)
+    assert len(S._minimal_obstructions(L, S.quartic_obstructions(L))) == minimal
+    subjects = [e.inv for e in W.enumerate_weyl(rs)]
+    subjects += [i.members for i in I.enumerate_ideals(rs)]
+    for ps in subjects:
+        assert S.spherical_witness(L, ps) == _first_full_table_hit(L, ps)
+
+
+@pytest.mark.slow
+def test_witness_scan_over_minimal_supports_e6_random_masks():
+    import random
+
+    rs = get_rs("E6")
+    L = get_algebra("E6")
+    assert len(S._minimal_obstructions(L, S.quartic_obstructions(L))) == 255
+    rng = random.Random(6)
+    hits = 0
+    for _ in range(2000):
+        mask = 0
+        for i in rng.sample(range(rs.num_positive), rng.randint(1, 12)):
+            mask |= 1 << i
+        ps = PosRootSet(mask, rs.num_positive)
+        witness = S.spherical_witness(L, ps)
+        assert witness == _first_full_table_hit(L, ps)
+        hits += witness is not None
+    assert 0 < hits < 2000
+
+
+def test_one_table_lookup_per_witness(monkeypatch):
+    L = get_algebra("A3")
+    calls = []
+    table = S.quartic_obstructions
+    monkeypatch.setattr(S, "quartic_obstructions", lambda L: calls.append(L) or table(L))
+    for e in W.enumerate_weyl(get_rs("A3")):
+        S.spherical_witness(L, e.inv)
+    assert len(calls) == 24
