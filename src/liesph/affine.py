@@ -2,7 +2,8 @@
 
 An affine root is a pair (finite root, delta level); only real roots are
 representable.  Group elements are reduced words over {0, 1, .., rank} with
-canonical equality through the images of the affine simple roots.
+canonical equality through the images of the affine simple roots.  Letters
+act on ``(level, root index)`` keys through ``RootSystem.affine_letters``.
 """
 
 from __future__ import annotations
@@ -50,26 +51,23 @@ class AffineRoot:
         return f"AffineRoot({self.finite.coords} + {self.level}d)"
 
 
+def _letter(rs: RootSystem, i: int):
+    if not 0 <= i <= rs.rank:
+        raise LiesphError(f"affine simple index {i} out of range")
+    return rs.affine_letters[i]
+
+
 def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     """alpha_0 = delta - theta for i = 0, else the finite simple root."""
-    if i == 0:
-        return AffineRoot(rs, rs.neg_index(rs.theta.index), 1)
-    return AffineRoot(rs, rs.simple_root(i).index, 0)
+    level, f = _letter(rs, i)[0]
+    return AffineRoot(rs, f, level)
 
 
 def affine_apply_simple(rs: RootSystem, i: int, r: AffineRoot) -> AffineRoot:
     if r.system is not rs:
         raise MismatchedSystems("affine root from another system")
-    if not 0 <= i <= rs.rank:
-        raise LiesphError(f"affine simple index {i} out of range")
-    if i > 0:
-        return AffineRoot(rs, rs.simple_perms[i - 1][r.findex], r.level)
-    # s_0(a + n*delta) = (a - <a,theta>theta) + (n + <a,theta>)*delta
-    pair = rs.pairing_table[r.findex][rs.theta.index]
-    coords = tuple(
-        rs.roots[r.findex].coords[k] - pair * rs.theta.coords[k] for k in range(rs.rank)
-    )
-    return AffineRoot(rs, rs.index_of[coords], r.level + pair)
+    _, perm, shift = _letter(rs, i)
+    return AffineRoot(rs, perm[r.findex], r.level + shift[r.findex])
 
 
 def affine_pairing(a: AffineRoot, b: AffineRoot) -> int:
@@ -94,6 +92,8 @@ class AffineRootSet:
             else:
                 key = (int(r[0]), int(r[1]))
             level, findex = key
+            if not 0 <= findex < len(system.roots):
+                raise LiesphError(f"root index {findex} out of range")
             if not (level > 0 or (level == 0 and findex < system.num_positive)):
                 raise LiesphError("affine root set members must be positive")
             keys.add(key)
@@ -134,11 +134,17 @@ class AffineRootSet:
 
 
 def _act_letter(rs: RootSystem, i: int, keys: set[tuple[int, int]]) -> set:
-    out = set()
-    for l, f in keys:
-        img = affine_apply_simple(rs, i, AffineRoot(rs, f, l))
-        out.add(img.key())
-    return out
+    _, perm, shift = rs.affine_letters[i]
+    return {(l + shift[f], perm[f]) for l, f in keys}
+
+
+def _word_image(rs: RootSystem, word, key: tuple[int, int]) -> tuple[int, int]:
+    """Image of a (level, root index) key under the product of the word."""
+    level, f = key
+    for i in reversed(word):
+        _, perm, shift = rs.affine_letters[i]
+        level, f = level + shift[f], perm[f]
+    return level, f
 
 
 class AffineWeylWord:
@@ -161,7 +167,7 @@ class AffineWeylWord:
         self.word = word
         self.inv_keys = frozenset(inv)
         self.canonical = tuple(
-            self.apply(affine_simple_root(system, i)).key() for i in range(system.rank + 1)
+            _word_image(system, word, alpha) for alpha, _, _ in system.affine_letters
         )
 
     @property
@@ -169,9 +175,10 @@ class AffineWeylWord:
         return len(self.word)
 
     def apply(self, r: AffineRoot) -> AffineRoot:
-        for i in reversed(self.word):
-            r = affine_apply_simple(self.system, i, r)
-        return r
+        if r.system is not self.system:
+            raise MismatchedSystems("affine root from another system")
+        level, f = _word_image(self.system, self.word, r.key())
+        return AffineRoot(self.system, f, level)
 
     def is_identity(self) -> bool:
         return not self.word
@@ -194,25 +201,24 @@ def _inversion_keys(rs: RootSystem, word) -> set[tuple[int, int]]:
     """Inversion set of an arbitrary word, built letter by letter."""
     keys: set[tuple[int, int]] = set()
     for i in word:
-        alpha = affine_simple_root(rs, i).key()
-        if alpha in keys:
-            keys = _act_letter(rs, i, keys - {alpha})
-        else:
-            keys = _act_letter(rs, i, keys) | {alpha}
+        # N(u s_i) is s_i N(u) plus alpha_i, or s_i (N(u) - alpha_i) if it held alpha_i
+        alpha = rs.affine_letters[i][0]
+        keys = _act_letter(rs, i, keys - {alpha}) | ({alpha} - keys)
     return keys
 
 
 def _peel_word(rs: RootSystem, keys) -> tuple[int, ...]:
-    keys = set(keys)
+    """Word of the element with inversion set keys, peeling the lowest
+    affine simple root each step; on level-0 keys only finite letters occur."""
     rev = []
     while keys:
-        for i in range(rs.rank + 1):
-            if affine_simple_root(rs, i).key() in keys:
+        for i, (alpha, _, _) in enumerate(rs.affine_letters):
+            if alpha in keys:
                 break
         else:
             raise LiesphError("finite biconvex set without an affine simple root")
         rev.append(i)
-        keys = _act_letter(rs, i, keys - {affine_simple_root(rs, i).key()})
+        keys = _act_letter(rs, i, keys - {alpha})
     return tuple(reversed(rev))
 
 
@@ -221,7 +227,7 @@ def affine_from_word(rs: RootSystem, word) -> AffineWeylWord:
 
 
 def affine_inversions(w: AffineWeylWord) -> AffineRootSet:
-    return AffineRootSet(w.system, [(l, f) for l, f in w.inv_keys])
+    return AffineRootSet(w.system, w.inv_keys)
 
 
 def is_biconvex_affine(S: AffineRootSet) -> bool:
@@ -235,21 +241,16 @@ def is_biconvex_affine(S: AffineRootSet) -> bool:
             if s is not None and (la + lb, s) not in keys:
                 return False
     # a sum landing inside S with both summands positive and outside S
-    # violates closure of the complement
+    # violates closure of the complement; g = f + g2 with g2 = g - f
+    npos = rs.num_positive
     for lg, fg in pairs:
-        gcoords = rs.roots[fg].coords
-        for f in range(len(rs.roots)):
-            rest = tuple(gcoords[k] - rs.roots[f].coords[k] for k in range(rs.rank))
-            g2 = rs.index_of.get(rest)
+        for h, g2 in enumerate(rs.sum_table[fg]):
             if g2 is None:
                 continue
-            for m in range(lg + 1):
-                n = lg - m
-                if m == 0 and f >= rs.num_positive:
-                    continue
-                if n == 0 and g2 >= rs.num_positive:
-                    continue
-                if (m, f) not in keys and (n, g2) not in keys:
+            f = rs.neg_index(h)
+            # the levels m with (m, f) and (lg - m, g2) both positive
+            for m in range(f >= npos, lg + (g2 < npos)):
+                if (m, f) not in keys and (lg - m, g2) not in keys:
                     return False
     return True
 
@@ -258,9 +259,8 @@ def element_from_biconvex_affine(S: AffineRootSet) -> AffineWeylWord:
     """The element whose inversion set is S; rejects non-biconvex input."""
     if not is_biconvex_affine(S):
         raise LiesphError("input set is not biconvex in the affine positive system")
-    word = _peel_word(S.system, set(S.keys))
-    w = AffineWeylWord(S.system, word)
-    if affine_inversions(w) != S:
+    w = AffineWeylWord(S.system, _peel_word(S.system, S.keys))
+    if w.inv_keys != S.keys:
         raise LiesphError("peeling failed to reproduce the input set")
     return w
 

@@ -151,12 +151,7 @@ def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
     neg = rs.neg_index
     norm2 = rs.norm2
     sum_table = rs.sum_table
-    index_of = rs.index_of
     full: dict[tuple[int, int], Fraction] = {}
-
-    def diff_index(i: int, j: int):
-        c = tuple(rs.roots[i].coords[k] - rs.roots[j].coords[k] for k in range(rs.rank))
-        return index_of.get(c)
 
     def lookup(i: int, j: int) -> Fraction:
         val = full.get((i, j))
@@ -192,7 +187,7 @@ def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
             continue
         pairs = []
         for a in range(m):
-            b = diff_index(g, a)
+            b = sum_table[g][neg(a)]
             if b is not None and b < m and a <= b:
                 pairs.append((a, b))
         pairs.sort()
@@ -205,11 +200,11 @@ def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
             # Jacobi on (e_{-x}, e_a, e_b), total weight gamma - x = y:
             # N_{a,b} N_{gamma,-x} + N_{-x,a} N_{a-x,b} + N_{b,-x} N_{b-x,a} = 0
             t1 = Fraction(0)
-            ax = diff_index(a, x)
+            ax = sum_table[a][neg(x)]
             if ax is not None:
                 t1 = lookup(neg(x), a) * lookup(ax, b)
             t3 = Fraction(0)
-            bx = diff_index(b, x)
+            bx = sum_table[b][neg(x)]
             if bx is not None:
                 t3 = lookup(b, neg(x)) * lookup(bx, a)
             store(a, b, -(t1 + t3) / denom)

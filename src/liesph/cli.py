@@ -333,9 +333,12 @@ def cmd_atlas(args) -> int:
 
 def _parse_coords(text: str, rank: int) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != rank or not all(p.lstrip("-").isdigit() for p in parts):
-        raise LiesphError(f"cannot parse root coordinates {text!r} for rank {rank}")
-    return tuple(int(p) for p in parts)
+    if len(parts) == rank and all(p.lstrip("-").isdigit() for p in parts):
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:  # "--1", or a digit int() does not read, like "²"
+            pass
+    raise LiesphError(f"cannot parse root coordinates {text!r} for rank {rank}")
 
 
 def cmd_inspect(args) -> int:

@@ -240,6 +240,10 @@ class RootSystem:
     descending lexicographic coordinates; ``roots[i + num_positive]`` is the
     negative of ``roots[i]``.
 
+    ``affine_letters[i]`` is the affine simple reflection s_i on
+    ``(level, root index)`` keys: ``(alpha_i key, root permutation, level
+    shift per root)``, with s_0 the reflection in delta - theta.
+
     Memo tables fill lazily and idempotently, so concurrent readers at worst
     duplicate work: ``_plane_cache`` holds every rank-2 plane parabolic, finite
     and affine alike (see ``plane_parabolic``), and the ideals module stashes
@@ -304,7 +308,16 @@ class RootSystem:
             assert self.sum_table[self.theta.index][self._simple_index(i)] is None
 
         self.simple_perms = tuple(
-            tuple(self._reflect_index(i, j) for j in range(size)) for i in range(self.rank)
+            tuple(self._reflect_index(self._simple_index(i), j) for j in range(size))
+            for i in range(self.rank)
+        )
+        # s_0(a + n*delta) = s_theta(a) + (n + <a, theta>)*delta
+        th = self.theta.index
+        s_theta = tuple(self._reflect_index(th, j) for j in range(size))
+        self.affine_letters = (
+            ((1, self.neg_index(th)), s_theta, tuple(row[th] for row in self.pairing_table)),
+            *(((0, self._simple_index(i)), perm, (0,) * size)
+              for i, perm in enumerate(self.simple_perms)),
         )
 
         # plane_parabolic's memo, keyed by a sorted pair of (level, root index)
@@ -353,12 +366,11 @@ class RootSystem:
         best = max(indices, key=lambda i: (sum(self.roots[i].coords), self.roots[i].coords))
         return self.roots[best]
 
-    def _reflect_index(self, i: int, j: int) -> int:
-        a = self.roots[self._simple_index(i)]
-        b = self.roots[j]
-        pair = self.pairing_table[j][a.index]
-        new = tuple(b.coords[k] - pair * a.coords[k] for k in range(self.rank))
-        return self.index_of[new]
+    def _reflect_index(self, a: int, j: int) -> int:
+        """Index of the reflection of root j in root a."""
+        pair = self.pairing_table[j][a]
+        b, c = self.roots[j].coords, self.roots[a].coords
+        return self.index_of[tuple(b[k] - pair * c[k] for k in range(self.rank))]
 
     # -- public accessors ------------------------------------------------------
 
@@ -446,11 +458,12 @@ def root_string_p(rs: RootSystem, a: Root, b: Root) -> int:
     _check_roots(rs, a, b)
     if b.index in (a.index, rs.neg_index(a.index)):
         raise LiesphError("root string requires a != +-b")
+    minus_a = rs.neg_index(a.index)
     p = 0
-    cur = tuple(b.coords[i] - a.coords[i] for i in range(rs.rank))
-    while cur in rs.index_of:
+    cur = rs.sum_table[b.index][minus_a]
+    while cur is not None:
         p += 1
-        cur = tuple(cur[i] - a.coords[i] for i in range(rs.rank))
+        cur = rs.sum_table[cur][minus_a]
     return p
 
 

@@ -314,10 +314,8 @@ def strongly_orthogonal(rs: RootSystem, a: Root, b: Root) -> bool:
         raise MismatchedSystems("root from another system")
     if b.index in (a.index, rs.neg_index(a.index)):
         raise LiesphError("strong orthogonality needs a != +-b")
-    if rs.sum_table[a.index][b.index] is not None:
-        return False
-    diff = tuple(a.coords[k] - b.coords[k] for k in range(rs.rank))
-    return diff not in rs.index_of
+    row = rs.sum_table[a.index]
+    return row[b.index] is None and row[rs.neg_index(b.index)] is None
 
 
 def _half_sum_root(rs: RootSystem, coords_list) -> bool:

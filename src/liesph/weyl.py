@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from .affine import _peel_word
 from .errors import BudgetExceeded, LiesphError, MismatchedSystems, WordCapExceeded
 from .roots import (
     PosRootSet,
@@ -262,22 +263,7 @@ def element_from_biconvex(rs: RootSystem, ps: PosRootSet) -> WeylElement:
     """The unique w with inversion set ps; rejects non-biclosed input."""
     if not is_biclosed(rs, ps):
         raise LiesphError("input set is not biconvex")
-    simples = _simple_indices(rs)
-    mask = ps.mask
-    rev = []
-    while mask:
-        for i in range(rs.rank):
-            if mask >> simples[i] & 1:
-                break
-        else:
-            raise LiesphError("nonempty biconvex set without a simple root")
-        rev.append(i + 1)
-        perm = rs.simple_perms[i]
-        new_mask = 0
-        for j in iter_bits(mask & ~(1 << simples[i])):
-            new_mask |= 1 << perm[j]
-        mask = new_mask
-    return from_word(rs, tuple(reversed(rev)))
+    return from_word(rs, _peel_word(rs, {(0, i) for i in ps.indices()}))
 
 
 # -- orders --------------------------------------------------------------------

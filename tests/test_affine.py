@@ -2,8 +2,38 @@ import pytest
 
 from conftest import get_rs
 from liesph import affine as A
+from liesph import ideals as I
 from liesph import weyl as W
 from liesph.errors import LiesphError
+
+LETTER_TYPES = [(n, False) for n in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                                     "D4", "F4", "G2")] + [(n, True) for n in ("B2", "C2", "G2")]
+
+
+def _reference_apply_simple(rs, i, level, f):
+    """s_i on f + level*delta from coordinates: s_i(a + n*delta) =
+    (a - <a, b> b) + (n + <a, b> * m)*delta for alpha_i = b + m*delta,
+    with alpha_0 = -theta + delta."""
+    if i == 0:
+        b, m = rs.neg_index(rs.theta.index), 1
+    else:
+        b, m = rs.simple_root(i).index, 0
+    pair = rs.pairing_table[f][b]
+    coords = tuple(rs.roots[f].coords[k] - pair * rs.roots[b].coords[k] for k in range(rs.rank))
+    return level - pair * m, rs.index_of[coords]
+
+
+@pytest.mark.parametrize("name, swap", LETTER_TYPES)
+def test_letter_table_matches_coordinate_reference(name, swap):
+    rs = get_rs(name, swap)
+    assert len(rs.affine_letters) == rs.rank + 1
+    for i in range(rs.rank + 1):
+        assert rs.affine_letters[i][0] == A.affine_simple_root(rs, i).key()
+        for f in range(len(rs.roots)):
+            for level in range(-2, 3):
+                want = _reference_apply_simple(rs, i, level, f)
+                assert A._act_letter(rs, i, {(level, f)}) == {want}
+                assert A.affine_apply_simple(rs, i, A.AffineRoot(rs, f, level)).key() == want
 
 
 def test_affine_simple_roots():
@@ -122,6 +152,46 @@ def test_biconvex_rejects_bad_sets():
         A.element_from_biconvex_affine(S)
     with pytest.raises(LiesphError):
         A.AffineRootSet(g2, [(0, g2.neg_index(g2.theta.index))])  # negative member
+
+
+@pytest.mark.parametrize("findex", [len(get_rs("G2").roots), 99, -1])
+def test_affine_root_set_rejects_out_of_range_index(findex):
+    with pytest.raises(LiesphError, match="out of range"):
+        A.AffineRootSet(get_rs("G2"), [(1, findex)])
+
+
+def _biconvex_by_letters(rs, keys):
+    """Biconvex iff it is an inversion set: the peel finds an affine simple
+    root at every step (it ends, as each step drops one key) and the peeled
+    word has the set as its inversion set."""
+    try:
+        word = A._peel_word(rs, keys)
+    except LiesphError:
+        return False
+    return A._inversion_keys(rs, word) == set(keys)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "D4", "G2"])
+def test_biconvex_against_letter_oracle(name):
+    rs = get_rs(name)
+    positive = rs.num_positive
+    checked = rejected = 0
+    for ideal in I.enumerate_ideals(rs):
+        keys = I.psi_hat(rs, ideal).keys
+        top = max((level for level, _ in keys), default=0) + 1
+        candidates = [keys] + [keys - {k} for k in keys] + [
+            keys | {(level, f)}
+            for level in range(top + 1)
+            for f in range(positive if level == 0 else len(rs.roots))
+            if (level, f) not in keys
+        ]
+        for c in candidates:
+            got = A.is_biconvex_affine(A.AffineRootSet(rs, c))
+            assert got == _biconvex_by_letters(rs, c), sorted(c)
+            checked += 1
+            rejected += not got
+        assert _biconvex_by_letters(rs, keys)
+    assert 0 < rejected < checked
 
 
 def test_empty_and_singleton():

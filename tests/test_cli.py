@@ -159,7 +159,7 @@ def _cache_entry(tmp_path, capsys, content):
 
 
 # (failure, argv builder, exit code, start of the one stderr line)
-IO_FAILURES = [
+FAILURES = [
     ("truncated cache entry",
      lambda tmp, cap: _cache_entry(tmp, cap, '{\n  "command": "verify-the'),
      0, "warning: unreadable cache entry "),
@@ -172,11 +172,17 @@ IO_FAILURES = [
     ("--out onto a directory",
      lambda tmp, cap: ["verify", "theorem1", "--type", "A2", "--out", str(tmp)],
      4, "error: [Errno 21] Is a directory: "),
+    ("doubled minus in --ideal-gen",
+     lambda tmp, cap: ["inspect", "--type", "B2", "--ideal-gen=--1,0"],
+     2, "error: cannot parse root coordinates '--1,0' for rank 2"),
+    ("superscript digit in --ideal-gen",
+     lambda tmp, cap: ["inspect", "--type", "B2", "--ideal-gen=²,0"],
+     2, "error: cannot parse root coordinates '²,0' for rank 2"),
 ]
 
 
-@pytest.mark.parametrize("build, code, line", [c[1:] for c in IO_FAILURES],
-                         ids=[c[0] for c in IO_FAILURES])
+@pytest.mark.parametrize("build, code, line", [c[1:] for c in FAILURES],
+                         ids=[c[0] for c in FAILURES])
 def test_io_failures_keep_their_exit_code(tmp_path, capsys, build, code, line):
     argv = build(tmp_path, capsys)
     capsys.readouterr()
