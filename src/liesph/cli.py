@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=5)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="largest Weyl group order accepted")
+                       help="largest Weyl group a command may enumerate")
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--cache", help="directory for cached report payloads")
         p.add_argument("--cap-words", type=int, default=W.DEFAULT_WORD_CAP)
@@ -179,17 +179,10 @@ def _parse_type(args) -> CartanType:
     return CartanType.parse(args.type)
 
 
-def _check_budget(ct: CartanType, budget: int):
-    order = ct.weyl_order()
-    if order > budget:
-        raise BudgetExceeded(f"|W({ct.name})| = {order} exceeds budget {budget}")
-
-
 def cmd_verify(args) -> int:
     ct = _parse_type(args)
     if args.what == "g2" and ct.name != "G2":
         raise LiesphError("verify g2 requires --type G2")
-    _check_budget(ct, args.budget)
     key = {
         "command": "verify",
         "what": args.what,
@@ -202,8 +195,7 @@ def cmd_verify(args) -> int:
     if report is None:
         rs = build_root_system(ct, swap=args.swap)
         if args.what == "theorem1":
-            L = build_chevalley(rs)
-            report = S.verify_theorem1(rs, L, budget=args.budget, workers=args.workers)
+            report = S.verify_theorem1(rs, budget=args.budget, workers=args.workers)
         elif args.what == "theorem2":
             report = I.verify_theorem2(rs)
         elif args.what == "subspaces":
@@ -293,7 +285,6 @@ def _g2_report(rs) -> dict:
 
 def cmd_atlas(args) -> int:
     ct = _parse_type(args)
-    _check_budget(ct, args.budget)
     key = {"command": "atlas", "what": args.what, "type": ct.name, "swap": args.swap}
     report, cache_path = _cache_fetch(args, key)
     if report is None:
@@ -302,7 +293,7 @@ def cmd_atlas(args) -> int:
         maximal_spherical = None
         if args.what == "ideals":
             records = I.ideal_atlas(rs, L)
-            maximal_spherical = I.maximal_spherical_ideals(rs, L)
+            maximal_spherical = I.maximal_spherical_ideals(records)
         else:
             records = []
             for e in W.enumerate_weyl(rs, budget=args.budget):
@@ -345,7 +336,6 @@ def cmd_inspect(args) -> int:
     ct = _parse_type(args)
     if bool(args.word) == bool(args.ideal_gen):
         raise LiesphError("inspect needs exactly one of --word / --ideal-gen")
-    _check_budget(ct, args.budget)
     rs = build_root_system(ct, swap=args.swap)
     L = build_chevalley(rs)
 

@@ -236,19 +236,11 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     }
 
 
-def maximal_spherical_ideals(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> list[list[list[int]]]:
-    """Maximal elements among the spherical ideals (informational listing)."""
-    from .spherical import is_spherical_subspace
-
-    L = L or build_chevalley(rs)
-    spherical_masks = [
-        i.members.mask for i in enumerate_ideals(rs) if is_spherical_subspace(L, i.members)
-    ]
-    out = []
-    for m in spherical_masks:
-        if not any(o != m and m & ~o == 0 for o in spherical_masks):
-            out.append(sorted([list(rs.roots[i].coords) for i in iter_bits(m)]))
-    return sorted(out)
+def maximal_spherical_ideals(records: list[dict]) -> list[list[list[int]]]:
+    """Maximal members among the spherical ideals of an ``ideal_atlas``
+    (informational listing), each as its sorted member coordinates."""
+    spherical = [{tuple(c) for c in r["members"]} for r in records if r["spherical"]]
+    return sorted(sorted(map(list, m)) for m in spherical if not any(m < o for o in spherical))
 
 
 def ideal_atlas(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> list[dict]:

@@ -11,9 +11,11 @@ multisets depend only on the algebra and are computed once per algebra:
 
 - Weight filter.  The operator of a multiset with weight sigma moves a basis
   vector of weight mu to weight mu + sigma, so it can only be nonzero when
-  sigma is in Phi or Phi - Phi.  Each such sigma maps to its chain starts,
-  and one lookup of the multiset's weight skips every other multiset
-  (3 131 of 3 876 on B4).
+  sigma is in Phi or Phi - Phi.  The weight index of the root system
+  (``_weight_index``) maps each such sigma to its decompositions mu -> mu +
+  sigma, and the four-root scan (``_four_root_multisets``) yields only the
+  multisets whose weight is in it (745 of 3 876 on B4).  The lemma sweep
+  reads its a - b decompositions from the same index.
 - Scalar chains.  Root spaces are one-dimensional, so ad(e_g) acts on them
   through int tables read off the sum and structure-constant tables; only
   a chain through weight 0 carries a rank-tuple on the Cartan.
@@ -62,22 +64,66 @@ class SphericalReport:
 # -- deterministic quartic oracle ------------------------------------------------
 
 
+def _weight_index(rs: RootSystem) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
+    """(packed, index) for the four-root multisets, built once per root system.
+
+    ``packed[i]`` is positive root i as one int, with digits in base
+    4 * (largest coefficient of theta) + 1, so that the weight of four
+    positive roots is the sum of their ints and never carries.  ``index``
+    maps each nonzero weight sigma >= 0 with mu + sigma in Phi or 0 for some
+    root mu to its decompositions (mu, end), mu in index order: end is the
+    root index of mu + sigma, or len(rs.roots) when mu + sigma = 0.
+    """
+    cached = getattr(rs, "_weight_idx", None)
+    if cached is not None:
+        return cached
+    # a difference of two roots is at most 2 theta, so it packs without carry too
+    base = 4 * max(rs.theta.coords) + 1
+
+    def pack(coords):
+        return sum(c * base**k for k, c in enumerate(coords))
+
+    packed = [pack(r.coords) for r in rs.positive_roots]
+    ends = [r.coords for r in rs.roots] + [(0,) * rs.rank]
+    index: dict[int, list[tuple[int, int]]] = {}
+    for mu, r in enumerate(rs.roots):
+        for end, coords in enumerate(ends):
+            sigma = [c - m for c, m in zip(coords, r.coords)]
+            if min(sigma) >= 0 and any(sigma):
+                index.setdefault(pack(sigma), []).append((mu, end))
+    rs._weight_idx = (packed, index)
+    return rs._weight_idx
+
+
+def _four_root_multisets(rs: RootSystem):
+    """Yield (multiset, sigma) for the sorted size-4 positive-root multisets,
+    in lexicographic order, whose packed weight sigma is in the weight index."""
+    packed, index = _weight_index(rs)
+    npos = rs.num_positive
+    for a in range(npos):
+        wa = packed[a]
+        for b in range(a, npos):
+            wb = wa + packed[b]
+            for c in range(b, npos):
+                wc = wb + packed[c]
+                for d in range(c, npos):
+                    sigma = wc + packed[d]
+                    if sigma in index:
+                        yield (a, b, c, d), sigma
+
+
 class _ChainTables:
     """Integer tables for evaluating ad(e_g) chains, g positive, built with
-    an algebra's quartic table.
+    an algebra's quartic table; the weights the chains start from come from
+    the root system's weight index (``_weight_index``).
 
     ``target[g][b]`` is the root index of g + b, ``cartan`` when b = -g, and
     -1 when [e_g, e_b] = 0; ``const[g][b]`` is N_{g,b}.  ``coroot[g]`` is
     [e_g, e_{-g}] on the simple coroots and ``cartan_row[g][k]`` the
-    coefficient -<g, alpha_k> of [e_g, h_k] = -<g, alpha_k> e_g.  ``packed``
-    turns a positive root into one int, so that the weight of a multiset is
-    the sum of its members' ints, and ``starts`` maps each weight sigma that
-    can move some basis vector to another to its chain starts (state, value):
-    the roots mu with mu + sigma in Phi or 0, after the rank Cartan starts
-    when sigma is a root.
+    coefficient -<g, alpha_k> of [e_g, h_k] = -<g, alpha_k> e_g.
     """
 
-    __slots__ = ("cartan", "target", "const", "coroot", "cartan_row", "packed", "starts")
+    __slots__ = ("cartan", "target", "const", "coroot", "cartan_row")
 
     def __init__(self, L: ChevalleyAlgebra):
         rs = L.rs
@@ -95,23 +141,18 @@ class _ChainTables:
         simple = [rs.simple_root(k + 1).index for k in range(rank)]
         self.cartan_row = [tuple(-rs.pairing_table[g][a] for a in simple) for g in range(npos)]
 
-        # digits in base 4 * (largest coefficient of theta) + 1: a sum of four
-        # positive roots never carries
-        base = 4 * max(rs.theta.coords) + 1
 
-        def pack(coords):
-            return sum(c * base**k for k, c in enumerate(coords))
-
-        self.packed = [pack(r.coords) for r in rs.positive_roots]
-        units = [tuple(int(k == j) for j in range(rank)) for k in range(rank)]
-        self.starts: dict[int, list] = {pack(r.coords): [(nr, u) for u in units]
-                                        for r in rs.positive_roots}
-        ends = [r.coords for r in rs.roots] + [(0,) * rank]
-        for b, mu in enumerate(r.coords for r in rs.roots):
-            for end in ends:
-                sigma = [end[k] - mu[k] for k in range(rank)]
-                if min(sigma) >= 0 and any(sigma):
-                    self.starts.setdefault(pack(sigma), []).append((b, 1))
+def _chain_starts(rs: RootSystem) -> dict[int, list]:
+    """The chain starts (state, value) of each indexed weight sigma: the rank
+    Cartan units first when sigma is a root (some mu + sigma = 0), then
+    (mu, 1) for each of its decompositions."""
+    zero = len(rs.roots)  # also the Cartan state of _ChainTables
+    units = [(zero, tuple(int(k == j) for j in range(rs.rank))) for k in range(rs.rank)]
+    starts_of = {}
+    for sigma, decomps in _weight_index(rs)[1].items():
+        is_root = any(end == zero for _, end in decomps)
+        starts_of[sigma] = (units if is_root else []) + [(mu, 1) for mu, _ in decomps]
+    return starts_of
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,19 +228,11 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
     if cached is not None:
         return cached
     T = _ChainTables(L)
-    packed, starts_of = T.packed, T.starts
-    npos = L.rs.num_positive
+    starts_of = _chain_starts(L.rs)
     bad = []
-    for a in range(npos):
-        wa = packed[a]
-        for b in range(a, npos):
-            wb = wa + packed[b]
-            for c in range(b, npos):
-                wc = wb + packed[c]
-                for d in range(c, npos):
-                    starts = starts_of.get(wc + packed[d])
-                    if starts is not None and not _p_multiset_vanishes(T, (a, b, c, d), starts):
-                        bad.append(((1 << a) | (1 << b) | (1 << c) | (1 << d), (a, b, c, d)))
+    for multiset, sigma in _four_root_multisets(L.rs):
+        if not _p_multiset_vanishes(T, multiset, starts_of[sigma]):
+            bad.append((sum(1 << i for i in set(multiset)), multiset))
     # small supports first: witnesses are found quickly on non-spherical sets
     bad.sort(key=lambda t: (t[0].bit_count(), t[1]))
     L._quartic_bad = bad
@@ -367,41 +400,27 @@ def classify_nonspherical_orthogonal(rs: RootSystem, gamma) -> str:
 
 
 def verify_lemma_quadruples(rs: RootSystem) -> dict:
-    """Sweep all size-4 positive-root multisets with nonnegative pairwise
-    pairings, non-orthogonal support, and total sum of the shape a - b with
-    a, b roots; check the structural conclusions on every witness."""
+    """Sweep the size-4 positive-root multisets whose total sum has the shape
+    a - b with a, b roots, nonnegative pairwise pairings and non-orthogonal
+    support; check the structural conclusions on every witness."""
     npos = rs.num_positive
     pt = rs.pairing_table
+    packed, index = _weight_index(rs)
+    zero = len(rs.roots)
+    # sigma = a - b as (a, b) root pairs, ordered by a
+    differences = {
+        sigma: sorted((end, mu) for mu, end in decomps if end != zero)
+        for sigma, decomps in index.items()
+    }
     witnesses = []
     violations = []
-    for multiset in itertools.combinations_with_replacement(range(npos), 4):
-        ok = True
-        for x in range(4):
-            for y in range(x + 1, 4):
-                if pt[multiset[x]][multiset[y]] < 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+    for multiset, sigma in _four_root_multisets(rs):
+        if any(pt[x][y] < 0 for x, y in itertools.combinations(multiset, 2)):
             continue
         distinct = sorted(set(multiset))
-        non_orth = any(
-            pt[a][b] != 0 for i, a in enumerate(distinct) for b in distinct[i + 1 :]
-        )
-        if not non_orth:
+        if all(pt[x][y] == 0 for x, y in itertools.combinations(distinct, 2)):
             continue
-        sigma = [0] * rs.rank
-        for i in multiset:
-            for k in range(rs.rank):
-                sigma[k] += rs.roots[i].coords[k]
-        sigma = tuple(sigma)
-        decomps = []
-        for a in rs.roots:
-            bc = tuple(a.coords[k] - sigma[k] for k in range(rs.rank))
-            bi = rs.index_of.get(bc)
-            if bi is not None:
-                decomps.append((a.index, bi))
+        decomps = differences[sigma]
         if not decomps:
             continue
 
@@ -427,13 +446,9 @@ def verify_lemma_quadruples(rs: RootSystem) -> dict:
                     {"multiset": entry["multiset"], "reason": "long member not orthogonal to rest"}
                 )
         if not longs:
-            coords = [rs.roots[i].coords for i in multiset]
-            pairing_ok = any(
-                tuple(coords[p[0]][k] + coords[p[1]][k] for k in range(rs.rank))
-                == tuple(coords[p[2]][k] + coords[p[3]][k] for k in range(rs.rank))
-                for p in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
-            )
-            if not pairing_ok:
+            # a split into two pairs with equal sums: one pair sums to sigma / 2
+            first = packed[multiset[0]]
+            if not any(2 * (first + packed[j]) == sigma for j in multiset[1:]):
                 violations.append(
                     {"multiset": entry["multiset"], "reason": "short quadruple has no equal-sum split"}
                 )
@@ -555,9 +570,10 @@ def verify_theorem1(rs: RootSystem, L: ChevalleyAlgebra | None = None,
     In simply laced types the commutative decider must agree with the fully
     commutative one; disagreements are reported as mismatches too."""
     global _T1_STATE
+    # enumeration enforces the budget: a refused group builds no algebra or table
+    elements = list(_weyl.enumerate_weyl(rs, budget))
     L = L or build_chevalley(rs)
     quartic_obstructions(L)  # materialize before any worker split
-    elements = list(_weyl.enumerate_weyl(rs, budget))
     _T1_STATE = (rs, L, elements)
     try:
         results = _parallel_chunks(_t1_check, _split(range(len(elements)), workers), workers)

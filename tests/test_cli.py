@@ -51,11 +51,39 @@ def test_verify_g2_both_labellings(capsys):
         assert len(rep["checks"]) == 9 and all(c["ok"] for c in rep["checks"])
 
 
-def test_budget_exit_code(capsys):
-    code = main(["verify", "theorem1", "--type", "E8"])
-    assert code == 3
-    code = main(["verify", "theorem1", "--type", "E7"])
-    assert code == 3
+def test_budget_exit_code(monkeypatch, capsys):
+    # the budget bounds Weyl enumeration, which comes before the quartic table
+    from liesph import spherical
+
+    def no_table(L):
+        raise AssertionError("quartic table built for a refused group")
+
+    monkeypatch.setattr(spherical, "quartic_obstructions", no_table)
+    for name, order in (("E8", 696729600), ("E7", 2903040)):
+        for argv in (["verify", "theorem1"], ["verify", "subspaces"], ["atlas", "fc"]):
+            assert main([*argv, "--type", name]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"budget exceeded: |W({name})| = {order} exceeds budget 200000\n"
+
+
+@pytest.mark.parametrize("name, scanned", [("E7", 720720), ("E8", 9078630)])
+def test_lemmas_on_e7_e8_are_not_refused(capsys, name, scanned):
+    # simply laced: no multiset passes the lemma's filters
+    code, rep = run_json(capsys, "verify", "lemmas", "--type", name)
+    assert code == 0
+    assert rep["multisets_scanned"] == scanned
+    assert rep["witnesses"] == 0 and rep["violations"] == []
+
+
+@pytest.mark.slow
+def test_theorem2_e7_through_cli(capsys):
+    # 4160 is the type-E7 Catalan number (Cellini-Papi); the abelian ideals
+    # number 2^7 (Peterson)
+    code, rep = run_json(capsys, "verify", "theorem2", "--type", "E7")
+    assert code == 0 and rep["mismatches"] == []
+    assert rep["ideals"] == 4160
+    assert rep["abelian"] == rep["spherical"] == rep["fc"] == 128
 
 
 def test_usage_errors(capsys):
@@ -226,3 +254,15 @@ def test_one_algebra_per_command(monkeypatch, capsys, argv):
     monkeypatch.setattr(ChevalleyAlgebra, "__init__", counting_init)
     assert run(capsys, *argv)[0] == 0
     assert len(built) == 1
+
+
+def test_atlas_ideals_enumerates_the_ideals_once(monkeypatch, capsys):
+    from liesph import ideals
+
+    calls = []
+    enumerate_ideals = ideals.enumerate_ideals
+    monkeypatch.setattr(ideals, "enumerate_ideals",
+                        lambda rs: calls.append(rs) or enumerate_ideals(rs))
+    code, rep = run_json(capsys, "atlas", "ideals", "--type", "B3")
+    assert code == 0 and rep["count"] == 20
+    assert len(calls) == 1

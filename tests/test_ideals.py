@@ -165,10 +165,10 @@ def test_g2_spherical_ideals_inside_psi0():
 
 def test_maximal_spherical_ideals():
     g2 = get_rs("G2")
-    out = I.maximal_spherical_ideals(g2)
+    out = I.maximal_spherical_ideals(I.ideal_atlas(g2))
     assert out == [sorted([[2, 1], [3, 1], [3, 2]])]
     b2 = get_rs("B2")
-    assert len(I.maximal_spherical_ideals(b2)) >= 1
+    assert len(I.maximal_spherical_ideals(I.ideal_atlas(b2))) >= 1
 
 
 def test_ideal_atlas_records():

@@ -238,6 +238,112 @@ def test_orthogonal_subsets_of_spherical_sets_classify_none():
                         assert S.classify_nonspherical_orthogonal(rs, list(sub)) == "none"
 
 
+def _reference_lemma_quadruples(rs):
+    """The lemma sweep on coordinate tuples: every multiset, sigma rebuilt
+    from coordinates, its a - b decompositions found through index_of."""
+    npos = rs.num_positive
+    pt = rs.pairing_table
+    witnesses = []
+    violations = []
+    for multiset in itertools.combinations_with_replacement(range(npos), 4):
+        ok = True
+        for x in range(4):
+            for y in range(x + 1, 4):
+                if pt[multiset[x]][multiset[y]] < 0:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        distinct = sorted(set(multiset))
+        non_orth = any(
+            pt[a][b] != 0 for i, a in enumerate(distinct) for b in distinct[i + 1 :]
+        )
+        if not non_orth:
+            continue
+        sigma = [0] * rs.rank
+        for i in multiset:
+            for k in range(rs.rank):
+                sigma[k] += rs.roots[i].coords[k]
+        sigma = tuple(sigma)
+        decomps = []
+        for a in rs.roots:
+            bc = tuple(a.coords[k] - sigma[k] for k in range(rs.rank))
+            bi = rs.index_of.get(bc)
+            if bi is not None:
+                decomps.append((a.index, bi))
+        if not decomps:
+            continue
+
+        entry = {
+            "multiset": [list(rs.roots[i].coords) for i in multiset],
+            "decompositions": len(decomps),
+        }
+        if rs.cartan_type.is_simply_laced or rs.cartan_type.family == "G":
+            violations.append({"multiset": entry["multiset"], "reason": "not doubly laced"})
+        for a_idx, b_idx in decomps:
+            if b_idx != rs.neg_index(a_idx):
+                violations.append({"multiset": entry["multiset"], "reason": "sum not 2*alpha"})
+            elif not rs.roots[a_idx].is_long:
+                violations.append({"multiset": entry["multiset"], "reason": "alpha not long"})
+        longs = [i for i in distinct if rs.roots[i].is_long]
+        entry["long_members"] = len(longs)
+        if len(longs) > 1:
+            violations.append({"multiset": entry["multiset"], "reason": "two long members"})
+        elif len(longs) == 1:
+            rest = [i for i in multiset if i != longs[0]]
+            if any(pt[longs[0]][j] != 0 for j in rest):
+                violations.append(
+                    {"multiset": entry["multiset"], "reason": "long member not orthogonal to rest"}
+                )
+        if not longs:
+            coords = [rs.roots[i].coords for i in multiset]
+            pairing_ok = any(
+                tuple(coords[p[0]][k] + coords[p[1]][k] for k in range(rs.rank))
+                == tuple(coords[p[2]][k] + coords[p[3]][k] for k in range(rs.rank))
+                for p in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+            )
+            if not pairing_ok:
+                violations.append(
+                    {"multiset": entry["multiset"], "reason": "short quadruple has no equal-sum split"}
+                )
+        witnesses.append(entry)
+
+    report = {
+        "type": rs.cartan_type.name,
+        "multisets_scanned": npos * (npos + 1) * (npos + 2) * (npos + 3) // 24,
+        "witnesses": len(witnesses),
+        "with_long_member": sum(1 for w in witnesses if w["long_members"] == 1),
+        "all_short": sum(1 for w in witnesses if w["long_members"] == 0),
+        "violations": violations,
+    }
+    if rs.cartan_type.name == "F4":
+        target = [[1, 0, 0, 0], [1, 2, 2, 1], [1, 2, 3, 1], [1, 2, 3, 2]]
+        report["f4_long_example_found"] = any(
+            sorted(w["multiset"]) == sorted(target) for w in witnesses
+        )
+    return report
+
+
+LEMMA_CASES = [(n, False) for n in
+               ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "F4", "G2"]]
+LEMMA_CASES += [(n, True) for n in ["B2", "C2", "G2"]]
+
+
+@pytest.mark.parametrize("name, swap", LEMMA_CASES,
+                         ids=[f"{n}{'-swap' if w else ''}" for n, w in LEMMA_CASES])
+def test_lemma_sweep_matches_coordinate_reference(name, swap):
+    rs = get_rs(name, swap)
+    assert S.verify_lemma_quadruples(rs) == _reference_lemma_quadruples(rs)
+
+
+@pytest.mark.slow
+def test_lemma_sweep_matches_coordinate_reference_e6():
+    rs = get_rs("E6")
+    assert S.verify_lemma_quadruples(rs) == _reference_lemma_quadruples(rs)
+
+
 def test_lemma_sweep_a3_empty():
     rep = S.verify_lemma_quadruples(get_rs("A3"))
     assert rep["witnesses"] == 0 and rep["violations"] == []
@@ -437,10 +543,12 @@ def test_chain_starts_and_values_match_reference_per_start(name, sign):
     # multiset is nonvanishing on the Cartan only
     L = _fresh_algebra(name, sign=sign)
     T = S._ChainTables(L)
+    packed, _ = S._weight_index(L.rs)
+    starts_of = S._chain_starts(L.rs)
     nonzero_on_cartan = 0
     for multiset in itertools.combinations_with_replacement(range(L.rs.num_positive), 4):
         ref = _reference_starts(L, multiset)
-        starts = T.starts.get(sum(T.packed[i] for i in multiset), [])
+        starts = starts_of.get(sum(packed[i] for i in multiset), [])
         assert [b if b < L.num_roots else b + v.index(1) for b, v in starts] == ref
         orderings = sorted(set(itertools.permutations(multiset)))
         for start, b in zip(starts, ref):
