@@ -28,6 +28,13 @@ DEFAULT_BUDGET = 200_000
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_BUDGET, EXIT_IO, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --budget, --workers and --cap-words: ASCII digits, >= 1."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liesph",
@@ -45,11 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=5)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                        help="largest Weyl group a command may enumerate")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--cache", help="directory for cached report payloads")
-        p.add_argument("--cap-words", type=int, default=W.DEFAULT_WORD_CAP)
+        p.add_argument("--cap-words", type=_positive_int, default=W.DEFAULT_WORD_CAP)
 
     p_verify = sub.add_parser("verify", help="run an exhaustive verifier")
     p_verify.add_argument("what", choices=("theorem1", "theorem2", "subspaces", "lemmas", "g2"))

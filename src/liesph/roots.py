@@ -47,13 +47,11 @@ class CartanType:
     @classmethod
     def parse(cls, name: str) -> "CartanType":
         name = name.strip()
-        if len(name) < 2 or name[0].upper() not in _RANK_CONSTRAINTS:
+        digits = name[1:]
+        # int() would also read "1_0", "+2", " 2" and non-ASCII digits
+        if name[:1].upper() not in _RANK_CONSTRAINTS or not (digits.isascii() and digits.isdigit()):
             raise LiesphError(f"cannot parse Cartan type {name!r}")
-        try:
-            rank = int(name[1:])
-        except ValueError:
-            raise LiesphError(f"cannot parse Cartan type {name!r}") from None
-        return cls(name[0].upper(), rank)
+        return cls(name[0].upper(), int(digits))
 
     @property
     def name(self) -> str:

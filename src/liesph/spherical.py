@@ -6,8 +6,8 @@ monomials by the multiset of the four roots involved; the coefficient
 operator of each multiset is a sum over the distinct orderings of the
 multiset, evaluated with unit coefficients.  In characteristic zero the
 quartic vanishes identically iff every such operator vanishes, so the
-decision is exact and needs no genericity assumption.  The nonvanishing
-multisets depend only on the algebra and are computed once per algebra:
+decision is exact and needs no genericity assumption.  The obstructions
+depend only on the algebra and are computed once per algebra:
 
 - Weight filter.  The operator of a multiset with weight sigma moves a basis
   vector of weight mu to weight mu + sigma, so it can only be nonzero when
@@ -22,10 +22,11 @@ multisets depend only on the algebra and are computed once per algebra:
 - Shared suffixes.  The sum over distinct orderings is a pass over the
   sub-multisets, S(M)v = sum over distinct g in M of ad(e_g) S(M - g)v: at
   most 16 states per start instead of up to 24 orderings of four steps.
-- Minimal supports.  A witness is the first table entry whose support lies
-  in the set.  That entry always has an inclusion-minimal support, so the
-  scan reads only the first entry of each minimal support (37 of 706
-  entries on B4, 255 of 13 434 on E6).
+- Minimal supports.  A witness is the first nonvanishing multiset, in
+  (support size, multiset) order, inside the set; its support is
+  inclusion-minimal, so only the first multiset of each minimal support is
+  built (56 predicate calls for 37 entries on B4, where 706 multisets do
+  not vanish; 255 calls for 255 entries on E6).
 """
 from __future__ import annotations
 
@@ -219,54 +220,44 @@ def _p_multiset_vanishes(T: _ChainTables, multiset: tuple[int, ...], starts) -> 
 
 
 def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]]]:
-    """All size-4 positive-root multisets whose chain operator is nonzero,
-    as (support mask, multiset) pairs; computed once per algebra.
+    """The first nonvanishing size-4 multiset of each inclusion-minimal
+    support, as (support mask, multiset) pairs in (support size, multiset)
+    order; computed once per algebra.
 
-    A multiset whose weight has no chain start vanishes for weight reasons
-    alone; only the others reach _p_multiset_vanishes."""
-    cached = getattr(L, "_quartic_bad", None)
+    One four-root scan per support size, smallest first, skips a multiset
+    whose support contains or equals one already found.  Only multisets
+    whose weight has chain starts reach _p_multiset_vanishes."""
+    cached = getattr(L, "_quartic_obstructions", None)
     if cached is not None:
         return cached
     T = _ChainTables(L)
     starts_of = _chain_starts(L.rs)
-    bad = []
-    for multiset, sigma in _four_root_multisets(L.rs):
-        if not _p_multiset_vanishes(T, multiset, starts_of[sigma]):
-            bad.append((sum(1 << i for i in set(multiset)), multiset))
-    # small supports first: witnesses are found quickly on non-spherical sets
-    bad.sort(key=lambda t: (t[0].bit_count(), t[1]))
-    L._quartic_bad = bad
-    return bad
-
-
-def _minimal_obstructions(L: ChevalleyAlgebra, table) -> list[tuple[int, tuple[int, ...]]]:
-    """The first table entry of each inclusion-minimal support, in table order.
-
-    The first entry of the table inside a set always has a minimal support:
-    a smaller support inside it has fewer bits and sorts earlier."""
-    cached = getattr(L, "_quartic_minimal", None)
-    if cached is not None:
-        return cached
-    seen: set[int] = set()
+    found: set[int] = set()
     minimal = []
-    for mask, multiset in table:
-        sub = mask
-        while sub and sub not in seen:
-            sub = (sub - 1) & mask
-        if not sub:
-            seen.add(mask)
-            minimal.append((mask, multiset))
-    L._quartic_minimal = minimal
+    for size in range(1, 5):
+        for multiset, sigma in _four_root_multisets(L.rs):
+            a, b, c, d = multiset
+            mask = 1 << a | 1 << b | 1 << c | 1 << d
+            if mask.bit_count() != size:
+                continue
+            sub = mask
+            while sub and sub not in found:
+                sub = (sub - 1) & mask
+            if not sub and not _p_multiset_vanishes(T, multiset, starts_of[sigma]):
+                found.add(mask)
+                minimal.append((mask, multiset))
+    L._quartic_obstructions = minimal
     return minimal
 
 
 def spherical_witness(L: ChevalleyAlgebra, ps: PosRootSet) -> Optional[tuple[int, ...]]:
     """A nonvanishing multiset supported in ps, or None when spherical: the
-    first such entry of the quartic table."""
+    first minimal-list entry inside ps, which is also the first nonvanishing
+    multiset in ps in (support size, multiset) order."""
     if ps.width != L.rs.num_positive:
         raise MismatchedSystems("bit vector from another system")
     inv = ps.mask
-    for mask, multiset in _minimal_obstructions(L, quartic_obstructions(L)):
+    for mask, multiset in quartic_obstructions(L):
         if mask & ~inv == 0:
             return multiset
     return None

@@ -206,6 +206,11 @@ FAILURES = [
     ("superscript digit in --ideal-gen",
      lambda tmp, cap: ["inspect", "--type", "B2", "--ideal-gen=²,0"],
      2, "error: cannot parse root coordinates '²,0' for rank 2"),
+    # int() reads each of these ranks, the first as 10
+    *((f"Cartan type {name!r}",
+       lambda tmp, cap, name=name: ["verify", "theorem1", "--type", name, "--budget", "10"],
+       2, f"error: cannot parse Cartan type {name!r}")
+      for name in ("A1_0", "A+2", "A 2", "A２")),
 ]
 
 
@@ -222,6 +227,24 @@ def test_io_failures_keep_their_exit_code(tmp_path, capsys, build, code, line):
         (entry,) = tmp_path.glob("*.json")
         assert json.loads(entry.read_text()) == json.loads(out)
         assert run(capsys, *argv[:-2]) == (0, out)
+
+
+NONPOSITIVE_FLAGS = [
+    ("inspect", "--type", "A2", "--word", "1,2,1", "--cap-words", "0"),
+    ("inspect", "--type", "A2", "--word", "1,2,1", "--cap-words", "-1"),
+    ("verify", "theorem1", "--type", "A2", "--budget", "-1"),
+    ("verify", "theorem1", "--type", "A2", "--workers", "-3"),
+    ("verify", "theorem1", "--type", "A2", "--workers", "two"),
+]
+
+
+@pytest.mark.parametrize("argv", NONPOSITIVE_FLAGS, ids=[" ".join(a[-2:]) for a in NONPOSITIVE_FLAGS])
+def test_numeric_flags_below_one_are_usage_errors(capsys, argv):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {argv[-2]}: expected a positive integer, got {argv[-1]!r}")
 
 
 def test_crash_exits_internal_error_not_mismatch(monkeypatch, capsys):

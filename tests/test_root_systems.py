@@ -31,6 +31,11 @@ def test_rank_constraints():
         CartanType.parse("H3")
     with pytest.raises(LiesphError):
         CartanType.parse("Bx")
+    assert CartanType.parse(" b3 ").name == "B3"
+    # ranks int() would read: underscores, signs, spaces, non-ASCII digits
+    for bad in ["A1_0", "A+2", "A 2", "A２", "A-2", "A"]:
+        with pytest.raises(LiesphError, match="cannot parse Cartan type"):
+            CartanType.parse(bad)
 
 
 def test_positive_root_counts():

@@ -507,6 +507,33 @@ def _reference_table(L):
     return bad
 
 
+def _reference_full_table(L):
+    """Every nonvanishing multiset from the library's scan and predicate, as
+    (support mask, multiset) pairs sorted by (support size, multiset)."""
+    T = S._ChainTables(L)
+    starts_of = S._chain_starts(L.rs)
+    bad = []
+    for multiset, sigma in S._four_root_multisets(L.rs):
+        if not S._p_multiset_vanishes(T, multiset, starts_of[sigma]):
+            bad.append((sum(1 << i for i in set(multiset)), multiset))
+    bad.sort(key=lambda t: (t[0].bit_count(), t[1]))
+    return bad
+
+
+def _minimal(table):
+    """The first entry of each inclusion-minimal support, in table order."""
+    seen = set()
+    minimal = []
+    for mask, multiset in table:
+        sub = mask
+        while sub and sub not in seen:
+            sub = (sub - 1) & mask
+        if not sub:
+            seen.add(mask)
+            minimal.append((mask, multiset))
+    return minimal
+
+
 def _fresh_algebra(name, swap=False, sign=1):
     from liesph.chevalley import build_chevalley
     from liesph.roots import build_root_system
@@ -526,15 +553,26 @@ QUARTIC_CASES += [(n, False, -1) for n in ["B3", "G2"]]
                               for n, w, s in QUARTIC_CASES])
 def test_quartic_table_matches_chain_dict_reference(name, swap, sign):
     L = _fresh_algebra(name, swap, sign)
-    assert S.quartic_obstructions(L) == _reference_table(L)
+    full = _reference_full_table(L)
+    assert full == _reference_table(L)
+    assert S.quartic_obstructions(L) == _minimal(full)
 
 
 @pytest.mark.slow
 def test_quartic_table_matches_chain_dict_reference_e6():
     L = _fresh_algebra("E6")
-    table = S.quartic_obstructions(L)
-    assert len(table) == 13434
-    assert table == _reference_table(L)
+    full = _reference_full_table(L)
+    assert len(full) == 13434
+    assert full == _reference_table(L)
+    assert S.quartic_obstructions(L) == _minimal(full)
+
+
+@pytest.mark.slow
+def test_minimal_list_matches_full_table_e7():
+    L = _fresh_algebra("E7")
+    minimal = S.quartic_obstructions(L)
+    assert len(minimal) == 1281
+    assert minimal == _minimal(_reference_full_table(L))
 
 
 @pytest.mark.parametrize("name, sign", [("B3", 1), ("C3", -1), ("G2", 1)])
@@ -558,17 +596,40 @@ def test_chain_starts_and_values_match_reference_per_start(name, sign):
     assert nonzero_on_cartan > 0
 
 
-def test_weight_filter_skips_inadmissible_multisets(monkeypatch):
-    # on B4, 745 of the 3876 multisets have a weight with chain starts
+def _counting_predicate(monkeypatch):
     calls = []
     vanishes = S._p_multiset_vanishes
     monkeypatch.setattr(S, "_p_multiset_vanishes", lambda *a: calls.append(a) or vanishes(*a))
-    assert len(S.quartic_obstructions(_fresh_algebra("B4"))) == 706
+    return calls
+
+
+def test_weight_filter_skips_inadmissible_multisets(monkeypatch):
+    # on B4, 745 of the 3876 multisets have a weight with chain starts;
+    # 706 of them do not vanish
+    calls = _counting_predicate(monkeypatch)
+    assert len(_reference_full_table(_fresh_algebra("B4"))) == 706
     assert len(calls) == 745
 
 
-def _first_full_table_hit(L, ps):
-    for mask, multiset in S.quartic_obstructions(L):
+@pytest.mark.parametrize("name, calls, entries",
+                         [("B4", 56, 37), ("F4", 182, 113), ("E6", 255, 255), ("E7", 1281, 1281)])
+def test_minimal_build_skips_supports_already_found(monkeypatch, name, calls, entries):
+    # the predicate runs only on multisets with no minimal support found in
+    # their own; simply laced, it runs exactly once per minimal support
+    L = _fresh_algebra(name)
+    before = set(vars(L))
+    seen = _counting_predicate(monkeypatch)
+    minimal = S.quartic_obstructions(L)
+    assert len(minimal) == entries
+    assert len(seen) == calls
+    # the algebra caches this one list, and later calls read it
+    assert [vars(L)[k] for k in set(vars(L)) - before] == [minimal]
+    assert S.quartic_obstructions(L) is minimal
+    assert len(seen) == calls
+
+
+def _first_full_table_hit(table, ps):
+    for mask, multiset in table:
         if mask & ~ps.mask == 0:
             return multiset
     return None
@@ -578,11 +639,12 @@ def _first_full_table_hit(L, ps):
 def test_witness_scan_over_minimal_supports(name, minimal):
     rs = get_rs(name)
     L = get_algebra(name)
-    assert len(S._minimal_obstructions(L, S.quartic_obstructions(L))) == minimal
+    assert len(S.quartic_obstructions(L)) == minimal
+    full = _reference_full_table(L)
     subjects = [e.inv for e in W.enumerate_weyl(rs)]
     subjects += [i.members for i in I.enumerate_ideals(rs)]
     for ps in subjects:
-        assert S.spherical_witness(L, ps) == _first_full_table_hit(L, ps)
+        assert S.spherical_witness(L, ps) == _first_full_table_hit(full, ps)
 
 
 @pytest.mark.slow
@@ -591,7 +653,8 @@ def test_witness_scan_over_minimal_supports_e6_random_masks():
 
     rs = get_rs("E6")
     L = get_algebra("E6")
-    assert len(S._minimal_obstructions(L, S.quartic_obstructions(L))) == 255
+    assert len(S.quartic_obstructions(L)) == 255
+    full = _reference_full_table(L)
     rng = random.Random(6)
     hits = 0
     for _ in range(2000):
@@ -600,7 +663,7 @@ def test_witness_scan_over_minimal_supports_e6_random_masks():
             mask |= 1 << i
         ps = PosRootSet(mask, rs.num_positive)
         witness = S.spherical_witness(L, ps)
-        assert witness == _first_full_table_hit(L, ps)
+        assert witness == _first_full_table_hit(full, ps)
         hits += witness is not None
     assert 0 < hits < 2000
 
