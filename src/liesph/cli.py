@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 mismatch found, 2 usage error, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_BUDGET, EXIT_IO, EXIT_INTERNAL = 0, 1, 
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --budget, --workers and --cap-words: ASCII digits, >= 1."""
+    """argparse type for --budget, --workers, --cap-words and --trials: ASCII digits, >= 1."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -51,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "md"), default="json")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=5)
+        p.add_argument("--trials", type=_positive_int, default=5)
         p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                        help="largest Weyl group a command may enumerate")
         p.add_argument("--workers", type=_positive_int, default=1)
@@ -148,6 +147,8 @@ def _emit(report: dict, fmt: str, out: str | None):
 def _cache_fetch(args, key_fields: dict):
     if not args.cache:
         return None, None
+    import hashlib  # only a cached run needs it
+
     key = json.dumps({"version": __version__, **key_fields}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
     path = os.path.join(args.cache, f"{digest}.json")
@@ -329,14 +330,21 @@ def cmd_atlas(args) -> int:
     return EXIT_OK
 
 
-def _parse_coords(text: str, rank: int) -> tuple[int, ...]:
+def _parse_ints(text: str) -> list[int] | None:
+    """Comma-separated integers, each ASCII digits after at most one minus;
+    spaces around a part are fine.  None for anything else int() would
+    read, such as "+2" or non-ASCII digits."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) == rank and all(p.lstrip("-").isdigit() for p in parts):
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:  # "--1", or a digit int() does not read, like "²"
-            pass
-    raise LiesphError(f"cannot parse root coordinates {text!r} for rank {rank}")
+    if all(p.removeprefix("-").isascii() and p.removeprefix("-").isdigit() for p in parts):
+        return [int(p) for p in parts]
+    return None
+
+
+def _parse_coords(text: str, rank: int) -> tuple[int, ...]:
+    coords = _parse_ints(text)
+    if coords is None or len(coords) != rank:
+        raise LiesphError(f"cannot parse root coordinates {text!r} for rank {rank}")
+    return tuple(coords)
 
 
 def cmd_inspect(args) -> int:
@@ -347,10 +355,9 @@ def cmd_inspect(args) -> int:
     L = build_chevalley(rs)
 
     if args.word:
-        try:
-            letters = [int(p) for p in args.word.split(",")]
-        except ValueError:
-            raise LiesphError(f"cannot parse word {args.word!r}") from None
+        letters = _parse_ints(args.word)
+        if letters is None:
+            raise LiesphError(f"cannot parse word {args.word!r}")
         w = W.from_word(rs, letters)
         ps = w.inv
         words, overflow = W.reduced_words(w, cap=args.cap_words)

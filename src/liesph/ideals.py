@@ -10,8 +10,6 @@ roots, hence the inversion set of a unique affine Weyl group element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .affine import (
     AffineRootSet,
     AffineWeylWord,
@@ -21,13 +19,14 @@ from .affine import (
 )
 from .chevalley import ChevalleyAlgebra, build_chevalley
 from .errors import LiesphError, MismatchedSystems
-from .roots import PosRootSet, Root, RootSystem, has_summing_pair, iter_bits
+from .roots import PosRootSet, Root, RootSystem, _FrozenRecord, has_summing_pair, iter_bits
 
 
-@dataclass(frozen=True)
-class CombinatorialIdeal:
-    members: PosRootSet
-    layers: tuple[PosRootSet, ...]  # layers[0] = Psi^(1) = members
+class CombinatorialIdeal(_FrozenRecord):
+    __slots__ = ("members", "layers")
+
+    def __init__(self, members: PosRootSet, layers: tuple[PosRootSet, ...]):
+        super().__init__(members, layers)  # layers[0] = Psi^(1) = members
 
     @property
     def size(self) -> int:

@@ -7,8 +7,8 @@ root has squared length 2, which keeps every Gram entry an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import LiesphError, MismatchedSystems
 
@@ -32,17 +32,57 @@ def _factorial(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CartanType:
-    family: str
-    rank: int
+class _Record:
+    """A plain record over its ``__slots__``, compared, printed and pickled
+    field by field; unhashable, like any mutable value."""
 
-    def __post_init__(self):
-        check = _RANK_CONSTRAINTS.get(self.family)
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once, in ``__init__``, and hashed."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for f, v in zip(self.__slots__, values):
+            object.__setattr__(self, f, v)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CartanType(_FrozenRecord):
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family: str, rank: int):
+        check = _RANK_CONSTRAINTS.get(family)
         if check is None:
-            raise LiesphError(f"unknown family {self.family!r}")
-        if not check(self.rank):
-            raise LiesphError(f"invalid rank {self.rank} for family {self.family}")
+            raise LiesphError(f"unknown family {family!r}")
+        if not check(rank):
+            raise LiesphError(f"invalid rank {rank} for family {family}")
+        super().__init__(family, rank)
 
     @classmethod
     def parse(cls, name: str) -> "CartanType":
@@ -238,6 +278,9 @@ class RootSystem:
     descending lexicographic coordinates; ``roots[i + num_positive]`` is the
     negative of ``roots[i]``.
 
+    ``packed[i]`` is root i as one int (see ``__init__``); the sum table and
+    the reflections are lookups of packed sums in ``_packed_index``.
+
     ``affine_letters[i]`` is the affine simple reflection s_i on
     ``(level, root index)`` keys: ``(alpha_i key, root permutation, level
     shift per root)``, with s_0 the reflection in delta - theta.
@@ -277,43 +320,46 @@ class RootSystem:
                 f"closure produced {len(positives)} positive roots, expected {expected}"
             )
         positives.sort(key=lambda c: (sum(c), tuple(-x for x in c)))
-        self.num_positive = len(positives)
+        self.num_positive = npos = len(positives)
         coords_list = positives + [tuple(-x for x in c) for c in positives]
         self.roots = [Root(self, i, c) for i, c in enumerate(coords_list)]
         self.index_of = {c: i for i, c in enumerate(coords_list)}
 
-        self.norm2 = [self._form(r.coords, r.coords) for r in self.roots]
+        # signed digits in base 4 * (largest coefficient of theta, the largest
+        # of any root) + 1: a sum of two roots, or of four positive ones, and
+        # a reflected root pack without carry
+        base = 4 * max(map(max, positives)) + 1
+        self.packed = [sum(c * base**k for k, c in enumerate(coords)) for coords in coords_list]
+        self._packed_index = at = {p: i for i, p in enumerate(self.packed)}
+
+        # (a, b) is a . (G b): one Gram column per positive root, and every
+        # other entry by symmetry under b -> -b and a -> -a
+        g = self.gram
+        cols = [[sum(map(mul, row, c)) for row in g] for c in positives]
+        self.norm2 = [sum(map(mul, c, col)) for c, col in zip(positives, cols)] * 2
         self.short_norm2 = min(self.norm2)
         self.long_norm2 = max(self.norm2)
+        rows = []
+        for c in positives:
+            row = [2 * sum(map(mul, c, col)) // n for col, n in zip(cols, self.norm2)]
+            rows.append(row + [-x for x in row])
+        self.pairing_table = rows + [[-x for x in row] for row in rows]
+        self.sum_table = [[at.get(p + q) for q in self.packed] for p in self.packed]
 
-        size = len(self.roots)
-        self.pairing_table = [
-            [2 * self._form(a.coords, b.coords) // self.norm2[b.index] for b in self.roots]
-            for a in self.roots
-        ]
-        self.sum_table = []
-        for a in self.roots:
-            row = []
-            for b in self.roots:
-                s = tuple(x + y for x, y in zip(a.coords, b.coords))
-                row.append(self.index_of.get(s))
-            self.sum_table.append(row)
-
-        self.theta = self._highest(range(self.num_positive))
-        shorts = [i for i in range(self.num_positive) if self.norm2[i] == self.short_norm2]
+        self.theta = self._highest(range(npos))
+        shorts = [i for i in range(npos) if self.norm2[i] == self.short_norm2]
         self.theta_s = self._highest(shorts)
         for i in range(self.rank):
-            assert self.sum_table[self.theta.index][self._simple_index(i)] is None
+            if self.sum_table[self.theta.index][self._simple_index(i)] is not None:
+                raise LiesphError(f"theta + alpha_{i + 1} is a root of {cartan_type.name}")
 
-        self.simple_perms = tuple(
-            tuple(self._reflect_index(self._simple_index(i), j) for j in range(size))
-            for i in range(self.rank)
-        )
+        self.simple_perms = tuple(self._reflection(self._simple_index(i)) for i in range(self.rank))
         # s_0(a + n*delta) = s_theta(a) + (n + <a, theta>)*delta
         th = self.theta.index
-        s_theta = tuple(self._reflect_index(th, j) for j in range(size))
+        size = len(self.roots)
         self.affine_letters = (
-            ((1, self.neg_index(th)), s_theta, tuple(row[th] for row in self.pairing_table)),
+            ((1, self.neg_index(th)), self._reflection(th),
+             tuple(row[th] for row in self.pairing_table)),
             *(((0, self._simple_index(i)), perm, (0,) * size)
               for i, perm in enumerate(self.simple_perms)),
         )
@@ -323,33 +369,28 @@ class RootSystem:
 
     # -- construction helpers -------------------------------------------------
 
-    def _form(self, a, b) -> int:
-        g = self.gram
-        return sum(a[i] * g[i][j] * b[j] for i in range(self.rank) for j in range(self.rank))
-
     def _generate_positive_roots(self) -> list[tuple[int, ...]]:
-        simples = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
+        n, g = self.rank, self.gram
+        if any(2 * g[j][i] % g[i][i] for i in range(n) for j in range(n)):
+            raise LiesphError(f"Gram matrix of {self.cartan_type.name} has non-integral pairings")
+        # <beta, alpha_i> = sum_j beta_j <alpha_j, alpha_i>
+        cartan_cols = [[2 * g[j][i] // g[i][i] for j in range(n)] for i in range(n)]
+        simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         known = set(simples)
         level = list(simples)
         out = list(simples)
         while level:
             nxt = []
             for beta in level:
-                for i, alpha in enumerate(simples):
+                for i, col in enumerate(cartan_cols):
                     # beta + alpha_i is a root iff the alpha_i-string through
                     # beta extends upward: q = p - <beta, alpha_i> >= 1
+                    head, x, tail = beta[:i], beta[i], beta[i + 1 :]
                     p = 0
-                    down = tuple(beta[j] - alpha[j] for j in range(self.rank))
-                    while down in known or down == tuple([0] * self.rank):
-                        if down == tuple([0] * self.rank):
-                            break
+                    while head + (x - p - 1,) + tail in known:
                         p += 1
-                        down = tuple(down[j] - alpha[j] for j in range(self.rank))
-                    num = 2 * self._form(beta, alpha)
-                    den = self._form(alpha, alpha)
-                    assert num % den == 0
-                    if p - num // den >= 1:
-                        up = tuple(beta[j] + alpha[j] for j in range(self.rank))
+                    if p - sum(map(mul, beta, col)) >= 1:
+                        up = head + (x + 1,) + tail
                         if up not in known:
                             known.add(up)
                             nxt.append(up)
@@ -364,11 +405,10 @@ class RootSystem:
         best = max(indices, key=lambda i: (sum(self.roots[i].coords), self.roots[i].coords))
         return self.roots[best]
 
-    def _reflect_index(self, a: int, j: int) -> int:
-        """Index of the reflection of root j in root a."""
-        pair = self.pairing_table[j][a]
-        b, c = self.roots[j].coords, self.roots[a].coords
-        return self.index_of[tuple(b[k] - pair * c[k] for k in range(self.rank))]
+    def _reflection(self, a: int) -> tuple[int, ...]:
+        """The root permutation of the reflection in root a: j -> j - <j, a> a."""
+        pa, at, pt = self.packed[a], self._packed_index, self.pairing_table
+        return tuple(at[p - pt[j][a] * pa] for j, p in enumerate(self.packed))
 
     # -- public accessors ------------------------------------------------------
 

@@ -34,23 +34,25 @@ import functools
 import itertools
 import random
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from operator import sub
 
 from .chevalley import ChevalleyAlgebra, ad_matrix, build_chevalley, height
 from .errors import LiesphError, MismatchedSystems
 from .linalg import mat_is_zero, mat_mul, matrix_rank
-from .roots import PosRootSet, Root, RootSystem
+from .roots import PosRootSet, Root, RootSystem, _Record
 from . import weyl as _weyl
 
 
-@dataclass
-class SphericalReport:
-    type: str
-    subject: str
-    pairing_ok: bool
-    spherical: bool
-    witness: Optional[dict] = field(default=None)
+class SphericalReport(_Record):
+    __slots__ = ("type", "subject", "pairing_ok", "spherical", "witness")
+
+    def __init__(self, type: str, subject: str, pairing_ok: bool, spherical: bool,
+                 witness: dict | None = None):
+        self.type = type
+        self.subject = subject
+        self.pairing_ok = pairing_ok
+        self.spherical = spherical
+        self.witness = witness
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,41 +67,33 @@ class SphericalReport:
 # -- deterministic quartic oracle ------------------------------------------------
 
 
-def _weight_index(rs: RootSystem) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
-    """(packed, index) for the four-root multisets, built once per root system.
+def _weight_index(rs: RootSystem) -> dict[int, list[tuple[int, int]]]:
+    """The four-root multisets' weight index, built once per root system.
 
-    ``packed[i]`` is positive root i as one int, with digits in base
-    4 * (largest coefficient of theta) + 1, so that the weight of four
-    positive roots is the sum of their ints and never carries.  ``index``
-    maps each nonzero weight sigma >= 0 with mu + sigma in Phi or 0 for some
-    root mu to its decompositions (mu, end), mu in index order: end is the
-    root index of mu + sigma, or len(rs.roots) when mu + sigma = 0.
+    Weights are ``rs.packed`` ints, so the weight of four positive roots is
+    the sum of theirs.  The index maps each nonzero weight sigma >= 0 with
+    mu + sigma in Phi or 0 for some root mu to its decompositions (mu, end),
+    mu in index order: end is the root index of mu + sigma, or len(rs.roots)
+    when mu + sigma = 0.
     """
     cached = getattr(rs, "_weight_idx", None)
     if cached is not None:
         return cached
-    # a difference of two roots is at most 2 theta, so it packs without carry too
-    base = 4 * max(rs.theta.coords) + 1
-
-    def pack(coords):
-        return sum(c * base**k for k, c in enumerate(coords))
-
-    packed = [pack(r.coords) for r in rs.positive_roots]
     ends = [r.coords for r in rs.roots] + [(0,) * rs.rank]
+    packed_ends = rs.packed + [0]
     index: dict[int, list[tuple[int, int]]] = {}
     for mu, r in enumerate(rs.roots):
         for end, coords in enumerate(ends):
-            sigma = [c - m for c, m in zip(coords, r.coords)]
-            if min(sigma) >= 0 and any(sigma):
-                index.setdefault(pack(sigma), []).append((mu, end))
-    rs._weight_idx = (packed, index)
-    return rs._weight_idx
+            if min(map(sub, coords, r.coords)) >= 0 and coords != r.coords:
+                index.setdefault(packed_ends[end] - rs.packed[mu], []).append((mu, end))
+    rs._weight_idx = index
+    return index
 
 
 def _four_root_multisets(rs: RootSystem):
     """Yield (multiset, sigma) for the sorted size-4 positive-root multisets,
     in lexicographic order, whose packed weight sigma is in the weight index."""
-    packed, index = _weight_index(rs)
+    packed, index = rs.packed, _weight_index(rs)
     npos = rs.num_positive
     for a in range(npos):
         wa = packed[a]
@@ -150,7 +144,7 @@ def _chain_starts(rs: RootSystem) -> dict[int, list]:
     zero = len(rs.roots)  # also the Cartan state of _ChainTables
     units = [(zero, tuple(int(k == j) for j in range(rs.rank))) for k in range(rs.rank)]
     starts_of = {}
-    for sigma, decomps in _weight_index(rs)[1].items():
+    for sigma, decomps in _weight_index(rs).items():
         is_root = any(end == zero for _, end in decomps)
         starts_of[sigma] = (units if is_root else []) + [(mu, 1) for mu, _ in decomps]
     return starts_of
@@ -250,7 +244,7 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
     return minimal
 
 
-def spherical_witness(L: ChevalleyAlgebra, ps: PosRootSet) -> Optional[tuple[int, ...]]:
+def spherical_witness(L: ChevalleyAlgebra, ps: PosRootSet) -> tuple[int, ...] | None:
     """A nonvanishing multiset supported in ps, or None when spherical: the
     first minimal-list entry inside ps, which is also the first nonvanishing
     multiset in ps in (support size, multiset) order."""
@@ -396,7 +390,7 @@ def verify_lemma_quadruples(rs: RootSystem) -> dict:
     support; check the structural conclusions on every witness."""
     npos = rs.num_positive
     pt = rs.pairing_table
-    packed, index = _weight_index(rs)
+    packed, index = rs.packed, _weight_index(rs)
     zero = len(rs.roots)
     # sigma = a - b as (a, b) root pairs, ordered by a
     differences = {

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import liesph
 from liesph.cli import main
 
 
@@ -211,6 +215,13 @@ FAILURES = [
        lambda tmp, cap, name=name: ["verify", "theorem1", "--type", name, "--budget", "10"],
        2, f"error: cannot parse Cartan type {name!r}")
       for name in ("A1_0", "A+2", "A 2", "A２")),
+    # int() reads each of these parts: a plus sign, Arabic-Indic and fullwidth digits
+    *((f"{flag} {text!r}",
+       lambda tmp, cap, flag=flag, text=text: ["inspect", "--type", "B2", f"{flag}={text}"],
+       2, f"error: cannot parse {what} {text!r}")
+      for flag, text, what in (("--word", "1,+2", "word"),
+                               ("--word", "١,2", "word"),
+                               ("--ideal-gen", "1,１", "root coordinates"))),
 ]
 
 
@@ -235,6 +246,8 @@ NONPOSITIVE_FLAGS = [
     ("verify", "theorem1", "--type", "A2", "--budget", "-1"),
     ("verify", "theorem1", "--type", "A2", "--workers", "-3"),
     ("verify", "theorem1", "--type", "A2", "--workers", "two"),
+    ("verify", "theorem1", "--type", "B3", "--trials", "0"),
+    ("verify", "theorem1", "--type", "B3", "--trials", "-4"),
 ]
 
 
@@ -245,6 +258,25 @@ def test_numeric_flags_below_one_are_usage_errors(capsys, argv):
     assert out == ""
     assert err.splitlines()[-1].endswith(
         f"error: argument {argv[-2]}: expected a positive integer, got {argv[-1]!r}")
+
+
+def test_spaces_around_word_and_coordinate_parts(capsys):
+    for plain, spaced in (("--word=1,2", "--word= 1 , 2 "),
+                          ("--ideal-gen=1,2", "--ideal-gen= 1 ,2 ")):
+        expected = run(capsys, "inspect", "--type", "B2", plain)
+        assert expected[0] == 0
+        assert run(capsys, "inspect", "--type", "B2", spaced) == expected
+
+
+def test_cli_import_loads_no_unused_modules():
+    # a CLI process imports only what its commands run: no dataclasses (and
+    # with it inspect, ast, dis), no hashlib outside the cache, no typing
+    src = os.path.dirname(os.path.dirname(liesph.__file__))
+    code = ("import sys, liesph.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'hashlib', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_crash_exits_internal_error_not_mismatch(monkeypatch, capsys):

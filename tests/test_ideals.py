@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from conftest import get_rs
@@ -182,3 +184,20 @@ def test_ideal_atlas_records():
         }
         assert rec["abelian"] == rec["commutative"]
         assert rec["fc"] == rec["spherical"]  # doubly laced
+
+
+def test_combinatorial_ideal_is_a_frozen_value():
+    a2 = get_rs("A2")
+    top = PosRootSet(0b100, 3)
+    ideal = I.make_ideal(a2, top)
+    assert ideal == I.CombinatorialIdeal(top, (top,)) and ideal.size == 1
+    assert ideal != I.make_ideal(a2, PosRootSet(0b110, 3))
+    assert ideal.__eq__((top, (top,))) is NotImplemented
+    assert hash(ideal) == hash((top, (top,)))
+    assert repr(ideal) == ("CombinatorialIdeal(members=PosRootSet([2], width=3), "
+                           "layers=(PosRootSet([2], width=3),))")
+    assert pickle.loads(pickle.dumps(ideal)) == ideal
+    with pytest.raises(AttributeError):
+        ideal.members = PosRootSet(0, 3)
+    with pytest.raises(AttributeError):
+        del ideal.layers

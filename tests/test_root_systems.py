@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import os
+import pickle
 
 import pytest
 
@@ -264,3 +266,91 @@ def test_serialization_goldens():
         with open(os.path.join(GOLDEN_DIR, f"rootsystem_{name}.json")) as fh:
             frozen = json.load(fh)
         assert get_rs(name).to_json_dict() == frozen
+
+
+def _form(g, a, b):
+    n = len(g)
+    return sum(a[i] * g[i][j] * b[j] for i in range(n) for j in range(n))
+
+
+def _reference_tables(rs):
+    """The tables from the Gram matrix alone, one form per root pair, as the
+    build made them before packed roots."""
+    g, n = rs.gram, rs.rank
+    simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    known, level = set(simples), list(simples)
+    while level:
+        nxt = []
+        for beta in level:
+            for alpha in simples:
+                p, down = 0, tuple(b - a for b, a in zip(beta, alpha))
+                while down in known:
+                    p += 1
+                    down = tuple(d - a for d, a in zip(down, alpha))
+                if p - 2 * _form(g, beta, alpha) // _form(g, alpha, alpha) >= 1:
+                    up = tuple(b + a for b, a in zip(beta, alpha))
+                    if up not in known:
+                        known.add(up)
+                        nxt.append(up)
+        level = nxt
+    positives = sorted(known, key=lambda c: (sum(c), tuple(-x for x in c)))
+    coords = positives + [tuple(-x for x in c) for c in positives]
+    index_of = {c: i for i, c in enumerate(coords)}
+    norm2 = [_form(g, c, c) for c in coords]
+    pairing_table = [[2 * _form(g, a, b) // nb for b, nb in zip(coords, norm2)] for a in coords]
+
+    def reflection(a):
+        return tuple(
+            index_of[tuple(x - pairing_table[j][a] * y for x, y in zip(c, coords[a]))]
+            for j, c in enumerate(coords)
+        )
+
+    simple = [index_of[c] for c in simples]
+    theta = max(range(len(positives)), key=lambda i: (sum(coords[i]), coords[i]))
+    simple_perms = tuple(reflection(i) for i in simple)
+    return {
+        "norm2": norm2,
+        "pairing_table": pairing_table,
+        "sum_table": [[index_of.get(tuple(x + y for x, y in zip(a, b))) for b in coords]
+                      for a in coords],
+        "index_of": index_of,
+        "simple_perms": simple_perms,
+        "affine_letters": (
+            ((1, theta + len(positives)), reflection(theta),
+             tuple(row[theta] for row in pairing_table)),
+            *(((0, i), perm, (0,) * len(coords)) for i, perm in zip(simple, simple_perms)),
+        ),
+    }
+
+
+TABLE_CASES = [
+    *((f"A{n}", False) for n in range(1, 9)),
+    *((f"{f}{n}", False) for f in "BC" for n in range(2, 9)),
+    *((f"D{n}", False) for n in range(4, 9)),
+    ("E6", False), ("E7", False), ("E8", False), ("F4", False), ("G2", False),
+    ("B2", True), ("C2", True), ("G2", True),
+]
+
+
+@pytest.mark.parametrize("name, swap", TABLE_CASES,
+                         ids=[name + "'" * swap for name, swap in TABLE_CASES])
+def test_tables_match_per_pair_reference(name, swap):
+    rs = build_root_system(name, swap=swap)
+    for attr, table in _reference_tables(rs).items():
+        assert getattr(rs, attr) == table, attr
+    assert [rs.index_of[r.coords] for r in rs.roots] == list(range(len(rs.roots)))
+
+
+def test_cartan_type_is_a_frozen_value():
+    b3 = CartanType("B", 3)
+    assert b3 == CartanType.parse("B3") and b3 != CartanType("C", 3)
+    assert b3.__eq__(("B", 3)) is NotImplemented
+    assert hash(b3) == hash(("B", 3))
+    assert repr(b3) == "CartanType(family='B', rank=3)"
+    for clone in (copy.copy(b3), copy.deepcopy(b3), pickle.loads(pickle.dumps(b3))):
+        assert clone == b3 and clone is not b3
+    with pytest.raises(AttributeError):
+        b3.rank = 4
+    with pytest.raises(AttributeError):
+        del b3.family
+    assert b3.rank == 3

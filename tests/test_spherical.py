@@ -581,7 +581,7 @@ def test_chain_starts_and_values_match_reference_per_start(name, sign):
     # multiset is nonvanishing on the Cartan only
     L = _fresh_algebra(name, sign=sign)
     T = S._ChainTables(L)
-    packed, _ = S._weight_index(L.rs)
+    packed = L.rs.packed
     starts_of = S._chain_starts(L.rs)
     nonzero_on_cartan = 0
     for multiset in itertools.combinations_with_replacement(range(L.rs.num_positive), 4):
@@ -676,3 +676,20 @@ def test_one_table_lookup_per_witness(monkeypatch):
     for e in W.enumerate_weyl(get_rs("A3")):
         S.spherical_witness(L, e.inv)
     assert len(calls) == 24
+
+
+def test_spherical_report_is_a_mutable_record():
+    L = get_algebra("B2")
+    rs = L.rs
+    report = S.make_report(L, rs.posrootset(range(rs.num_positive)), "biconvex")
+    witness = {"multiset": [[1, 0], [1, 0], [0, 1], [0, 1]]}
+    assert report == S.SphericalReport("B2", "biconvex", False, False, witness)
+    assert report != S.SphericalReport("B2", "ideal", False, False, witness)
+    assert report.__eq__(report.to_json_dict()) is NotImplemented
+    assert repr(report) == ("SphericalReport(type='B2', subject='biconvex', pairing_ok=False, "
+                            f"spherical=False, witness={witness!r})")
+    assert S.SphericalReport("B2", "ideal", True, True).witness is None
+    with pytest.raises(TypeError):
+        hash(report)
+    report.spherical = True
+    assert report.to_json_dict()["spherical"] is True
