@@ -2,8 +2,9 @@
 
 An affine root is a pair (finite root, delta level); only real roots are
 representable.  Group elements are reduced words over {0, 1, .., rank} with
-canonical equality through the images of the affine simple roots.  Letters
-act on ``(level, root index)`` keys through ``RootSystem.affine_letters``.
+canonical equality through the images of the affine simple roots.  Single
+roots move through the letter table ``RootSystem.affine_letters``; inversion
+sets and the peel move only the rank + 1 simple-root images, as int codes.
 """
 
 from __future__ import annotations
@@ -133,11 +134,6 @@ class AffineRootSet:
         return f"AffineRootSet({[(l, self.system.roots[f].coords) for l, f in sorted(self.keys)]})"
 
 
-def _act_letter(rs: RootSystem, i: int, keys: set[tuple[int, int]]) -> set:
-    _, perm, shift = rs.affine_letters[i]
-    return {(l + shift[f], perm[f]) for l, f in keys}
-
-
 def _word_image(rs: RootSystem, word, key: tuple[int, int]) -> tuple[int, int]:
     """Image of a (level, root index) key under the product of the word."""
     level, f = key
@@ -147,11 +143,46 @@ def _word_image(rs: RootSystem, word, key: tuple[int, int]) -> tuple[int, int]:
     return level, f
 
 
+def _affine_codes(rs: RootSystem):
+    """Real affine roots as ints, built on first use: f + level*delta is
+    ``level * span + packed[f]``.  ``packed`` is linear and smaller than
+    span / 2 on roots, so the code is linear, and positive iff the root is.
+
+    Returns ``(span, letters)``: per affine letter i, the code of alpha_i and
+    the pairs (j, <alpha_j, alpha_i^vee>) over its affine Dynkin neighbours."""
+    codes = getattr(rs, "_affine_codes", None)
+    if codes is None:
+        packed, pt = rs.packed, rs.pairing_table
+        span = 2 * packed[rs.theta.index] + 1
+        simple = [key for key, _, _ in rs.affine_letters]
+        codes = rs._affine_codes = (span, tuple(
+            (li * span + packed[fi],
+             tuple((j, pt[fj][fi]) for j, (_, fj) in enumerate(simple) if j != i and pt[fj][fi]))
+            for i, (li, fi) in enumerate(simple)
+        ))
+    return codes
+
+
+def _reflect_images(img: list[int], letters, i: int):
+    """p alpha_j -> p s_i alpha_j = p alpha_j - <alpha_j, alpha_i^vee> p alpha_i,
+    on the codes of the images of the affine simple roots under p."""
+    c = img[i]
+    for j, a in letters[i][1]:
+        img[j] -= a * c
+    img[i] = -c
+
+
+def _decode(rs: RootSystem, span: int, code: int) -> tuple[int, int]:
+    half = span // 2
+    level, p = divmod(code + half, span)
+    return level, rs._packed_index[p - half]
+
+
 class AffineWeylWord:
     """Affine Weyl group element as a reduced word over {0..rank}.
 
-    Equality goes through the images of all affine simple roots, which
-    determine the action on the whole affine root system."""
+    Equality goes through the images of all affine simple roots under the
+    inverse, which determine the inverse, and so the element."""
 
     __slots__ = ("system", "word", "canonical", "inv_keys")
 
@@ -160,15 +191,13 @@ class AffineWeylWord:
         for i in word:
             if not 0 <= i <= system.rank:
                 raise LiesphError(f"affine simple index {i} out of range")
-        inv = _inversion_keys(system, word)
+        inv, images = _inversion_keys(system, word)
         if len(inv) != len(word):
             word = _peel_word(system, inv)
         self.system = system
         self.word = word
         self.inv_keys = frozenset(inv)
-        self.canonical = tuple(
-            _word_image(system, word, alpha) for alpha, _, _ in system.affine_letters
-        )
+        self.canonical = images
 
     @property
     def length(self) -> int:
@@ -197,28 +226,44 @@ class AffineWeylWord:
         return f"AffineWeylWord({list(self.word)})"
 
 
-def _inversion_keys(rs: RootSystem, word) -> set[tuple[int, int]]:
-    """Inversion set of an arbitrary word, built letter by letter."""
-    keys: set[tuple[int, int]] = set()
-    for i in word:
-        # N(u s_i) is s_i N(u) plus alpha_i, or s_i (N(u) - alpha_i) if it held alpha_i
-        alpha = rs.affine_letters[i][0]
-        keys = _act_letter(rs, i, keys - {alpha}) | ({alpha} - keys)
-    return keys
+def _inversion_keys(rs: RootSystem, word) -> tuple[set[tuple[int, int]], tuple]:
+    """Inversion set of an arbitrary word, and the images of the affine
+    simple roots under the inverse of its product, in one pass from the
+    right: N(s_i u) is N(u) with the positive one of +-u^-1 alpha_i toggled."""
+    span, letters = _affine_codes(rs)
+    img = [c for c, _ in letters]
+    inv = set()
+    for i in reversed(word):
+        c = abs(img[i])
+        if c in inv:
+            inv.remove(c)
+        else:
+            inv.add(c)
+        _reflect_images(img, letters, i)
+    return {_decode(rs, span, c) for c in inv}, tuple(_decode(rs, span, c) for c in img)
 
 
 def _peel_word(rs: RootSystem, keys) -> tuple[int, ...]:
     """Word of the element with inversion set keys, peeling the lowest
-    affine simple root each step; on level-0 keys only finite letters occur."""
+    affine simple root each step; on level-0 keys only finite letters occur.
+
+    After peeling s_r1 .. s_rm the set left is p^-1 of the keys not yet
+    peeled, p = s_r1 .. s_rm, so alpha_i lies in it iff p alpha_i is one of
+    them: the keys stay put, and only the images p alpha_j move."""
+    span, letters = _affine_codes(rs)
+    packed = rs.packed
+    left = {level * span + packed[f] for level, f in keys}
+    img = [c for c, _ in letters]
     rev = []
-    while keys:
-        for i, (alpha, _, _) in enumerate(rs.affine_letters):
-            if alpha in keys:
+    while left:
+        for i, c in enumerate(img):
+            if c in left:
                 break
         else:
             raise LiesphError("finite biconvex set without an affine simple root")
+        left.remove(c)
         rev.append(i)
-        keys = _act_letter(rs, i, keys - {alpha})
+        _reflect_images(img, letters, i)
     return tuple(reversed(rev))
 
 
@@ -228,6 +273,24 @@ def affine_from_word(rs: RootSystem, word) -> AffineWeylWord:
 
 def affine_inversions(w: AffineWeylWord) -> AffineRootSet:
     return AffineRootSet(w.system, w.inv_keys)
+
+
+def _decompositions(rs: RootSystem) -> list[list[tuple[int, int, int, int]]]:
+    """Per root g, built on first use: each unordered pair {f, h} of roots
+    with f + h = g, once, as ``(f, h, lo, hi)``.  For a level lg of g, the
+    splits m with f + m*delta and h + (lg - m)*delta both positive are
+    lo <= m < lg + hi."""
+    dec = getattr(rs, "_root_decompositions", None)
+    if dec is None:
+        npos = rs.num_positive
+        dec = [[] for _ in rs.roots]
+        for f, row in enumerate(rs.sum_table):
+            for h in range(f + 1, len(row)):
+                g = row[h]
+                if g is not None:
+                    dec[g].append((f, h, int(f >= npos), int(h < npos)))
+        rs._root_decompositions = dec
+    return dec
 
 
 def is_biconvex_affine(S: AffineRootSet) -> bool:
@@ -241,16 +304,12 @@ def is_biconvex_affine(S: AffineRootSet) -> bool:
             if s is not None and (la + lb, s) not in keys:
                 return False
     # a sum landing inside S with both summands positive and outside S
-    # violates closure of the complement; g = f + g2 with g2 = g - f
-    npos = rs.num_positive
-    for lg, fg in pairs:
-        for h, g2 in enumerate(rs.sum_table[fg]):
-            if g2 is None:
-                continue
-            f = rs.neg_index(h)
-            # the levels m with (m, f) and (lg - m, g2) both positive
-            for m in range(f >= npos, lg + (g2 < npos)):
-                if (m, f) not in keys and (lg - m, g2) not in keys:
+    # violates closure of the complement
+    dec = _decompositions(rs)
+    for lg, g in pairs:
+        for f, h, lo, hi in dec[g]:
+            for m in range(lo, lg + hi):
+                if (m, f) not in keys and (lg - m, h) not in keys:
                     return False
     return True
 

@@ -192,7 +192,7 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     """Per ideal: spherical iff the affine element is fully commutative
     (commutative in G2); abelian iff commutative; spherical forces the third
     layer to vanish.  Building the affine element checks that the encoding is
-    biconvex and round-trips, and raises otherwise."""
+    biconvex and round-trips; a failure is a mismatch naming the check."""
     from .spherical import is_spherical_subspace
 
     L = L or build_chevalley(rs)
@@ -203,7 +203,10 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     for ideal in ideal_list:
         coords = [list(rs.roots[i].coords) for i in ideal.members]
         S = psi_hat(rs, ideal)
-        element_from_biconvex_affine(S)  # raises unless biconvex and round-tripping
+        try:
+            element_from_biconvex_affine(S)
+        except LiesphError as exc:  # the encoding is not biconvex, or does not round-trip
+            mismatches.append({"members": coords, "reason": f"affine encoding: {exc}"})
         sph = is_spherical_subspace(L, ideal.members)
         fc = is_fc_affine(S)
         comm = is_commutative_affine(S)

@@ -287,8 +287,9 @@ class RootSystem:
 
     Memo tables fill lazily and idempotently, so concurrent readers at worst
     duplicate work: ``_plane_cache`` holds every rank-2 plane parabolic, finite
-    and affine alike (see ``plane_parabolic``), and the ideals module stashes
-    the root poset's up-sets.
+    and affine alike (see ``plane_parabolic``), the ideals module stashes the
+    root poset's up-sets, and the affine module its root codes and the
+    decompositions of each root into two.
     """
 
     def __init__(self, cartan_type: CartanType, swap: bool = False):
@@ -364,8 +365,12 @@ class RootSystem:
               for i, perm in enumerate(self.simple_perms)),
         )
 
-        # plane_parabolic's memo, keyed by a sorted pair of (level, root index)
+        # plane_parabolic's memos: by a sorted pair of (level, root index),
+        # finite planes by a sorted pair of root indices, and positive
+        # systems by a plane's member keys
         self._plane_cache: dict[tuple[tuple[int, int], tuple[int, int]], tuple] = {}
+        self._finite_planes: dict[tuple[int, int], tuple] = {}
+        self._plane_systems: dict[tuple, tuple[int, ...]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -540,6 +545,35 @@ def plane_solver(a_coords, b_coords):
 _RANK2_TAGS = {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}
 
 
+def _finite_plane(rs: RootSystem, fu: int, fv: int) -> tuple:
+    """The roots in span{fu, fv}, in index order, with a coordinate minor
+    (k, l) that is nonzero on every basis of that plane.  One scan of the
+    roots per plane, shared by all of its non-proportional member pairs."""
+    key = (fu, fv) if fu < fv else (fv, fu)
+    hit = rs._finite_planes.get(key)
+    if hit is not None:
+        return hit
+    a, b = rs.roots[fu].coords, rs.roots[fv].coords
+    minors = ((a[k] * b[l] - a[l] * b[k], k, l)
+              for k in range(rs.rank) for l in range(k + 1, rs.rank))
+    det, k, l = next((m for m in minors if m[0]), (0, 0, 0))
+    if not det:
+        raise LiesphError("a plane parabolic needs linearly independent roots")
+    plane = []
+    for f, r in enumerate(rs.roots):
+        c = r.coords
+        x = c[k] * b[l] - c[l] * b[k]
+        y = a[k] * c[l] - a[l] * c[k]
+        if all(x * a[i] + y * b[i] == det * c[i] for i in range(rs.rank)):
+            plane.append(f)
+    hit = (tuple(plane), k, l)
+    for x, f in enumerate(plane):
+        for g in plane[x + 1 :]:
+            if g != rs.neg_index(f):
+                rs._finite_planes[(f, g)] = hit
+    return hit
+
+
 def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> tuple:
     """The rank-2 parabolic through two real affine roots, memoized on rs.
 
@@ -553,31 +587,44 @@ def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> t
     - ``base``: whether {u, v} is a base of one of its positive systems.
     - ``positive_systems``: those made only of positive affine roots, as
       ``key_mask`` bit masks.
+
+    The members are the roots of the finite plane whose level in the basis
+    u, v is an integer; the positive systems depend on the members alone,
+    and are memoized by them.
     """
     key = (u, v) if u <= v else (v, u)
     hit = rs._plane_cache.get(key)
     if hit is not None:
         return hit
     (lu, fu), (lv, fv) = key
+    plane, k, l = _finite_plane(rs, fu, fv)
     a, b = rs.roots[fu].coords, rs.roots[fv].coords
-    minors = ((a[k] * b[l] - a[l] * b[k], k, l)
-              for k in range(rs.rank) for l in range(k + 1, rs.rank))
-    det, k, l = next((m for m in minors if m[0]), (0, 0, 0))
-    if not det:
-        raise LiesphError("a plane parabolic needs linearly independent roots")
+    det = a[k] * b[l] - a[l] * b[k]
     # a member c = (x*a + y*b) / det, at level (x*lu + y*lv) / det
     members, coeffs = [], []
-    for f, r in enumerate(rs.roots):
-        c = r.coords
+    for f in plane:
+        c = rs.roots[f].coords
         x = c[k] * b[l] - c[l] * b[k]
         y = a[k] * c[l] - a[l] * c[k]
         level, rest = divmod(x * lu + y * lv, det)
-        if not rest and all(x * a[i] + y * b[i] == det * c[i] for i in range(rs.rank)):
+        if not rest:
             members.append((level, f))
             coeffs.append((x, y))
     # a pair is a base when every member is a nonnegative or a nonpositive
     # combination of it; the nonnegative members are its positive system
     base = all(x * y >= 0 for x, y in coeffs)
+    plane_key = tuple(members)
+    psys = rs._plane_systems.get(plane_key)
+    if psys is None:
+        psys = rs._plane_systems[plane_key] = _positive_systems(rs, members, coeffs)
+    data = (members, len(members) > 4, base, psys)
+    rs._plane_cache[key] = data
+    return data
+
+
+def _positive_systems(rs: RootSystem, members: list, coeffs: list) -> tuple[int, ...]:
+    """``key_mask``s of the positive systems of a plane made only of positive
+    affine roots, from the members' coefficients in any basis of the plane."""
     npos = rs.num_positive
     psys = []
     for i, (xi, yi) in enumerate(coeffs):
@@ -596,9 +643,7 @@ def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> t
             else:
                 if all(level > 0 or (level == 0 and f < npos) for level, f in pos):
                     psys.append(key_mask(rs, pos))
-    data = (members, len(members) > 4, base, tuple(psys))
-    rs._plane_cache[key] = data
-    return data
+    return tuple(psys)
 
 
 def has_plane_positive_system(rs: RootSystem, keys: list, mask: int) -> bool:

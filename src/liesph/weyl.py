@@ -263,7 +263,10 @@ def element_from_biconvex(rs: RootSystem, ps: PosRootSet) -> WeylElement:
     """The unique w with inversion set ps; rejects non-biclosed input."""
     if not is_biclosed(rs, ps):
         raise LiesphError("input set is not biconvex")
-    return from_word(rs, _peel_word(rs, {(0, i) for i in ps.indices()}))
+    w = from_word(rs, _peel_word(rs, {(0, i) for i in ps.indices()}))
+    if w.inv_mask != ps.mask:
+        raise LiesphError("peeling failed to reproduce the input set")
+    return w
 
 
 # -- orders --------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import get_rs
@@ -8,6 +10,76 @@ from liesph.errors import LiesphError
 
 LETTER_TYPES = [(n, False) for n in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
                                      "D4", "F4", "G2")] + [(n, True) for n in ("B2", "C2", "G2")]
+
+
+# -- references: the set-push peel and inversion set, the canonical form as
+# images under the element, and the row-scan biconvexity test
+
+
+def _reference_act_letter(rs, i, keys):
+    _, perm, shift = rs.affine_letters[i]
+    return {(l + shift[f], perm[f]) for l, f in keys}
+
+
+def _reference_inversion_keys(rs, word):
+    """Inversion set of an arbitrary word, built letter by letter."""
+    keys = set()
+    for i in word:
+        # N(u s_i) is s_i N(u) plus alpha_i, or s_i (N(u) - alpha_i) if it held alpha_i
+        alpha = rs.affine_letters[i][0]
+        keys = _reference_act_letter(rs, i, keys - {alpha}) | ({alpha} - keys)
+    return keys
+
+
+def _reference_peel_word(rs, keys):
+    """Peel the lowest affine simple root each step, pushing the whole set
+    through the letter."""
+    rev = []
+    while keys:
+        for i, (alpha, _, _) in enumerate(rs.affine_letters):
+            if alpha in keys:
+                break
+        else:
+            raise LiesphError("finite biconvex set without an affine simple root")
+        rev.append(i)
+        keys = _reference_act_letter(rs, i, keys - {alpha})
+    return tuple(reversed(rev))
+
+
+def _reference_images(rs, word):
+    """Images of the affine simple roots under the product of the word."""
+    return tuple(A._word_image(rs, word, alpha) for alpha, _, _ in rs.affine_letters)
+
+
+def _reference_element(rs, word):
+    """(reduced word, inversion set) as ``AffineWeylWord`` built them with
+    the set-push layers."""
+    inv = _reference_inversion_keys(rs, word)
+    if len(inv) != len(word):
+        word = _reference_peel_word(rs, inv)
+    return tuple(word), inv
+
+
+def _reference_is_biconvex_affine(S):
+    """Closure of S and of its complement, scanning a whole sum-table row per key."""
+    rs = S.system
+    keys = S.keys
+    pairs = sorted(keys)
+    for x, (la, fa) in enumerate(pairs):
+        for lb, fb in pairs[x:]:
+            s = rs.sum_table[fa][fb]
+            if s is not None and (la + lb, s) not in keys:
+                return False
+    npos = rs.num_positive
+    for lg, fg in pairs:
+        for h, g2 in enumerate(rs.sum_table[fg]):
+            if g2 is None:
+                continue
+            f = rs.neg_index(h)
+            for m in range(f >= npos, lg + (g2 < npos)):
+                if (m, f) not in keys and (lg - m, g2) not in keys:
+                    return False
+    return True
 
 
 def _reference_apply_simple(rs, i, level, f):
@@ -32,7 +104,7 @@ def test_letter_table_matches_coordinate_reference(name, swap):
         for f in range(len(rs.roots)):
             for level in range(-2, 3):
                 want = _reference_apply_simple(rs, i, level, f)
-                assert A._act_letter(rs, i, {(level, f)}) == {want}
+                assert _reference_act_letter(rs, i, {(level, f)}) == {want}
                 assert A.affine_apply_simple(rs, i, A.AffineRoot(rs, f, level)).key() == want
 
 
@@ -165,33 +237,106 @@ def _biconvex_by_letters(rs, keys):
     root at every step (it ends, as each step drops one key) and the peeled
     word has the set as its inversion set."""
     try:
-        word = A._peel_word(rs, keys)
+        word = _reference_peel_word(rs, keys)
     except LiesphError:
         return False
-    return A._inversion_keys(rs, word) == set(keys)
+    return _reference_inversion_keys(rs, word) == set(keys)
+
+
+def _ideal_perturbations(rs, additions=True):
+    """Each ideal's encoding, then every one-key removal from it and every
+    one-key addition up to one level above its top."""
+    for ideal in I.enumerate_ideals(rs):
+        keys = I.psi_hat(rs, ideal).keys
+        top = max((level for level, _ in keys), default=0) + 1
+        yield keys
+        yield from (keys - {k} for k in keys)
+        if additions:
+            yield from (
+                keys | {(level, f)}
+                for level in range(top + 1)
+                for f in range(rs.num_positive if level == 0 else len(rs.roots))
+                if (level, f) not in keys
+            )
 
 
 @pytest.mark.parametrize("name", ["B3", "C3", "D4", "G2"])
 def test_biconvex_against_letter_oracle(name):
     rs = get_rs(name)
-    positive = rs.num_positive
     checked = rejected = 0
     for ideal in I.enumerate_ideals(rs):
-        keys = I.psi_hat(rs, ideal).keys
-        top = max((level for level, _ in keys), default=0) + 1
-        candidates = [keys] + [keys - {k} for k in keys] + [
-            keys | {(level, f)}
-            for level in range(top + 1)
-            for f in range(positive if level == 0 else len(rs.roots))
-            if (level, f) not in keys
-        ]
-        for c in candidates:
-            got = A.is_biconvex_affine(A.AffineRootSet(rs, c))
-            assert got == _biconvex_by_letters(rs, c), sorted(c)
-            checked += 1
-            rejected += not got
-        assert _biconvex_by_letters(rs, keys)
+        assert _biconvex_by_letters(rs, I.psi_hat(rs, ideal).keys)
+    for c in _ideal_perturbations(rs):
+        got = A.is_biconvex_affine(A.AffineRootSet(rs, c))
+        assert got == _biconvex_by_letters(rs, c), sorted(c)
+        checked += 1
+        rejected += not got
     assert 0 < rejected < checked
+
+
+def _check_against_references(rs, keys):
+    """Same biconvexity verdict, same peel (or the same failure), and for a
+    peeled word the same element as the set-push layers build; returns the
+    verdict."""
+    S = A.AffineRootSet(rs, keys)
+    verdict = A.is_biconvex_affine(S)
+    assert verdict == _reference_is_biconvex_affine(S), sorted(keys)
+    try:
+        want = _reference_peel_word(rs, set(keys))
+    except LiesphError:
+        with pytest.raises(LiesphError, match="without an affine simple root"):
+            A._peel_word(rs, keys)
+        return verdict
+    word = A._peel_word(rs, keys)
+    assert word == want, sorted(keys)
+    _check_element(rs, word)
+    if verdict:
+        assert A.element_from_biconvex_affine(S).word == word
+    return verdict
+
+
+def _check_element(rs, word):
+    """The one-pass inversion set and element equal the set-push ones; the
+    canonical images are those of the simple roots under the inverse."""
+    reduced, inv = _reference_element(rs, word)
+    keys, images = A._inversion_keys(rs, word)
+    assert keys == inv, word
+    w = A.AffineWeylWord(rs, word)
+    assert (w.word, w.inv_keys, w.canonical) == (reduced, inv, images), word
+    assert images == _reference_images(rs, word[::-1]), word
+    return w
+
+
+def _check_ideals_against_references(rs, additions=True):
+    verdicts = [_check_against_references(rs, c) for c in _ideal_perturbations(rs, additions)]
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "D4", "F4", "G2"])
+def test_affine_layers_match_references_on_ideals(name):
+    _check_ideals_against_references(get_rs(name))
+
+
+@pytest.mark.slow
+def test_affine_layers_match_references_on_e6_ideals():
+    # the 260 730 one-key additions would take minutes on the set-push peel
+    _check_ideals_against_references(get_rs("E6"), additions=False)
+
+
+@pytest.mark.parametrize("name, swap", [(n, False) for n in ("B2", "B3", "C3", "F4", "G2")]
+                         + [(n, True) for n in ("B2", "C2", "G2")])
+def test_affine_layers_match_references_on_random_words(name, swap):
+    rs = get_rs(name, swap)
+    rng = random.Random(f"{name}{swap}")
+    classes = {}  # canonical -> reference images under the element
+    for _ in range(200):
+        word = tuple(rng.randrange(rs.rank + 1) for _ in range(rng.randint(0, 14)))
+        w = _check_element(rs, word)
+        _check_element(rs, w.word)
+        ref = _reference_images(rs, word)
+        assert classes.setdefault(w.canonical, ref) == ref, word
+    # the same equality classes: distinct canonicals, distinct reference images
+    assert len(set(classes.values())) == len(classes)
 
 
 def test_empty_and_singleton():
@@ -263,4 +408,4 @@ def test_every_nonempty_biconvex_contains_affine_simple():
                     found = i
                     break
             assert found is not None
-            keys = A._act_letter(g2, found, keys - {A.affine_simple_root(g2, found).key()})
+            keys = _reference_act_letter(g2, found, keys - {A.affine_simple_root(g2, found).key()})

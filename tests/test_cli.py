@@ -321,3 +321,29 @@ def test_atlas_ideals_enumerates_the_ideals_once(monkeypatch, capsys):
     code, rep = run_json(capsys, "atlas", "ideals", "--type", "B3")
     assert code == 0 and rep["count"] == 20
     assert len(calls) == 1
+
+
+def test_theorem2_reports_a_failed_encoding_as_a_mismatch(monkeypatch, capsys):
+    # an encoding that fails its biconvexity check is a mismatch of that
+    # ideal, reported with the other ideals, and checked once
+    from liesph import affine, ideals
+    from liesph.affine import AffineRootSet
+
+    psi_hat, is_biconvex = ideals.psi_hat, affine.is_biconvex_affine
+    calls = []
+
+    def drop_top_key_of_full_ideal(rs, ideal):
+        S = psi_hat(rs, ideal)
+        if ideal.size < rs.num_positive:
+            return S
+        return AffineRootSet(rs, S.keys - {max(S.keys)})
+
+    monkeypatch.setattr(ideals, "psi_hat", drop_top_key_of_full_ideal)
+    monkeypatch.setattr(affine, "is_biconvex_affine", lambda S: calls.append(S) or is_biconvex(S))
+    code, rep = run_json(capsys, "verify", "theorem2", "--type", "B3")
+    assert code == 1
+    assert rep["ideals"] == len(calls) == 20
+    full = [m for m in rep["mismatches"] if len(m["members"]) == 9]
+    assert {"members": full[0]["members"],
+            "reason": "affine encoding: input set is not biconvex in the affine positive system"} in full
+    assert all(len(m["members"]) == 9 for m in rep["mismatches"])

@@ -239,6 +239,60 @@ def test_plane_parabolic_against_rational_oracle():
             assert plane_parabolic(rs, v, u) is plane_parabolic(rs, u, v)
 
 
+def _reference_plane_parabolic(rs, u, v):
+    """plane_parabolic as one scan of every root per pair, unmemoized."""
+    (lu, fu), (lv, fv) = (u, v) if u <= v else (v, u)
+    a, b = rs.roots[fu].coords, rs.roots[fv].coords
+    minors = ((a[k] * b[l] - a[l] * b[k], k, l)
+              for k in range(rs.rank) for l in range(k + 1, rs.rank))
+    det, k, l = next(m for m in minors if m[0])
+    members, coeffs = [], []
+    for f, r in enumerate(rs.roots):
+        c = r.coords
+        x = c[k] * b[l] - c[l] * b[k]
+        y = a[k] * c[l] - a[l] * c[k]
+        level, rest = divmod(x * lu + y * lv, det)
+        if not rest and all(x * a[i] + y * b[i] == det * c[i] for i in range(rs.rank)):
+            members.append((level, f))
+            coeffs.append((x, y))
+    base = all(x * y >= 0 for x, y in coeffs)
+    npos = rs.num_positive
+    psys = []
+    for i, (xi, yi) in enumerate(coeffs):
+        for xj, yj in coeffs[i + 1 :]:
+            d = xi * yj - yi * xj
+            if not d:
+                continue
+            pos = []
+            for m, (x, y) in zip(members, coeffs):
+                s, t = (x * yj - y * xj) * d, (xi * y - yi * x) * d
+                if s * t < 0:
+                    break
+                if s > 0 or t > 0:
+                    pos.append(m)
+            else:
+                if all(level > 0 or (level == 0 and f < npos) for level, f in pos):
+                    psys.append(key_mask(rs, pos))
+    return members, len(members) > 4, base, tuple(psys)
+
+
+@pytest.mark.parametrize("name, swap", [
+    *((n, False) for n in ("A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2")),
+    *((n, True) for n in ("B2", "C2", "G2")),
+])
+def test_plane_parabolic_against_reference(name, swap):
+    # a fresh system, so that every plane starts cold
+    rs = build_root_system(name, swap=swap)
+    keys = [(0, f) for f in range(rs.num_positive)]
+    keys += [(level, f) for level in (1, 2) for f in range(len(rs.roots))]
+    for u, v in itertools.combinations(keys, 2):
+        if v[1] in (u[1], rs.neg_index(u[1])):
+            continue
+        assert plane_parabolic(rs, u, v) == _reference_plane_parabolic(rs, u, v), (u, v)
+    with pytest.raises(LiesphError, match="linearly independent"):
+        plane_parabolic(rs, (0, 0), (1, rs.neg_index(0)))
+
+
 def test_swap_flag():
     b2s = get_rs("B2", swap=True)
     assert b2s.simple_root(1).norm2 == 2 and b2s.simple_root(2).norm2 == 4

@@ -102,6 +102,15 @@ def test_biconvex_round_trip_larger_types():
             assert W.element_from_biconvex(rs, e.inv) == e
 
 
+def test_element_from_biconvex_checks_its_round_trip(monkeypatch):
+    # a peel that returns a wrong word must not pass as the element
+    b2 = get_rs("B2")
+    s1 = b2.posrootset([b2.simple_root(1)])
+    monkeypatch.setattr(W, "_peel_word", lambda rs, keys: (2, 1))
+    with pytest.raises(LiesphError, match="failed to reproduce"):
+        W.element_from_biconvex(b2, s1)
+
+
 def test_biconvex_spec_examples():
     b2 = get_rs("B2")
     ps = b2.posrootset([b2.root_from_coords(c) for c in [(1, 0), (1, 1), (1, 2)]])
