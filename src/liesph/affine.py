@@ -10,7 +10,7 @@ sets and the peel move only the rank + 1 simple-root images, as int codes.
 from __future__ import annotations
 
 from .errors import LiesphError, MismatchedSystems
-from .roots import RootSystem, has_plane_positive_system, has_summing_pair, key_mask
+from .roots import RootSystem, has_irreducible_base_pair, has_summing_pair
 
 
 class AffineRoot:
@@ -275,43 +275,63 @@ def affine_inversions(w: AffineWeylWord) -> AffineRootSet:
     return AffineRootSet(w.system, w.inv_keys)
 
 
-def _decompositions(rs: RootSystem) -> list[list[tuple[int, int, int, int]]]:
-    """Per root g, built on first use: each unordered pair {f, h} of roots
-    with f + h = g, once, as ``(f, h, lo, hi)``.  For a level lg of g, the
-    splits m with f + m*delta and h + (lg - m)*delta both positive are
-    lo <= m < lg + hi."""
+def _decompositions(rs: RootSystem) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Built on first use: per root g, each unordered pair {f, h} of roots
+    with f + h = g, once, as ``(f, h)``; and per root f, the bit mask of the
+    roots h with f + h a root."""
     dec = getattr(rs, "_root_decompositions", None)
     if dec is None:
-        npos = rs.num_positive
-        dec = [[] for _ in rs.roots]
+        pairs = [[] for _ in rs.roots]
+        summable = [0] * len(rs.roots)
         for f, row in enumerate(rs.sum_table):
-            for h in range(f + 1, len(row)):
-                g = row[h]
+            for h, g in enumerate(row):
                 if g is not None:
-                    dec[g].append((f, h, int(f >= npos), int(h < npos)))
-        rs._root_decompositions = dec
+                    summable[f] |= 1 << h
+                    if f < h:
+                        pairs[g].append((f, h))
+        dec = rs._root_decompositions = (pairs, summable)
     return dec
 
 
 def is_biconvex_affine(S: AffineRootSet) -> bool:
-    """Closure of S and of its complement under real-root addition."""
+    """Closure of S and of its complement under real-root addition, read off
+    the first missing level e[f] of each finite root f (Shi's coordinates).
+
+    An inversion set holds, of each root f, exactly the levels lo(f) <=
+    level < e[f], where lo(f) is 0 for f > 0 and 1 for f < 0, and never
+    levels of both f and -f; any other S is rejected.  On such a set, for
+    each g = f + h: the complement is closed iff e[g] <= e[f] + e[h], and S
+    is closed iff e[f] + e[h] - 1 <= e[g] when f and h both occur.  The work
+    is linear in S and in the decompositions of the roots that occur."""
     rs = S.system
-    keys = S.keys
-    pairs = sorted(keys)
-    for x, (la, fa) in enumerate(pairs):
-        for lb, fb in pairs[x:]:
-            s = rs.sum_table[fa][fb]
-            if s is not None and (la + lb, s) not in keys:
+    npos = rs.num_positive
+    pairs, summable = _decompositions(rs)
+    first = [0] * npos + [1] * npos  # lo(f), raised to e[f] below
+    count = [0] * len(first)
+    for level, f in S.keys:
+        count[f] += 1
+        if level >= first[f]:
+            first[f] = level + 1
+    occurring = [f for f, c in enumerate(count) if c]
+    mask = 0
+    for f in occurring:
+        if first[f] - count[f] != (f >= npos) or (f < npos and count[f + npos]):
+            return False
+        mask |= 1 << f
+    closed = 0
+    for g in occurring:
+        eg = first[g]
+        for f, h in pairs[g]:
+            ef, eh = first[f], first[h]
+            if eg > ef + eh:
                 return False
-    # a sum landing inside S with both summands positive and outside S
-    # violates closure of the complement
-    dec = _decompositions(rs)
-    for lg, g in pairs:
-        for f, h, lo, hi in dec[g]:
-            for m in range(lo, lg + hi):
-                if (m, f) not in keys and (lg - m, h) not in keys:
+            if count[f] and count[h]:
+                if ef + eh - 1 > eg:
                     return False
-    return True
+                closed += 1
+    # each summing pair inside S counts twice in the masks, and was counted
+    # once above if its sum occurs; a sum outside S breaks closure
+    return 2 * closed == sum((summable[f] & mask).bit_count() for f in occurring)
 
 
 def element_from_biconvex_affine(S: AffineRootSet) -> AffineWeylWord:
@@ -333,5 +353,6 @@ def is_commutative_affine(S: AffineRootSet) -> bool:
 
 
 def is_fc_affine(S: AffineRootSet) -> bool:
-    """No irreducible rank-2 parabolic positive subsystem inside S."""
-    return not has_plane_positive_system(S.system, sorted(S.keys), key_mask(S.system, S.keys))
+    """No irreducible rank-2 parabolic positive subsystem inside S, for S an
+    inversion set: no pair in S is a base of an irreducible plane."""
+    return not has_irreducible_base_pair(S.system, sorted(S.keys))

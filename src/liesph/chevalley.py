@@ -13,8 +13,6 @@ N_{u,v}/(w,w) = N_{v,w}/(u,u) = N_{w,u}/(v,v) for u+v+w = 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import LiesphError, MismatchedSystems
 from .roots import PosRootSet, Root, RootSystem, root_string_p
 
@@ -25,6 +23,8 @@ class NilpotentElement:
     __slots__ = ("system", "coeffs")
 
     def __init__(self, system: RootSystem, coeffs: dict):
+        from fractions import Fraction
+
         clean = {}
         for key, val in coeffs.items():
             idx = key.index if isinstance(key, Root) else int(key)
@@ -133,6 +133,8 @@ def build_chevalley(rs: RootSystem, extraspecial_sign: int = 1) -> ChevalleyAlge
 
 
 def _coroot_table(rs: RootSystem):
+    from fractions import Fraction
+
     table = []
     for r in rs.roots:
         d_r = Fraction(r.norm2, 2)
@@ -147,13 +149,15 @@ def _coroot_table(rs: RootSystem):
 
 
 def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
+    from fractions import Fraction
+
     m = rs.num_positive
     neg = rs.neg_index
     norm2 = rs.norm2
     sum_table = rs.sum_table
-    full: dict[tuple[int, int], Fraction] = {}
+    full: dict = {}  # (i, j) -> Fraction
 
-    def lookup(i: int, j: int) -> Fraction:
+    def lookup(i: int, j: int):
         val = full.get((i, j))
         if val is not None:
             return val
@@ -298,6 +302,8 @@ def height(L: ChevalleyAlgebra, x) -> int:
 
 def exp_root_action(L: ChevalleyAlgebra, a: Root, xi, x) -> dict:
     """u_a(xi).x = x + sum_{k>0} (xi^k / k!) ad(e_a)^k (x)."""
+    from fractions import Fraction
+
     if a.system is not L.rs:
         raise MismatchedSystems("root from another system")
     x = dict(_as_vector(L, x))

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from . import affine as A
@@ -224,6 +223,8 @@ def _g2_report(rs) -> dict:
     """Unit checks for the G2-specific statements: the two non-spherical
     pair mechanisms, the one-parameter degeneration, and both exhaustive
     biconditionals."""
+    from fractions import Fraction
+
     L = build_chevalley(rs)
     checks = []
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def matrix_rank(mat) -> int:
     """Rank over the rationals, by fraction-free style Gaussian elimination."""
+    from fractions import Fraction
+
     rows = [[Fraction(x) for x in row] for row in mat if any(row)]
     if not rows:
         return 0

@@ -7,7 +7,7 @@ root has squared length 2, which keeps every Gram entry an integer.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import LiesphError, MismatchedSystems
@@ -287,9 +287,10 @@ class RootSystem:
 
     Memo tables fill lazily and idempotently, so concurrent readers at worst
     duplicate work: ``_plane_cache`` holds every rank-2 plane parabolic, finite
-    and affine alike (see ``plane_parabolic``), the ideals module stashes the
-    root poset's up-sets, and the affine module its root codes and the
-    decompositions of each root into two.
+    and affine alike (see ``plane_parabolic``), over the table of finite
+    planes (``_plane_table``); the ideals module stashes the root poset's
+    up-sets, and the affine module its root codes and the decompositions of
+    each root into two.
     """
 
     def __init__(self, cartan_type: CartanType, swap: bool = False):
@@ -365,12 +366,8 @@ class RootSystem:
               for i, perm in enumerate(self.simple_perms)),
         )
 
-        # plane_parabolic's memos: by a sorted pair of (level, root index),
-        # finite planes by a sorted pair of root indices, and positive
-        # systems by a plane's member keys
+        # plane_parabolic's memo, by a sorted pair of (level, root index)
         self._plane_cache: dict[tuple[tuple[int, int], tuple[int, int]], tuple] = {}
-        self._finite_planes: dict[tuple[int, int], tuple] = {}
-        self._plane_systems: dict[tuple, tuple[int, ...]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -516,6 +513,8 @@ def plane_solver(a_coords, b_coords):
     Requires a, b linearly independent; returns None-returning solver entries
     as (x, y) Fractions.
     """
+    from fractions import Fraction
+
     n = len(a_coords)
     minor = None
     for k in range(n):
@@ -545,32 +544,50 @@ def plane_solver(a_coords, b_coords):
 _RANK2_TAGS = {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}
 
 
+def _plane_table(rs: RootSystem) -> dict[tuple[int, int], tuple]:
+    """Every finite plane, built on first use in one pass over the pairs of
+    positive roots.  Two pairs span the same plane exactly when their 2x2
+    coordinate minors are proportional, so each pair is bucketed by its
+    minors divided by their gcd, signed positive at the first nonzero one.
+
+    Maps each sorted pair of non-opposite roots of a plane to ``(the roots
+    of the plane in index order, k, l)``, where the minor (k, l) is nonzero
+    on every basis of the plane."""
+    table = getattr(rs, "_finite_planes", None)
+    if table is not None:
+        return table
+    npos = rs.num_positive
+    minor_kl = [(k, l) for k in range(rs.rank) for l in range(k + 1, rs.rank)]
+    coords = [r.coords for r in rs.positive_roots]
+    buckets: dict[tuple[int, ...], set[int]] = {}
+    for i, a in enumerate(coords):
+        for j in range(i + 1, npos):
+            b = coords[j]
+            minors = [a[k] * b[l] - a[l] * b[k] for k, l in minor_kl]
+            d = gcd(*minors)
+            if next(m for m in minors if m) < 0:
+                d = -d
+            buckets.setdefault(tuple(m // d for m in minors), set()).update((i, j))
+    table = {}
+    for minors, positive in buckets.items():
+        k, l = next(kl for kl, m in zip(minor_kl, minors) if m)
+        plane = sorted(positive)
+        plane += [f + npos for f in plane]
+        hit = (tuple(plane), k, l)
+        for x, f in enumerate(plane):
+            for g in plane[x + 1 :]:
+                if g != f + npos:
+                    table[(f, g)] = hit
+    rs._finite_planes = table
+    return table
+
+
 def _finite_plane(rs: RootSystem, fu: int, fv: int) -> tuple:
     """The roots in span{fu, fv}, in index order, with a coordinate minor
-    (k, l) that is nonzero on every basis of that plane.  One scan of the
-    roots per plane, shared by all of its non-proportional member pairs."""
-    key = (fu, fv) if fu < fv else (fv, fu)
-    hit = rs._finite_planes.get(key)
-    if hit is not None:
-        return hit
-    a, b = rs.roots[fu].coords, rs.roots[fv].coords
-    minors = ((a[k] * b[l] - a[l] * b[k], k, l)
-              for k in range(rs.rank) for l in range(k + 1, rs.rank))
-    det, k, l = next((m for m in minors if m[0]), (0, 0, 0))
-    if not det:
+    (k, l) that is nonzero on every basis of that plane."""
+    hit = _plane_table(rs).get((fu, fv) if fu < fv else (fv, fu))
+    if hit is None:
         raise LiesphError("a plane parabolic needs linearly independent roots")
-    plane = []
-    for f, r in enumerate(rs.roots):
-        c = r.coords
-        x = c[k] * b[l] - c[l] * b[k]
-        y = a[k] * c[l] - a[l] * c[k]
-        if all(x * a[i] + y * b[i] == det * c[i] for i in range(rs.rank)):
-            plane.append(f)
-    hit = (tuple(plane), k, l)
-    for x, f in enumerate(plane):
-        for g in plane[x + 1 :]:
-            if g != rs.neg_index(f):
-                rs._finite_planes[(f, g)] = hit
     return hit
 
 
@@ -579,18 +596,15 @@ def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> t
 
     ``u`` and ``v`` are ``(level, root index)`` keys of ``root + level*delta``
     whose finite parts are linearly independent; level 0 is the finite case.
-    Returns ``(members, irreducible, base, positive_systems)``:
+    Returns ``(members, irreducible, base)``:
 
     - ``members``: the keys of every real affine root in span{u, v}, in root
       index order.  They form a rank-2 root system, irreducible unless it has
       only the four roots of A1xA1.
     - ``base``: whether {u, v} is a base of one of its positive systems.
-    - ``positive_systems``: those made only of positive affine roots, as
-      ``key_mask`` bit masks.
 
     The members are the roots of the finite plane whose level in the basis
-    u, v is an integer; the positive systems depend on the members alone,
-    and are memoized by them.
+    u, v is an integer.
     """
     key = (u, v) if u <= v else (v, u)
     hit = rs._plane_cache.get(key)
@@ -600,8 +614,11 @@ def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> t
     plane, k, l = _finite_plane(rs, fu, fv)
     a, b = rs.roots[fu].coords, rs.roots[fv].coords
     det = a[k] * b[l] - a[l] * b[k]
-    # a member c = (x*a + y*b) / det, at level (x*lu + y*lv) / det
-    members, coeffs = [], []
+    # a member c = (x*a + y*b) / det, at level (x*lu + y*lv) / det; the pair
+    # is a base when every member is a nonnegative or a nonpositive
+    # combination of it
+    members = []
+    base = True
     for f in plane:
         c = rs.roots[f].coords
         x = c[k] * b[l] - c[l] * b[k]
@@ -609,69 +626,33 @@ def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> t
         level, rest = divmod(x * lu + y * lv, det)
         if not rest:
             members.append((level, f))
-            coeffs.append((x, y))
-    # a pair is a base when every member is a nonnegative or a nonpositive
-    # combination of it; the nonnegative members are its positive system
-    base = all(x * y >= 0 for x, y in coeffs)
-    plane_key = tuple(members)
-    psys = rs._plane_systems.get(plane_key)
-    if psys is None:
-        psys = rs._plane_systems[plane_key] = _positive_systems(rs, members, coeffs)
-    data = (members, len(members) > 4, base, psys)
+            base = base and x * y >= 0
+    data = (members, len(members) > 4, base)
     rs._plane_cache[key] = data
     return data
 
 
-def _positive_systems(rs: RootSystem, members: list, coeffs: list) -> tuple[int, ...]:
-    """``key_mask``s of the positive systems of a plane made only of positive
-    affine roots, from the members' coefficients in any basis of the plane."""
+def has_irreducible_base_pair(rs: RootSystem, keys: list) -> bool:
+    """Whether two of the sorted keys are a base of an irreducible plane
+    parabolic: the full-commutativity test on an inversion set.
+
+    An inversion set is closed, so it holds the whole positive system such
+    a base spans; and any positive system inside it brings its base along.
+    Pairs with proportional finite parts are skipped: their plane contains
+    the imaginary direction, whose positive systems are infinite and never
+    inside a finite set."""
     npos = rs.num_positive
-    psys = []
-    for i, (xi, yi) in enumerate(coeffs):
-        for xj, yj in coeffs[i + 1 :]:
-            d = xi * yj - yi * xj
-            if not d:  # opposite roots
-                continue
-            pos = []
-            for m, (x, y) in zip(members, coeffs):
-                # m is (s*p + t*q) / d**2 in this pair p, q; only signs matter
-                s, t = (x * yj - y * xj) * d, (xi * y - yi * x) * d
-                if s * t < 0:
-                    break
-                if s > 0 or t > 0:
-                    pos.append(m)
-            else:
-                if all(level > 0 or (level == 0 and f < npos) for level, f in pos):
-                    psys.append(key_mask(rs, pos))
-    return tuple(psys)
-
-
-def has_plane_positive_system(rs: RootSystem, keys: list, mask: int) -> bool:
-    """Whether an irreducible plane parabolic through two of the keys has a
-    positive system inside mask (a ``key_mask``).  Pairs with proportional
-    finite parts are skipped: their plane contains the imaginary direction,
-    whose positive systems are infinite and never inside a finite set."""
+    cache = rs._plane_cache  # keyed by sorted pairs, as the keys come
     for x, u in enumerate(keys):
+        fu = u[1]
+        opposite = fu - npos if fu >= npos else fu + npos
         for v in keys[x + 1 :]:
-            if v[1] in (u[1], rs.neg_index(u[1])):
+            if v[1] == fu or v[1] == opposite:
                 continue
-            _, irreducible, _, psys = plane_parabolic(rs, u, v)
-            if irreducible:
-                for p in psys:
-                    if p & ~mask == 0:
-                        return True
+            _, irreducible, base = cache.get((u, v)) or plane_parabolic(rs, u, v)
+            if irreducible and base:
+                return True
     return False
-
-
-def key_mask(rs: RootSystem, keys) -> int:
-    """Bit mask of positive affine roots given as (level, root index) keys,
-    with bit ``level * len(rs.roots) + index``; at level 0 it is the
-    PosRootSet mask of those positive roots."""
-    width = len(rs.roots)
-    mask = 0
-    for level, f in keys:
-        mask |= 1 << (level * width + f)
-    return mask
 
 
 def rank2_parabolic(rs: RootSystem, a: Root, b: Root) -> tuple[list[Root], str]:

@@ -90,18 +90,28 @@ def _weight_index(rs: RootSystem) -> dict[int, list[tuple[int, int]]]:
     return index
 
 
-def _four_root_multisets(rs: RootSystem):
+def _four_root_multisets(rs: RootSystem, support: int | None = None):
     """Yield (multiset, sigma) for the sorted size-4 positive-root multisets,
-    in lexicographic order, whose packed weight sigma is in the weight index."""
+    in lexicographic order, whose packed weight sigma is in the weight index;
+    only those with ``support`` distinct members when it is given."""
     packed, index = rs.packed, _weight_index(rs)
     npos = rs.num_positive
+    least, most = (1, 4) if support is None else (support, support)
+
+    def members(prev: int, distinct: int, left: int) -> range:
+        # the next member, with `left` still to choose: prev again keeps
+        # `distinct` members, a larger one adds one, and the final count of
+        # distinct members must lie in [least, most]
+        return range(prev + (least - distinct >= left), npos if distinct < most else prev + 1)
+
     for a in range(npos):
         wa = packed[a]
-        for b in range(a, npos):
+        for b in members(a, 1, 3):
             wb = wa + packed[b]
-            for c in range(b, npos):
+            nb = 1 + (b > a)
+            for c in members(b, nb, 2):
                 wc = wb + packed[c]
-                for d in range(c, npos):
+                for d in members(c, nb + (c > b), 1):
                     sigma = wc + packed[d]
                     if sigma in index:
                         yield (a, b, c, d), sigma
@@ -218,9 +228,10 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
     support, as (support mask, multiset) pairs in (support size, multiset)
     order; computed once per algebra.
 
-    One four-root scan per support size, smallest first, skips a multiset
-    whose support contains or equals one already found.  Only multisets
-    whose weight has chain starts reach _p_multiset_vanishes."""
+    The multisets of each support size, smallest first, are generated
+    directly, and a multiset whose support contains or equals one already
+    found is skipped.  Only multisets whose weight has chain starts reach
+    _p_multiset_vanishes."""
     cached = getattr(L, "_quartic_obstructions", None)
     if cached is not None:
         return cached
@@ -229,11 +240,9 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
     found: set[int] = set()
     minimal = []
     for size in range(1, 5):
-        for multiset, sigma in _four_root_multisets(L.rs):
+        for multiset, sigma in _four_root_multisets(L.rs, size):
             a, b, c, d = multiset
             mask = 1 << a | 1 << b | 1 << c | 1 << d
-            if mask.bit_count() != size:
-                continue
             sub = mask
             while sub and sub not in found:
                 sub = (sub - 1) & mask

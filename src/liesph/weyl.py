@@ -17,10 +17,9 @@ from .roots import (
     PosRootSet,
     Root,
     RootSystem,
-    has_plane_positive_system,
+    has_irreducible_base_pair,
     has_summing_pair,
     iter_bits,
-    plane_parabolic,
     plane_solver,
 )
 
@@ -419,18 +418,10 @@ def is_commutative_inv(w: WeylElement) -> bool:
 
 def is_fc_inv(w: WeylElement) -> bool:
     """Inversion set contains no irreducible rank-2 parabolic positive system."""
-    keys = [(0, a) for a in iter_bits(w.inv_mask)]
-    return not has_plane_positive_system(w.system, keys, w.inv_mask)
+    return not has_irreducible_base_pair(w.system, [(0, a) for a in iter_bits(w.inv_mask)])
 
 
 def is_fc_inv_base_pair(w: WeylElement) -> bool:
-    """Same decision as is_fc_inv for biclosed sets: some inversion pair is a
+    """Same decision as is_fc_inv, by the same scan: no inversion pair is a
     base of an irreducible rank-2 parabolic."""
-    rs = w.system
-    idxs = list(iter_bits(w.inv_mask))
-    for x, a in enumerate(idxs):
-        for b in idxs[x + 1 :]:
-            _, irreducible, base, _ = plane_parabolic(rs, (0, a), (0, b))
-            if irreducible and base:
-                return False
-    return True
+    return not has_irreducible_base_pair(w.system, [(0, a) for a in iter_bits(w.inv_mask)])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import get_rs
+from conftest import get_rs, is_fc_by_positive_systems
 from liesph import affine as A
 from liesph import ideals as I
 from liesph import weyl as W
@@ -13,7 +13,7 @@ LETTER_TYPES = [(n, False) for n in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "
 
 
 # -- references: the set-push peel and inversion set, the canonical form as
-# images under the element, and the row-scan biconvexity test
+# images under the element, and the row-scan and level-split biconvexity tests
 
 
 def _reference_act_letter(rs, i, keys):
@@ -78,6 +78,29 @@ def _reference_is_biconvex_affine(S):
             f = rs.neg_index(h)
             for m in range(f >= npos, lg + (g2 < npos)):
                 if (m, f) not in keys and (lg - m, g2) not in keys:
+                    return False
+    return True
+
+
+def _levelsplit_reference_is_biconvex_affine(S):
+    """Closure of S over all pairs of keys, and of its complement over every
+    level split of each key along the decomposition lists."""
+    rs = S.system
+    keys = S.keys
+    pairs = sorted(keys)
+    for x, (la, fa) in enumerate(pairs):
+        for lb, fb in pairs[x:]:
+            s = rs.sum_table[fa][fb]
+            if s is not None and (la + lb, s) not in keys:
+                return False
+    # a sum landing inside S with both summands positive and outside S
+    # violates closure of the complement
+    npos = rs.num_positive
+    dec, _ = A._decompositions(rs)
+    for lg, g in pairs:
+        for f, h in dec[g]:
+            for m in range(f >= npos, lg + (h < npos)):
+                if (m, f) not in keys and (lg - m, h) not in keys:
                     return False
     return True
 
@@ -260,7 +283,7 @@ def _ideal_perturbations(rs, additions=True):
             )
 
 
-@pytest.mark.parametrize("name", ["B3", "C3", "D4", "G2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B3", "C3", "D4", "G2"])
 def test_biconvex_against_letter_oracle(name):
     rs = get_rs(name)
     checked = rejected = 0
@@ -274,13 +297,34 @@ def test_biconvex_against_letter_oracle(name):
     assert 0 < rejected < checked
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_biconvex_against_letter_oracle_on_random_sets(name):
+    # on A1 no two affine roots sum to a root, so closure alone accepts sets
+    # like {-a + 2d} and {a, -a + d} that are no inversion set
+    rs = get_rs(name)
+    rng = random.Random(name)
+    universe = [(level, f) for level in range(4) for f in range(len(rs.roots))
+                if level or f < rs.num_positive]
+    accepted = 0
+    for _ in range(2000):
+        keys = set(rng.sample(universe, rng.randint(0, min(8, len(universe)))))
+        got = A.is_biconvex_affine(A.AffineRootSet(rs, keys))
+        assert got == _biconvex_by_letters(rs, keys), sorted(keys)
+        accepted += got
+    assert 0 < accepted < 2000
+
+
 def _check_against_references(rs, keys):
-    """Same biconvexity verdict, same peel (or the same failure), and for a
-    peeled word the same element as the set-push layers build; returns the
-    verdict."""
+    """Same biconvexity verdict as both references, same peel (or the same
+    failure), and for a peeled word the same element as the set-push layers
+    build; on a biconvex set, the FC verdict of the positive-system decider.
+    Returns the verdict."""
     S = A.AffineRootSet(rs, keys)
     verdict = A.is_biconvex_affine(S)
     assert verdict == _reference_is_biconvex_affine(S), sorted(keys)
+    assert verdict == _levelsplit_reference_is_biconvex_affine(S), sorted(keys)
+    if verdict:
+        assert A.is_fc_affine(S) == is_fc_by_positive_systems(rs, keys), sorted(keys)
     try:
         want = _reference_peel_word(rs, set(keys))
     except LiesphError:

@@ -277,6 +277,12 @@ def test_cli_import_loads_no_unused_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "[]\n"
+    # the lemma sweep makes no Fraction, so it loads neither fractions nor decimal
+    code = ("import sys, liesph.cli; code = liesph.cli.main(['verify', 'lemmas', '--type', 'B2']); "
+            "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stderr == "0 []\n"
 
 
 def test_crash_exits_internal_error_not_mismatch(monkeypatch, capsys):

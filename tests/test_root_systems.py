@@ -6,13 +6,12 @@ import pickle
 
 import pytest
 
-from conftest import GOLDEN_DIR, get_rs
+from conftest import GOLDEN_DIR, get_rs, key_mask, plane_positive_systems
 from liesph.errors import LiesphError, MismatchedSystems
 from liesph.roots import (
     CartanType,
     PosRootSet,
     build_root_system,
-    key_mask,
     pairing,
     plane_parabolic,
     plane_solver,
@@ -234,13 +233,15 @@ def test_plane_parabolic_against_rational_oracle():
         for u, v in itertools.combinations(keys, 2):
             if v[1] in (u[1], rs.neg_index(u[1])):
                 continue
-            members, irreducible, base, masks = plane_parabolic(rs, u, v)
-            assert (members, irreducible, base, sorted(masks)) == _plane_oracle(rs, u, v), (name, u, v)
+            members, irreducible, base = plane_parabolic(rs, u, v)
+            masks = sorted(plane_positive_systems(rs, members))
+            assert (members, irreducible, base, masks) == _plane_oracle(rs, u, v), (name, u, v)
             assert plane_parabolic(rs, v, u) is plane_parabolic(rs, u, v)
 
 
 def _reference_plane_parabolic(rs, u, v):
-    """plane_parabolic as one scan of every root per pair, unmemoized."""
+    """plane_parabolic and the plane's positive systems, as one scan of every
+    root per pair, unmemoized."""
     (lu, fu), (lv, fv) = (u, v) if u <= v else (v, u)
     a, b = rs.roots[fu].coords, rs.roots[fv].coords
     minors = ((a[k] * b[l] - a[l] * b[k], k, l)
@@ -288,7 +289,9 @@ def test_plane_parabolic_against_reference(name, swap):
     for u, v in itertools.combinations(keys, 2):
         if v[1] in (u[1], rs.neg_index(u[1])):
             continue
-        assert plane_parabolic(rs, u, v) == _reference_plane_parabolic(rs, u, v), (u, v)
+        members, irreducible, base = plane_parabolic(rs, u, v)
+        got = (members, irreducible, base, plane_positive_systems(rs, members))
+        assert got == _reference_plane_parabolic(rs, u, v), (u, v)
     with pytest.raises(LiesphError, match="linearly independent"):
         plane_parabolic(rs, (0, 0), (1, rs.neg_index(0)))
 

@@ -611,6 +611,21 @@ def test_weight_filter_skips_inadmissible_multisets(monkeypatch):
     assert len(calls) == 745
 
 
+@pytest.mark.parametrize("name", ["A1", "A3", "B4", "C3", "D4", "F4", "G2"])
+def test_support_size_scans_split_the_full_scan(name):
+    # the scan yields the weight-admissible multisets in lexicographic order,
+    # and each support size's scan those of that size, in the same order
+    rs = get_rs(name)
+    index = S._weight_index(rs)
+    full = [(m, sum(rs.packed[i] for i in m))
+            for m in itertools.combinations_with_replacement(range(rs.num_positive), 4)]
+    full = [(m, sigma) for m, sigma in full if sigma in index]
+    assert list(S._four_root_multisets(rs)) == full
+    for size in range(1, 5):
+        want = [(m, sigma) for m, sigma in full if len(set(m)) == size]
+        assert list(S._four_root_multisets(rs, size)) == want, size
+
+
 @pytest.mark.parametrize("name, calls, entries",
                          [("B4", 56, 37), ("F4", 182, 113), ("E6", 255, 255), ("E7", 1281, 1281)])
 def test_minimal_build_skips_supports_already_found(monkeypatch, name, calls, entries):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import get_rs
+from conftest import get_rs, is_fc_by_positive_systems
 from liesph import weyl as W
 from liesph.errors import BudgetExceeded, LiesphError
 from liesph.roots import PosRootSet
@@ -236,10 +236,13 @@ def test_fc_counts_match_classical_formulas():
 
 
 def test_fc_routes_agree():
-    for name in ["A2", "B2", "G2", "A3", "B3", "C3", "B4"]:
-        rs = get_rs(name)
+    # both base-pair deciders against positive systems inside the inversion set
+    systems = [(n, False) for n in ("A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "G2")]
+    for name, swap in systems + [(n, True) for n in ("B2", "C2", "G2")]:
+        rs = get_rs(name, swap)
         for e in W.enumerate_weyl(rs):
-            assert W.is_fc_inv(e) == W.is_fc_inv_base_pair(e)
+            want = is_fc_by_positive_systems(rs, [(0, a) for a in e.inv])
+            assert W.is_fc_inv(e) == W.is_fc_inv_base_pair(e) == want, (name, swap, e.word)
 
 
 def test_g2_length_characterizations():
