@@ -101,6 +101,14 @@ class AffineRootSet:
         self.system = system
         self.keys = frozenset(keys)
 
+    @classmethod
+    def _trusted(cls, system: RootSystem, keys: frozenset) -> "AffineRootSet":
+        """A set from keys that are positive by construction, unchecked."""
+        out = cls.__new__(cls)
+        out.system = system
+        out.keys = keys
+        return out
+
     def roots(self) -> list[AffineRoot]:
         return [AffineRoot(self.system, f, l) for l, f in sorted(self.keys)]
 
@@ -199,6 +207,19 @@ class AffineWeylWord:
         self.inv_keys = frozenset(inv)
         self.canonical = images
 
+    @classmethod
+    def _trusted(cls, system: RootSystem, word: tuple, inv_keys: frozenset, img) -> "AffineWeylWord":
+        """The element of a reduced word with inversion set inv_keys, and
+        codes ``img`` of the images of the affine simple roots under its
+        inverse, unchecked."""
+        out = cls.__new__(cls)
+        out.system = system
+        out.word = word
+        out.inv_keys = inv_keys
+        span = _affine_codes(system)[0]
+        out.canonical = tuple(_decode(system, span, c) for c in img)
+        return out
+
     @property
     def length(self) -> int:
         return len(self.word)
@@ -226,11 +247,12 @@ class AffineWeylWord:
         return f"AffineWeylWord({list(self.word)})"
 
 
-def _inversion_keys(rs: RootSystem, word) -> tuple[set[tuple[int, int]], tuple]:
-    """Inversion set of an arbitrary word, and the images of the affine
-    simple roots under the inverse of its product, in one pass from the
-    right: N(s_i u) is N(u) with the positive one of +-u^-1 alpha_i toggled."""
-    span, letters = _affine_codes(rs)
+def _inversion_codes(rs: RootSystem, word) -> tuple[set[int], list[int]]:
+    """Codes of the inversion set of an arbitrary word, and of the images of
+    the affine simple roots under the inverse of its product, in one pass
+    from the right: N(s_i u) is N(u) with the positive one of +-u^-1 alpha_i
+    toggled."""
+    letters = _affine_codes(rs)[1]
     img = [c for c, _ in letters]
     inv = set()
     for i in reversed(word):
@@ -240,7 +262,20 @@ def _inversion_keys(rs: RootSystem, word) -> tuple[set[tuple[int, int]], tuple]:
         else:
             inv.add(c)
         _reflect_images(img, letters, i)
+    return inv, img
+
+
+def _inversion_keys(rs: RootSystem, word) -> tuple[set[tuple[int, int]], tuple]:
+    """``_inversion_codes`` decoded to (level, root index) keys."""
+    span = _affine_codes(rs)[0]
+    inv, img = _inversion_codes(rs, word)
     return {_decode(rs, span, c) for c in inv}, tuple(_decode(rs, span, c) for c in img)
+
+
+def _key_codes(rs: RootSystem, keys) -> set[int]:
+    span = _affine_codes(rs)[0]
+    packed = rs.packed
+    return {level * span + packed[f] for level, f in keys}
 
 
 def _peel_word(rs: RootSystem, keys) -> tuple[int, ...]:
@@ -250,9 +285,8 @@ def _peel_word(rs: RootSystem, keys) -> tuple[int, ...]:
     After peeling s_r1 .. s_rm the set left is p^-1 of the keys not yet
     peeled, p = s_r1 .. s_rm, so alpha_i lies in it iff p alpha_i is one of
     them: the keys stay put, and only the images p alpha_j move."""
-    span, letters = _affine_codes(rs)
-    packed = rs.packed
-    left = {level * span + packed[f] for level, f in keys}
+    letters = _affine_codes(rs)[1]
+    left = _key_codes(rs, keys)
     img = [c for c, _ in letters]
     rev = []
     while left:
@@ -277,16 +311,17 @@ def affine_inversions(w: AffineWeylWord) -> AffineRootSet:
 
 def _decompositions(rs: RootSystem) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """Built on first use: per root g, each unordered pair {f, h} of roots
-    with f + h = g, once, as ``(f, h)``; and per root f, the bit mask of the
-    roots h with f + h a root."""
+    with f + h = g, once, as ``(f, h)`` with f < h, in increasing order of
+    h, so that the pairs of positive roots come first; and per root h, the
+    bit mask of the roots f with f + h a root."""
     dec = getattr(rs, "_root_decompositions", None)
     if dec is None:
         pairs = [[] for _ in rs.roots]
         summable = [0] * len(rs.roots)
-        for f, row in enumerate(rs.sum_table):
-            for h, g in enumerate(row):
+        for h, row in enumerate(rs.sum_table):
+            for f, g in enumerate(row):
                 if g is not None:
-                    summable[f] |= 1 << h
+                    summable[h] |= 1 << f
                     if f < h:
                         pairs[g].append((f, h))
         dec = rs._root_decompositions = (pairs, summable)
@@ -338,10 +373,12 @@ def element_from_biconvex_affine(S: AffineRootSet) -> AffineWeylWord:
     """The element whose inversion set is S; rejects non-biconvex input."""
     if not is_biconvex_affine(S):
         raise LiesphError("input set is not biconvex in the affine positive system")
-    w = AffineWeylWord(S.system, _peel_word(S.system, S.keys))
-    if w.inv_keys != S.keys:
+    rs = S.system
+    word = _peel_word(rs, S.keys)
+    inv, img = _inversion_codes(rs, word)
+    if inv != _key_codes(rs, S.keys):
         raise LiesphError("peeling failed to reproduce the input set")
-    return w
+    return AffineWeylWord._trusted(rs, word, S.keys, img)
 
 
 def is_commutative_affine(S: AffineRootSet) -> bool:

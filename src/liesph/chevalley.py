@@ -8,7 +8,8 @@ Structure constants N_{a,b} are fixed by choosing the sign of every
 extraspecial pair (the minimal decomposition of each non-simple positive
 root in the canonical root order) and propagating all remaining constants
 through Jacobi and the rotation identity
-N_{u,v}/(w,w) = N_{v,w}/(u,u) = N_{w,u}/(v,v) for u+v+w = 0.
+N_{u,v}/(w,w) = N_{v,w}/(u,u) = N_{w,u}/(v,v) for u+v+w = 0.  The tables
+are built in int arithmetic: every division is exact, or the build raises.
 """
 
 from __future__ import annotations
@@ -133,37 +134,40 @@ def build_chevalley(rs: RootSystem, extraspecial_sign: int = 1) -> ChevalleyAlge
 
 
 def _coroot_table(rs: RootSystem):
-    from fractions import Fraction
-
+    """[e_r, e_-r] on the simple coroots: 2 r_i d_i / (r, r), exactly."""
     table = []
     for r in rs.roots:
-        d_r = Fraction(r.norm2, 2)
         coeffs = []
         for i in range(rs.rank):
-            c = Fraction(r.coords[i] * rs.simple_norms[i]) / d_r
-            if c.denominator != 1:
+            c, rest = divmod(2 * r.coords[i] * rs.simple_norms[i], r.norm2)
+            if rest:
                 raise LiesphError("non-integral coroot coefficient")
-            coeffs.append(int(c))
+            coeffs.append(c)
         table.append(tuple(coeffs))
     return table
 
 
-def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
-    from fractions import Fraction
+def _exact(num: int, den: int) -> int:
+    q, rest = divmod(num, den)
+    if rest:
+        raise LiesphError("non-integral structure constant")
+    return q
 
+
+def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
     m = rs.num_positive
     neg = rs.neg_index
     norm2 = rs.norm2
     sum_table = rs.sum_table
-    full: dict = {}  # (i, j) -> Fraction
+    full: dict = {}  # (i, j) -> int
 
-    def lookup(i: int, j: int):
+    def lookup(i: int, j: int) -> int:
         val = full.get((i, j))
         if val is not None:
             return val
         s = sum_table[i][j]
         if s is None:
-            return Fraction(0)
+            return 0
         if i < m and j < m:
             raise LiesphError("positive pair requested before it was computed")
         if i >= m and j >= m:
@@ -172,16 +176,13 @@ def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
             val = -lookup(j, i)
         elif s < m:
             # rotation through u + v + w = 0 with u = i, v = j, w = -s
-            val = -lookup(neg(j), s) * Fraction(norm2[s], norm2[i])
+            val = _exact(-lookup(neg(j), s) * norm2[s], norm2[i])
         else:
             val = -lookup(neg(i), neg(j))
         full[(i, j)] = val
         return val
 
-    def store(i: int, j: int, val):
-        val = Fraction(val)
-        if val.denominator != 1:
-            raise LiesphError("non-integral structure constant")
+    def store(i: int, j: int, val: int):
         full[(i, j)] = val
         full[(j, i)] = -val
 
@@ -203,26 +204,26 @@ def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
         for a, b in pairs[1:]:
             # Jacobi on (e_{-x}, e_a, e_b), total weight gamma - x = y:
             # N_{a,b} N_{gamma,-x} + N_{-x,a} N_{a-x,b} + N_{b,-x} N_{b-x,a} = 0
-            t1 = Fraction(0)
+            t1 = 0
             ax = sum_table[a][neg(x)]
             if ax is not None:
                 t1 = lookup(neg(x), a) * lookup(ax, b)
-            t3 = Fraction(0)
+            t3 = 0
             bx = sum_table[b][neg(x)]
             if bx is not None:
                 t3 = lookup(b, neg(x)) * lookup(bx, a)
-            store(a, b, -(t1 + t3) / denom)
+            store(a, b, _exact(-(t1 + t3), denom))
 
-    # materialize every remaining pair and freeze to ints
+    # materialize every remaining pair
     size = len(rs.roots)
     out: dict[tuple[int, int], int] = {}
     for i in range(size):
         for j in range(size):
             if sum_table[i][j] is not None:
                 val = lookup(i, j)
-                if val.denominator != 1 or val == 0:
+                if val == 0:
                     raise LiesphError("invalid structure constant")
-                out[(i, j)] = int(val)
+                out[(i, j)] = val
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .affine import (
     AffineRootSet,
     AffineWeylWord,
+    _decompositions,
     element_from_biconvex_affine,
     is_commutative_affine,
     is_fc_affine,
@@ -75,23 +76,34 @@ def is_combinatorial_ideal(rs: RootSystem, ps: PosRootSet) -> bool:
 
 
 def _layers(rs: RootSystem, mask: int) -> tuple[PosRootSet, ...]:
+    """Psi^(k) for k >= 1, in one pass by height.  The layers nest, so the
+    deepest layer of a member is 1 plus that of the deeper summand, over its
+    decompositions into two members, and 1 when it has none."""
     npos = rs.num_positive
-    out = [PosRootSet(mask, npos)]
-    cur = mask
-    members = list(iter_bits(mask))
-    while cur:
-        nxt = 0
-        for a in iter_bits(cur):
-            row = rs.sum_table[a]
-            for b in members:
-                s = row[b]
-                if s is not None:
-                    nxt |= 1 << s
-        if not nxt:
-            break
-        out.append(PosRootSet(nxt, npos))
-        cur = nxt
-    return tuple(out)
+    pairs = _decompositions(rs)[0]
+    depth = [0] * npos
+    by_depth = []  # members of deepest layer d + 1
+    for g in iter_bits(mask):  # root indices increase with height
+        d = 0
+        for f, h in pairs[g]:
+            if h >= npos:  # the pairs of positive roots come first
+                break
+            df, dh = depth[f], depth[h]
+            if df and dh:
+                if df < dh:
+                    df = dh
+                if df > d:
+                    d = df
+        depth[g] = d + 1
+        if d == len(by_depth):
+            by_depth.append(0)
+        by_depth[d] |= 1 << g
+    layers = []
+    layer = 0
+    for bits in reversed(by_depth):
+        layer |= bits
+        layers.append(PosRootSet(layer, npos))
+    return tuple(reversed(layers)) or (PosRootSet(0, npos),)
 
 
 def make_ideal(rs: RootSystem, ps: PosRootSet) -> CombinatorialIdeal:
@@ -177,11 +189,13 @@ def psi_hat(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineRootSet:
 
     The set is biconvex (Cellini-Papi); ``element_from_biconvex_affine``
     checks that once, when it turns the set into its element."""
-    keys = []
-    for k, layer in enumerate(ideal.layers, start=1):
-        for i in layer.indices():
-            keys.append((k, rs.neg_index(i)))
-    return AffineRootSet(rs, keys)
+    npos = rs.num_positive
+    keys = frozenset(
+        (k, i + npos)
+        for k, layer in enumerate(ideal.layers, start=1)
+        for i in iter_bits(layer.mask)
+    )
+    return AffineRootSet._trusted(rs, keys)
 
 
 def w_of_ideal(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineWeylWord:

@@ -39,7 +39,7 @@ from operator import sub
 from .chevalley import ChevalleyAlgebra, ad_matrix, build_chevalley, height
 from .errors import LiesphError, MismatchedSystems
 from .linalg import mat_is_zero, mat_mul, matrix_rank
-from .roots import PosRootSet, Root, RootSystem, _Record
+from .roots import PosRootSet, Root, RootSystem, _Record, iter_bits
 from . import weyl as _weyl
 
 
@@ -406,16 +406,16 @@ def verify_lemma_quadruples(rs: RootSystem) -> dict:
         sigma: sorted((end, mu) for mu, end in decomps if end != zero)
         for sigma, decomps in index.items()
     }
+    # per root x, the roots y >= x with <x, y> >= 0: a multiset's members
+    # are walked in the intersection of the masks of the members before it
+    nonneg = [
+        sum(1 << y for y in range(x, npos) if pt[x][y] >= 0) for x in range(npos)
+    ]
     witnesses = []
     violations = []
-    for multiset, sigma in _four_root_multisets(rs):
-        if any(pt[x][y] < 0 for x, y in itertools.combinations(multiset, 2)):
-            continue
+    for multiset, sigma, decomps in _nonneg_quadruples(packed, nonneg, differences):
         distinct = sorted(set(multiset))
         if all(pt[x][y] == 0 for x, y in itertools.combinations(distinct, 2)):
-            continue
-        decomps = differences[sigma]
-        if not decomps:
             continue
 
         entry = {
@@ -462,6 +462,26 @@ def verify_lemma_quadruples(rs: RootSystem) -> dict:
             sorted(w["multiset"]) == sorted(target) for w in witnesses
         )
     return report
+
+
+def _nonneg_quadruples(packed: list[int], nonneg: list[int], differences: dict):
+    """Yield (multiset, sigma, differences[sigma]) for the sorted size-4
+    positive-root multisets with pairwise nonnegative pairings whose packed
+    weight sigma has a nonempty entry, in lexicographic order."""
+    get = differences.get
+    for a, ma in enumerate(nonneg):
+        wa = packed[a]
+        for b in iter_bits(ma):
+            mb = ma & nonneg[b]
+            wb = wa + packed[b]
+            for c in iter_bits(mb):
+                mc = mb & nonneg[c]
+                wc = wb + packed[c]
+                for d in iter_bits(mc):
+                    sigma = wc + packed[d]
+                    decomps = get(sigma)
+                    if decomps:
+                        yield (a, b, c, d), sigma, decomps
 
 
 def _count_multisets(n: int) -> int:

@@ -214,3 +214,118 @@ def test_constants_golden():
         with open(os.path.join(GOLDEN_DIR, f"chevalley_{name}.json")) as fh:
             frozen = json.load(fh)
         assert get_algebra(name).export_constants() == frozen
+
+
+# -- reference: the structure constants in Fraction arithmetic ----------------
+
+
+def _reference_coroot_table(rs):
+    table = []
+    for r in rs.roots:
+        d_r = Fraction(r.norm2, 2)
+        coeffs = []
+        for i in range(rs.rank):
+            c = Fraction(r.coords[i] * rs.simple_norms[i]) / d_r
+            assert c.denominator == 1
+            coeffs.append(int(c))
+        table.append(tuple(coeffs))
+    return table
+
+
+def _reference_structure_constants(rs, es_sign):
+    """Extraspecial signs propagated through Jacobi and the rotation
+    identity with Fraction values, frozen to ints at the end."""
+    m = rs.num_positive
+    neg = rs.neg_index
+    norm2 = rs.norm2
+    sum_table = rs.sum_table
+    full = {}
+
+    def lookup(i, j):
+        val = full.get((i, j))
+        if val is not None:
+            return val
+        s = sum_table[i][j]
+        if s is None:
+            return Fraction(0)
+        assert not (i < m and j < m)
+        if i >= m and j >= m:
+            val = -lookup(neg(i), neg(j))
+        elif i >= m:
+            val = -lookup(j, i)
+        elif s < m:
+            val = -lookup(neg(j), s) * Fraction(norm2[s], norm2[i])
+        else:
+            val = -lookup(neg(i), neg(j))
+        full[(i, j)] = val
+        return val
+
+    def store(i, j, val):
+        val = Fraction(val)
+        assert val.denominator == 1
+        full[(i, j)] = val
+        full[(j, i)] = -val
+
+    for g in range(m):
+        if rs.roots[g].height == 1:
+            continue
+        pairs = []
+        for a in range(m):
+            b = sum_table[g][neg(a)]
+            if b is not None and b < m and a <= b:
+                pairs.append((a, b))
+        pairs.sort()
+        x, y = pairs[0]
+        store(x, y, es_sign * (root_string_p(rs, rs.roots[x], rs.roots[y]) + 1))
+        if len(pairs) == 1:
+            continue
+        denom = lookup(g, neg(x))
+        for a, b in pairs[1:]:
+            t1 = Fraction(0)
+            ax = sum_table[a][neg(x)]
+            if ax is not None:
+                t1 = lookup(neg(x), a) * lookup(ax, b)
+            t3 = Fraction(0)
+            bx = sum_table[b][neg(x)]
+            if bx is not None:
+                t3 = lookup(b, neg(x)) * lookup(bx, a)
+            store(a, b, -(t1 + t3) / denom)
+
+    out = {}
+    for i in range(len(rs.roots)):
+        for j in range(len(rs.roots)):
+            if sum_table[i][j] is not None:
+                val = lookup(i, j)
+                assert val.denominator == 1 and val != 0
+                out[(i, j)] = int(val)
+    return out
+
+
+CONSTANT_CASES = [(n, False) for n in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                                        "D4", "D5", "E6", "E7", "E8", "F4", "G2"]]
+CONSTANT_CASES += [(n, True) for n in ["B2", "C2", "G2"]]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name, swap", CONSTANT_CASES,
+                         ids=[f"{n}{'-swap' if w else ''}" for n, w in CONSTANT_CASES])
+def test_integer_constants_match_fraction_reference(name, swap, sign):
+    rs = get_rs(name, swap)
+    L = C.build_chevalley(rs, sign)
+    assert L.ntab == _reference_structure_constants(rs, sign)
+    assert L.coroot == _reference_coroot_table(rs)
+    assert all(type(n) is int for n in L.ntab.values())
+
+
+@pytest.mark.parametrize("name", ["B2", "C3", "F4"])
+def test_doctored_norms_trip_the_exactness_guard(name):
+    # squared norm 3 for every long root: the rotation identity and the
+    # coroots then divide with a remainder
+    from liesph.roots import build_root_system
+
+    rs = build_root_system(name)
+    rs.norm2 = [3 if n == rs.long_norm2 else n for n in rs.norm2]
+    with pytest.raises(LiesphError, match="non-integral structure constant"):
+        C.build_chevalley(rs)
+    with pytest.raises(LiesphError, match="non-integral coroot coefficient"):
+        C._coroot_table(rs)

@@ -64,7 +64,7 @@ def test_budget_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(spherical, "quartic_obstructions", no_table)
     for name, order in (("E8", 696729600), ("E7", 2903040)):
-        for argv in (["verify", "theorem1"], ["verify", "subspaces"], ["atlas", "fc"]):
+        for argv in (["verify", "theorem1", "--type", "B2"], ["verify", "subspaces"], ["atlas", "fc"]):
             assert main([*argv, "--type", name]) == 3
             out, err = capsys.readouterr()
             assert out == ""
@@ -277,12 +277,15 @@ def test_cli_import_loads_no_unused_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "[]\n"
-    # the lemma sweep makes no Fraction, so it loads neither fractions nor decimal
-    code = ("import sys, liesph.cli; code = liesph.cli.main(['verify', 'lemmas', '--type', 'B2']); "
-            "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stderr == "0 []\n"
+    # the lemma sweep makes no Fraction, and the structure constants are built
+    # in int arithmetic, so no verdict loads fractions or decimal
+    for argv in (["verify", "lemmas", "--type", "B2"], ["verify", "theorem1", "--type", "B2"],
+                 ["verify", "theorem2", "--type", "B2"]):
+        code = (f"import sys, liesph.cli; code = liesph.cli.main({argv!r}); "
+                "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert proc.stderr == "0 []\n", argv
 
 
 def test_crash_exits_internal_error_not_mismatch(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from conftest import get_rs
 from liesph import affine as A
 from liesph import ideals as I
 from liesph.errors import LiesphError
-from liesph.roots import PosRootSet
+from liesph.roots import PosRootSet, iter_bits
 
 IDEAL_COUNTS = {
     "A1": 2, "A2": 5, "B2": 6, "G2": 8, "A3": 14, "B3": 20, "C3": 20,
@@ -201,3 +201,78 @@ def test_combinatorial_ideal_is_a_frozen_value():
         ideal.members = PosRootSet(0, 3)
     with pytest.raises(AttributeError):
         del ideal.layers
+
+
+# -- reference: the layers by rescanning, one layer at a time ---------------
+
+
+def _reference_layers(rs, mask):
+    """Psi^(k) = (Psi^(k-1) + Psi) cap Phi^+, each layer scanned against
+    every member of the ideal."""
+    npos = rs.num_positive
+    out = [PosRootSet(mask, npos)]
+    cur = mask
+    members = list(iter_bits(mask))
+    while cur:
+        nxt = 0
+        for a in iter_bits(cur):
+            row = rs.sum_table[a]
+            for b in members:
+                s = row[b]
+                if s is not None:
+                    nxt |= 1 << s
+        if not nxt:
+            break
+        out.append(PosRootSet(nxt, npos))
+        cur = nxt
+    return tuple(out)
+
+
+def _check_encodings(rs):
+    """Layers equal the rescanning reference; psi_hat equals the set the
+    validating constructor builds from its keys; and the element built from
+    it equals the one ``AffineWeylWord`` builds from its word."""
+    npos = rs.num_positive
+    for ideal in I.enumerate_ideals(rs):
+        assert ideal.layers == _reference_layers(rs, ideal.members.mask), ideal
+        S = I.psi_hat(rs, ideal)
+        keys = [(k, i + npos) for k, layer in enumerate(ideal.layers, start=1) for i in layer]
+        assert S == A.AffineRootSet(rs, keys) and S.keys == frozenset(keys)
+        w = A.element_from_biconvex_affine(S)
+        want = A.AffineWeylWord(rs, w.word)
+        assert (w.word, w.inv_keys, w.canonical) == (want.word, want.inv_keys, want.canonical)
+
+
+ENCODING_CASES = [(n, False) for n in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                                        "C3", "C4", "D4", "D5", "F4", "G2", "E6"]]
+ENCODING_CASES += [(n, True) for n in ["B2", "C2", "G2"]]
+
+
+@pytest.mark.parametrize("name, swap", ENCODING_CASES,
+                         ids=[f"{n}{'-swap' if w else ''}" for n, w in ENCODING_CASES])
+def test_encodings_match_references(name, swap):
+    _check_encodings(get_rs(name, swap))
+
+
+@pytest.mark.slow
+def test_encodings_match_references_e7():
+    _check_encodings(get_rs("E7"))
+
+
+def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
+    # a peel that drops a letter must not pass as the element, and verify
+    # theorem2 reports it as an encoding mismatch
+    import json
+
+    from liesph.cli import main
+
+    peel = A._peel_word
+    monkeypatch.setattr(A, "_peel_word", lambda rs, keys: peel(rs, keys)[1:])
+    b2 = get_rs("B2")
+    S = I.psi_hat(b2, I.make_ideal(b2, PosRootSet(0b1111, 4)))
+    with pytest.raises(LiesphError, match="peeling failed to reproduce the input set"):
+        A.element_from_biconvex_affine(S)
+    assert main(["verify", "theorem2", "--type", "B2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    reasons = [m.get("reason") for m in report["mismatches"]]
+    assert reasons == ["affine encoding: peeling failed to reproduce the input set"] * 5
