@@ -201,7 +201,7 @@ class AffineWeylWord:
                 raise LiesphError(f"affine simple index {i} out of range")
         inv, images = _inversion_keys(system, word)
         if len(inv) != len(word):
-            word = _peel_word(system, inv)
+            word = _peel_word(system, inv)[0]
         self.system = system
         self.word = word
         self.inv_keys = frozenset(inv)
@@ -272,21 +272,26 @@ def _inversion_keys(rs: RootSystem, word) -> tuple[set[tuple[int, int]], tuple]:
     return {_decode(rs, span, c) for c in inv}, tuple(_decode(rs, span, c) for c in img)
 
 
-def _key_codes(rs: RootSystem, keys) -> set[int]:
-    span = _affine_codes(rs)[0]
-    packed = rs.packed
-    return {level * span + packed[f] for level, f in keys}
-
-
-def _peel_word(rs: RootSystem, keys) -> tuple[int, ...]:
+def _peel_word(rs: RootSystem, keys) -> tuple[tuple[int, ...], list[int]]:
     """Word of the element with inversion set keys, peeling the lowest
-    affine simple root each step; on level-0 keys only finite letters occur.
+    affine simple root each step, and the codes of the images of the affine
+    simple roots under the inverse of its product; on level-0 keys only
+    finite letters occur.
 
     After peeling s_r1 .. s_rm the set left is p^-1 of the keys not yet
     peeled, p = s_r1 .. s_rm, so alpha_i lies in it iff p alpha_i is one of
-    them: the keys stay put, and only the images p alpha_j move."""
-    letters = _affine_codes(rs)[1]
-    left = _key_codes(rs, keys)
+    them: the keys stay put, and only the images p alpha_j move.
+
+    With M(p) = {b > 0 : p^-1 b < 0}, each peeled p alpha_i is positive, so
+    M(p s_i) = M(p) + {p alpha_i}: a peel that empties the keys ends at a p
+    with M(p) = keys, and the word, the product p^-1, has them as its
+    inversion set.  When keys = M(v) for some v, M(p) inside M(v) makes
+    v = p u with lengths adding, and a left descent s_i of u puts p alpha_i
+    among the keys not yet peeled: the peel sticks exactly when the keys are
+    no inversion set, that is, not biconvex."""
+    span, letters = _affine_codes(rs)
+    packed = rs.packed
+    left = {level * span + packed[f] for level, f in keys}
     img = [c for c, _ in letters]
     rev = []
     while left:
@@ -294,11 +299,11 @@ def _peel_word(rs: RootSystem, keys) -> tuple[int, ...]:
             if c in left:
                 break
         else:
-            raise LiesphError("finite biconvex set without an affine simple root")
+            raise LiesphError("input set is not biconvex in the affine positive system")
         left.remove(c)
         rev.append(i)
         _reflect_images(img, letters, i)
-    return tuple(reversed(rev))
+    return tuple(reversed(rev)), img
 
 
 def affine_from_word(rs: RootSystem, word) -> AffineWeylWord:
@@ -370,13 +375,12 @@ def is_biconvex_affine(S: AffineRootSet) -> bool:
 
 
 def element_from_biconvex_affine(S: AffineRootSet) -> AffineWeylWord:
-    """The element whose inversion set is S; rejects non-biconvex input."""
-    if not is_biconvex_affine(S):
-        raise LiesphError("input set is not biconvex in the affine positive system")
+    """The element whose inversion set is S; the peel rejects a set that is
+    not biconvex, as it sticks exactly there.  Its final images are those of
+    the affine simple roots under the inverse, the canonical form."""
     rs = S.system
-    word = _peel_word(rs, S.keys)
-    inv, img = _inversion_codes(rs, word)
-    if inv != _key_codes(rs, S.keys):
+    word, img = _peel_word(rs, S.keys)
+    if len(word) != len(S.keys):
         raise LiesphError("peeling failed to reproduce the input set")
     return AffineWeylWord._trusted(rs, word, S.keys, img)
 

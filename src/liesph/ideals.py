@@ -188,7 +188,7 @@ def psi_hat(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineRootSet:
     """Affine encoding: union over k of {k*delta - a : a in Psi^(k)}.
 
     The set is biconvex (Cellini-Papi); ``element_from_biconvex_affine``
-    checks that once, when it turns the set into its element."""
+    proves it by peeling the set into its element, the one check."""
     npos = rs.num_positive
     keys = frozenset(
         (k, i + npos)
@@ -205,8 +205,10 @@ def w_of_ideal(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineWeylWord:
 def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     """Per ideal: spherical iff the affine element is fully commutative
     (commutative in G2); abelian iff commutative; spherical forces the third
-    layer to vanish.  Building the affine element checks that the encoding is
-    biconvex and round-trips; a failure is a mismatch naming the check."""
+    layer to vanish.  Building the affine element peels the encoding, which
+    proves it biconvex; a peel that sticks, or a word of the wrong length,
+    is a mismatch naming the check.  Member coordinates are built only for
+    the mismatches."""
     from .spherical import is_spherical_subspace
 
     L = L or build_chevalley(rs)
@@ -215,31 +217,31 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     n_spherical = n_abelian = n_fc = n_comm = 0
     ideal_list = enumerate_ideals(rs)
     for ideal in ideal_list:
-        coords = [list(rs.roots[i].coords) for i in ideal.members]
+        members = ideal.members
         S = psi_hat(rs, ideal)
         try:
             element_from_biconvex_affine(S)
-        except LiesphError as exc:  # the encoding is not biconvex, or does not round-trip
-            mismatches.append({"members": coords, "reason": f"affine encoding: {exc}"})
-        sph = is_spherical_subspace(L, ideal.members)
+        except LiesphError as exc:  # the peel stuck, or its word is short
+            mismatches.append({"members": members, "reason": f"affine encoding: {exc}"})
+        sph = is_spherical_subspace(L, members)
         fc = is_fc_affine(S)
         comm = is_commutative_affine(S)
-        abelian = is_abelian(rs, ideal.members)
+        abelian = is_abelian(rs, members)
         n_spherical += sph
         n_abelian += abelian
         n_fc += fc
         n_comm += comm
         dec = comm if is_g2 else fc
         if dec != sph:
-            mismatches.append(
-                {"members": coords, "decider_value": dec, "spherical": sph}
-            )
+            mismatches.append({"members": members, "decider_value": dec, "spherical": sph})
         if abelian != comm:
-            mismatches.append({"members": coords, "reason": "abelian != commutative"})
+            mismatches.append({"members": members, "reason": "abelian != commutative"})
         if sph and len(ideal.layers) > 2:
-            mismatches.append({"members": coords, "reason": "spherical ideal with layer 3"})
+            mismatches.append({"members": members, "reason": "spherical ideal with layer 3"})
         if abelian != (len(ideal.layers) <= 1):
-            mismatches.append({"members": coords, "reason": "abelian != single layer"})
+            mismatches.append({"members": members, "reason": "abelian != single layer"})
+    for m in mismatches:
+        m["members"] = [list(rs.roots[i].coords) for i in m["members"]]
     return {
         "type": rs.cartan_type.name,
         "decider": "commutative" if is_g2 else "fully_commutative",

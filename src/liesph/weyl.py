@@ -259,10 +259,11 @@ def is_biconvex(rs: RootSystem, ps: PosRootSet) -> bool:
 
 
 def element_from_biconvex(rs: RootSystem, ps: PosRootSet) -> WeylElement:
-    """The unique w with inversion set ps; rejects non-biclosed input."""
-    if not is_biclosed(rs, ps):
-        raise LiesphError("input set is not biconvex")
-    w = from_word(rs, _peel_word(rs, {(0, i) for i in ps.indices()}))
+    """The unique w with inversion set ps; the affine peel on level-0 keys
+    rejects a set that is not biconvex."""
+    if ps.width != rs.num_positive:
+        raise MismatchedSystems("bit vector from another system")
+    w = from_word(rs, _peel_word(rs, {(0, i) for i in ps.indices()})[0])
     if w.inv_mask != ps.mask:
         raise LiesphError("peeling failed to reproduce the input set")
     return w

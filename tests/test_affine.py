@@ -10,6 +10,7 @@ from liesph.errors import LiesphError
 
 LETTER_TYPES = [(n, False) for n in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
                                      "D4", "F4", "G2")] + [(n, True) for n in ("B2", "C2", "G2")]
+NOT_BICONVEX = "input set is not biconvex in the affine positive system"
 
 
 # -- references: the set-push peel and inversion set, the canonical form as
@@ -308,34 +309,48 @@ def test_biconvex_against_letter_oracle_on_random_sets(name):
     accepted = 0
     for _ in range(2000):
         keys = set(rng.sample(universe, rng.randint(0, min(8, len(universe)))))
-        got = A.is_biconvex_affine(A.AffineRootSet(rs, keys))
+        S = A.AffineRootSet(rs, keys)
+        got = A.is_biconvex_affine(S)
         assert got == _biconvex_by_letters(rs, keys), sorted(keys)
+        _assert_peel_decides(S, got)
         accepted += got
     assert 0 < accepted < 2000
 
 
+def _assert_peel_decides(S, biconvex):
+    """``element_from_biconvex_affine`` raises exactly on a set that is not
+    biconvex, and otherwise builds the element that ``AffineWeylWord``
+    rebuilds from its word, with inversion set S."""
+    if biconvex:
+        w = A.element_from_biconvex_affine(S)
+        want = A.AffineWeylWord(S.system, w.word)
+        assert (w.word, w.inv_keys, w.canonical) == (want.word, want.inv_keys, want.canonical)
+    else:
+        with pytest.raises(LiesphError, match=NOT_BICONVEX):
+            A.element_from_biconvex_affine(S)
+
+
 def _check_against_references(rs, keys):
-    """Same biconvexity verdict as both references, same peel (or the same
-    failure), and for a peeled word the same element as the set-push layers
-    build; on a biconvex set, the FC verdict of the positive-system decider.
-    Returns the verdict."""
+    """Same biconvexity verdict as both references and as the peel, same
+    peel (or the same failure) as the set-push one, and for a peeled word
+    the same element as the set-push layers build; on a biconvex set, the
+    FC verdict of the positive-system decider.  Returns the verdict."""
     S = A.AffineRootSet(rs, keys)
     verdict = A.is_biconvex_affine(S)
     assert verdict == _reference_is_biconvex_affine(S), sorted(keys)
     assert verdict == _levelsplit_reference_is_biconvex_affine(S), sorted(keys)
     if verdict:
         assert A.is_fc_affine(S) == is_fc_by_positive_systems(rs, keys), sorted(keys)
+    _assert_peel_decides(S, verdict)
     try:
         want = _reference_peel_word(rs, set(keys))
     except LiesphError:
-        with pytest.raises(LiesphError, match="without an affine simple root"):
+        with pytest.raises(LiesphError, match=NOT_BICONVEX):
             A._peel_word(rs, keys)
         return verdict
-    word = A._peel_word(rs, keys)
+    word = A._peel_word(rs, keys)[0]
     assert word == want, sorted(keys)
     _check_element(rs, word)
-    if verdict:
-        assert A.element_from_biconvex_affine(S).word == word
     return verdict
 
 

@@ -332,14 +332,38 @@ def test_atlas_ideals_enumerates_the_ideals_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def _count_other_biconvexity_proofs(monkeypatch, calls):
+    """Record each call of the biconvexity predicate and of the word's
+    inversion-set pass, the checks the peel replaces."""
+    from liesph import affine
+
+    for name in ("is_biconvex_affine", "_inversion_codes"):
+        f = getattr(affine, name)
+        monkeypatch.setattr(affine, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+
+
+def test_encoding_commands_peel_each_ideal_once(monkeypatch, capsys):
+    # atlas ideals and inspect --ideal-gen build each element by the peel alone
+    from liesph import affine
+
+    peel, calls, other_proofs = affine._peel_word, [], []
+    monkeypatch.setattr(affine, "_peel_word", lambda rs, keys: calls.append(keys) or peel(rs, keys))
+    _count_other_biconvexity_proofs(monkeypatch, other_proofs)
+    code, rep = run_json(capsys, "atlas", "ideals", "--type", "B3")
+    assert code == 0 and rep["count"] == len(calls) == 20
+    code, rep = run_json(capsys, "inspect", "--type", "B3", "--ideal-gen", "0,1,1")
+    assert code == 0 and rep["w_word"] and len(calls) == 21
+    assert other_proofs == []
+
+
 def test_theorem2_reports_a_failed_encoding_as_a_mismatch(monkeypatch, capsys):
     # an encoding that fails its biconvexity check is a mismatch of that
-    # ideal, reported with the other ideals, and checked once
+    # ideal, reported with the other ideals, and checked once, by the peel
     from liesph import affine, ideals
     from liesph.affine import AffineRootSet
 
-    psi_hat, is_biconvex = ideals.psi_hat, affine.is_biconvex_affine
-    calls = []
+    psi_hat, peel = ideals.psi_hat, affine._peel_word
+    calls, other_proofs = [], []
 
     def drop_top_key_of_full_ideal(rs, ideal):
         S = psi_hat(rs, ideal)
@@ -348,10 +372,12 @@ def test_theorem2_reports_a_failed_encoding_as_a_mismatch(monkeypatch, capsys):
         return AffineRootSet(rs, S.keys - {max(S.keys)})
 
     monkeypatch.setattr(ideals, "psi_hat", drop_top_key_of_full_ideal)
-    monkeypatch.setattr(affine, "is_biconvex_affine", lambda S: calls.append(S) or is_biconvex(S))
+    monkeypatch.setattr(affine, "_peel_word", lambda rs, keys: calls.append(keys) or peel(rs, keys))
+    _count_other_biconvexity_proofs(monkeypatch, other_proofs)
     code, rep = run_json(capsys, "verify", "theorem2", "--type", "B3")
     assert code == 1
     assert rep["ideals"] == len(calls) == 20
+    assert other_proofs == []
     full = [m for m in rep["mismatches"] if len(m["members"]) == 9]
     assert {"members": full[0]["members"],
             "reason": "affine encoding: input set is not biconvex in the affine positive system"} in full

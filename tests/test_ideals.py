@@ -267,7 +267,12 @@ def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
     from liesph.cli import main
 
     peel = A._peel_word
-    monkeypatch.setattr(A, "_peel_word", lambda rs, keys: peel(rs, keys)[1:])
+
+    def drop_first_letter(rs, keys):
+        word, img = peel(rs, keys)
+        return word[1:], img
+
+    monkeypatch.setattr(A, "_peel_word", drop_first_letter)
     b2 = get_rs("B2")
     S = I.psi_hat(b2, I.make_ideal(b2, PosRootSet(0b1111, 4)))
     with pytest.raises(LiesphError, match="peeling failed to reproduce the input set"):

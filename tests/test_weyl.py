@@ -2,7 +2,7 @@ import pytest
 
 from conftest import get_rs, is_fc_by_positive_systems
 from liesph import weyl as W
-from liesph.errors import BudgetExceeded, LiesphError
+from liesph.errors import BudgetExceeded, LiesphError, MismatchedSystems
 from liesph.roots import PosRootSet
 
 
@@ -80,7 +80,7 @@ def test_word_reduction_and_canonical():
 
 def test_biconvex_deciders_match_inversion_sets():
     # biconvex = biclosed = inversion set, checked on the full power set
-    for name in ["A2", "B2", "G2"]:
+    for name in ["A2", "B2", "G2", "A3", "B3"]:
         rs = get_rs(name)
         inv_masks = {e.inv_mask: e for e in W.enumerate_weyl(rs)}
         for m in range(1 << rs.num_positive):
@@ -91,7 +91,7 @@ def test_biconvex_deciders_match_inversion_sets():
             if closed:
                 assert W.element_from_biconvex(rs, ps) == inv_masks[m]
             else:
-                with pytest.raises(LiesphError):
+                with pytest.raises(LiesphError, match="not biconvex"):
                     W.element_from_biconvex(rs, ps)
 
 
@@ -106,9 +106,16 @@ def test_element_from_biconvex_checks_its_round_trip(monkeypatch):
     # a peel that returns a wrong word must not pass as the element
     b2 = get_rs("B2")
     s1 = b2.posrootset([b2.simple_root(1)])
-    monkeypatch.setattr(W, "_peel_word", lambda rs, keys: (2, 1))
+    monkeypatch.setattr(W, "_peel_word", lambda rs, keys: ((2, 1), []))
     with pytest.raises(LiesphError, match="failed to reproduce"):
         W.element_from_biconvex(b2, s1)
+
+
+def test_element_from_biconvex_rejects_a_set_of_another_width():
+    b2, b3 = get_rs("B2"), get_rs("B3")
+    for rs, width in [(b2, b3.num_positive), (b3, b2.num_positive)]:
+        with pytest.raises(MismatchedSystems):
+            W.element_from_biconvex(rs, PosRootSet(1, width))
 
 
 def test_biconvex_spec_examples():
