@@ -289,8 +289,9 @@ class RootSystem:
     duplicate work: ``_plane_cache`` holds every rank-2 plane parabolic, finite
     and affine alike (see ``plane_parabolic``), over the table of finite
     planes (``_plane_table``); the ideals module stashes the root poset's
-    up-sets, and the affine module its root codes and the decompositions of
-    each root into two.
+    up-sets, the affine module its root codes and the decompositions of
+    each root into two, and the weyl module the masks of the summing pairs
+    and of the irreducible planes' positive roots.
     """
 
     def __init__(self, cartan_type: CartanType, swap: bool = False):

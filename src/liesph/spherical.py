@@ -13,9 +13,9 @@ depend only on the algebra and are computed once per algebra:
   vector of weight mu to weight mu + sigma, so it can only be nonzero when
   sigma is in Phi or Phi - Phi.  The weight index of the root system
   (``_weight_index``) maps each such sigma to its decompositions mu -> mu +
-  sigma, and the four-root scan (``_four_root_multisets``) yields only the
-  multisets whose weight is in it (745 of 3 876 on B4).  The lemma sweep
-  reads its a - b decompositions from the same index.
+  sigma, and only the multisets whose weight is in it reach the predicate
+  (745 of 3 876 on B4).  The lemma sweep reads its a - b decompositions
+  from the same index.
 - Scalar chains.  Root spaces are one-dimensional, so ad(e_g) acts on them
   through int tables read off the sum and structure-constant tables; only
   a chain through weight 0 carries a rank-tuple on the Cartan.
@@ -25,8 +25,9 @@ depend only on the algebra and are computed once per algebra:
 - Minimal supports.  A witness is the first nonvanishing multiset, in
   (support size, multiset) order, inside the set; its support is
   inclusion-minimal, so only the first multiset of each minimal support is
-  built (56 predicate calls for 37 entries on B4, where 706 multisets do
-  not vanish; 255 calls for 255 entries on E6).
+  built, by a walk over the supports that never generates one containing a
+  support already found (56 predicate calls for 37 entries on B4, where
+  706 multisets do not vanish; 255 calls for 255 entries on E6).
 """
 from __future__ import annotations
 
@@ -88,33 +89,6 @@ def _weight_index(rs: RootSystem) -> dict[int, list[tuple[int, int]]]:
                 index.setdefault(packed_ends[end] - rs.packed[mu], []).append((mu, end))
     rs._weight_idx = index
     return index
-
-
-def _four_root_multisets(rs: RootSystem, support: int | None = None):
-    """Yield (multiset, sigma) for the sorted size-4 positive-root multisets,
-    in lexicographic order, whose packed weight sigma is in the weight index;
-    only those with ``support`` distinct members when it is given."""
-    packed, index = rs.packed, _weight_index(rs)
-    npos = rs.num_positive
-    least, most = (1, 4) if support is None else (support, support)
-
-    def members(prev: int, distinct: int, left: int) -> range:
-        # the next member, with `left` still to choose: prev again keeps
-        # `distinct` members, a larger one adds one, and the final count of
-        # distinct members must lie in [least, most]
-        return range(prev + (least - distinct >= left), npos if distinct < most else prev + 1)
-
-    for a in range(npos):
-        wa = packed[a]
-        for b in members(a, 1, 3):
-            wb = wa + packed[b]
-            nb = 1 + (b > a)
-            for c in members(b, nb, 2):
-                wc = wb + packed[c]
-                for d in members(c, nb + (c > b), 1):
-                    sigma = wc + packed[d]
-                    if sigma in index:
-                        yield (a, b, c, d), sigma
 
 
 class _ChainTables:
@@ -228,27 +202,67 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
     support, as (support mask, multiset) pairs in (support size, multiset)
     order; computed once per algebra.
 
-    The multisets of each support size, smallest first, are generated
-    directly, and a multiset whose support contains or equals one already
-    found is skipped.  Only multisets whose weight has chain starts reach
-    _p_multiset_vanishes."""
+    A walk builds the supports size by size, smallest first, and never one
+    that contains a support already found: the members are drawn level by
+    level from masks that leave out the partners of each member in found
+    pairs and, from the third member on, the last members of found triples.
+    No single root is a support: 4a is never in the weight index, since a
+    root string holds at most four roots.  Each support's multisets are
+    tried in lexicographic order up to the first that does not vanish; only
+    those whose weight has chain starts reach _p_multiset_vanishes."""
     cached = getattr(L, "_quartic_obstructions", None)
     if cached is not None:
         return cached
+    rs = L.rs
     T = _ChainTables(L)
-    starts_of = _chain_starts(L.rs)
-    found: set[int] = set()
+    starts_of = _chain_starts(rs)
+    packed, npos = rs.packed, rs.num_positive
+    above = [((1 << npos) - 1) & -(2 << x) for x in range(npos)]  # the roots y > x
+    partners = [0] * npos  # found pairs a < b: bit b of partners[a]
+    thirds: dict[int, int] = {}  # found triples a < b < c: bit c of thirds[a * npos + b]
     minimal = []
-    for size in range(1, 5):
-        for multiset, sigma in _four_root_multisets(L.rs, size):
-            a, b, c, d = multiset
-            mask = 1 << a | 1 << b | 1 << c | 1 << d
-            sub = mask
-            while sub and sub not in found:
-                sub = (sub - 1) & mask
-            if not sub and not _p_multiset_vanishes(T, multiset, starts_of[sigma]):
-                found.add(mask)
-                minimal.append((mask, multiset))
+
+    def first_nonvanishing(candidates) -> bool:
+        # candidates: the (multiset, sigma) pairs of one support, in order
+        for multiset, sigma in candidates:
+            starts = starts_of.get(sigma)
+            if starts and not _p_multiset_vanishes(T, multiset, starts):
+                minimal.append((sum(1 << g for g in set(multiset)), multiset))
+                return True
+        return False
+
+    for a in range(npos):
+        wa = packed[a]
+        for b in iter_bits(above[a]):
+            wb = packed[b]
+            if first_nonvanishing((((a, a, a, b), 3 * wa + wb), ((a, a, b, b), 2 * (wa + wb)),
+                                   ((a, b, b, b), wa + 3 * wb))):
+                partners[a] |= 1 << b
+    for a in range(npos):
+        ma = above[a] & ~partners[a]
+        wa = packed[a]
+        for b in iter_bits(ma):
+            wb = packed[b]
+            for c in iter_bits(ma & above[b] & ~partners[b]):
+                wc = packed[c]
+                w = wa + wb + wc
+                if first_nonvanishing((((a, a, b, c), w + wa), ((a, b, b, c), w + wb),
+                                       ((a, b, c, c), w + wc))):
+                    thirds[a * npos + b] = thirds.get(a * npos + b, 0) | 1 << c
+    for a in range(npos):
+        ma = above[a] & ~partners[a]
+        for b in iter_bits(ma):
+            mb = ma & above[b] & ~partners[b] & ~thirds.get(a * npos + b, 0)
+            wb = packed[a] + packed[b]
+            for c in iter_bits(mb):
+                mc = (mb & above[c] & ~partners[c] & ~thirds.get(a * npos + c, 0)
+                      & ~thirds.get(b * npos + c, 0))
+                wc = wb + packed[c]
+                for d in iter_bits(mc):
+                    sigma = wc + packed[d]
+                    if sigma in starts_of:
+                        first_nonvanishing((((a, b, c, d), sigma),))
+    minimal.sort(key=lambda entry: (entry[0].bit_count(), entry[1]))
     L._quartic_obstructions = minimal
     return minimal
 
@@ -535,7 +549,7 @@ def _t1_check(span: range):
     mismatches = []
     for w in elements[span.start : span.stop]:
         sph = is_spherical_subspace(L, w.inv)
-        dec = _weyl.is_commutative_inv(w) if is_g2 else _weyl.is_fc_inv_base_pair(w)
+        dec = _weyl.is_commutative_inv(w) if is_g2 else _weyl.is_fc_inv(w)
         n_dec += dec
         n_sph += sph
         if simply and _weyl.is_commutative_inv(w) != dec:

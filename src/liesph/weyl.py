@@ -10,6 +10,7 @@ no rank-2 parabolic positive subsystem inside the inversion set).
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 
 from .affine import _peel_word
 from .errors import BudgetExceeded, LiesphError, MismatchedSystems, WordCapExceeded
@@ -17,8 +18,8 @@ from .roots import (
     PosRootSet,
     Root,
     RootSystem,
+    _plane_table,
     has_irreducible_base_pair,
-    has_summing_pair,
     iter_bits,
     plane_solver,
 )
@@ -81,8 +82,9 @@ def _identity_action(rs: RootSystem) -> tuple[int, ...]:
 
 
 def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    # (outer o inner)(x) = outer(inner(x))
-    return tuple(outer[i] for i in inner)
+    # (outer o inner)(x) = outer(inner(x)); an action has at least two
+    # entries, so itemgetter returns a tuple
+    return itemgetter(*inner)(outer)
 
 
 def _invert_action(action: tuple[int, ...]) -> tuple[int, ...]:
@@ -412,17 +414,61 @@ def pairing_nonneg(rs: RootSystem, ps: PosRootSet) -> bool:
     return True
 
 
+def _summing_pair_masks(rs: RootSystem) -> list[int]:
+    """The masks {a, b} of the positive roots a < b with a + b a root,
+    memoized on rs."""
+    masks = getattr(rs, "_summing_pair_masks", None)
+    if masks is None:
+        st = rs.sum_table
+        npos = rs.num_positive
+        masks = [1 << a | 1 << b for a in range(npos) for b in range(a + 1, npos)
+                 if st[a][b] is not None]
+        rs._summing_pair_masks = masks
+    return masks
+
+
+def _irreducible_plane_masks(rs: RootSystem) -> list[int]:
+    """The masks of the positive roots of each irreducible plane, read once
+    from ``_plane_table`` and memoized on rs."""
+    masks = getattr(rs, "_irreducible_plane_masks", None)
+    if masks is None:
+        npos = rs.num_positive
+        planes = {plane for plane, _, _ in _plane_table(rs).values() if len(plane) > 4}
+        masks = sorted(sum(1 << f for f in plane if f < npos) for plane in planes)
+        rs._irreducible_plane_masks = masks
+    return masks
+
+
 def is_commutative_inv(w: WeylElement) -> bool:
-    """No two (not necessarily distinct) inversions sum to a root."""
-    return not has_summing_pair(w.system, iter_bits(w.inv_mask))
+    """No two (not necessarily distinct) inversions sum to a root.
+
+    Since a + a is never a root, this asks whether some summing pair's mask
+    lies inside the inversion set: the same decision as has_summing_pair."""
+    inv = w.inv_mask
+    for mask in _summing_pair_masks(w.system):
+        if mask & inv == mask:
+            return False
+    return True
 
 
 def is_fc_inv(w: WeylElement) -> bool:
-    """Inversion set contains no irreducible rank-2 parabolic positive system."""
-    return not has_irreducible_base_pair(w.system, [(0, a) for a in iter_bits(w.inv_mask)])
+    """Inversion set contains no irreducible rank-2 parabolic positive system.
+
+    A closed set N holds a base pair of an irreducible plane P exactly when
+    N contains all of P's positive roots: a base made of positive roots
+    spans a positive system of |P|/2 positive roots, which must be all of
+    them, and closure puts each into N; conversely, P's positive roots hold
+    their own base.  An inversion set is closed, so this tests each
+    irreducible plane's positive mask for containment in it, and decides
+    what is_fc_inv_base_pair decides."""
+    inv = w.inv_mask
+    for mask in _irreducible_plane_masks(w.system):
+        if mask & inv == mask:
+            return False
+    return True
 
 
 def is_fc_inv_base_pair(w: WeylElement) -> bool:
-    """Same decision as is_fc_inv, by the same scan: no inversion pair is a
-    base of an irreducible rank-2 parabolic."""
+    """The reference for is_fc_inv, by a scan of every pair of inversions:
+    no pair is a base of an irreducible rank-2 parabolic."""
     return not has_irreducible_base_pair(w.system, [(0, a) for a in iter_bits(w.inv_mask)])

@@ -4,6 +4,7 @@ from conftest import get_algebra, get_rs
 from liesph import ideals as I
 from liesph import spherical as S
 from liesph import weyl as W
+from liesph.roots import has_summing_pair
 
 
 @pytest.mark.slow
@@ -16,11 +17,13 @@ def test_e6_theorem1_exhaustive():
 
 
 @pytest.mark.slow
-def test_e6_simply_laced_fc_equals_commutative_sampled():
+def test_e6_mask_deciders_match_pair_scans():
+    # simply laced, full commutativity is commutativity
     rs = get_rs("E6")
-    for k, e in enumerate(W.enumerate_weyl(rs, budget=60000)):
-        if k % 97 == 0:
-            assert W.is_fc_inv_base_pair(e) == W.is_commutative_inv(e)
+    for e in W.enumerate_weyl(rs, budget=60000):
+        fc = W.is_fc_inv(e)
+        assert fc == W.is_fc_inv_base_pair(e) == W.is_commutative_inv(e), e.word
+        assert fc == (not has_summing_pair(rs, e.inv.indices())), e.word
 
 
 @pytest.mark.slow

@@ -507,13 +507,41 @@ def _reference_table(L):
     return bad
 
 
+def _four_root_multisets(rs, support=None):
+    """Yield (multiset, sigma) for the sorted size-4 positive-root multisets,
+    in lexicographic order, whose packed weight sigma is in the weight index;
+    only those with ``support`` distinct members when it is given."""
+    packed, index = rs.packed, S._weight_index(rs)
+    npos = rs.num_positive
+    least, most = (1, 4) if support is None else (support, support)
+
+    def members(prev, distinct, left):
+        # the next member, with `left` still to choose: prev again keeps
+        # `distinct` members, a larger one adds one, and the final count of
+        # distinct members must lie in [least, most]
+        return range(prev + (least - distinct >= left), npos if distinct < most else prev + 1)
+
+    for a in range(npos):
+        wa = packed[a]
+        for b in members(a, 1, 3):
+            wb = wa + packed[b]
+            nb = 1 + (b > a)
+            for c in members(b, nb, 2):
+                wc = wb + packed[c]
+                for d in members(c, nb + (c > b), 1):
+                    sigma = wc + packed[d]
+                    if sigma in index:
+                        yield (a, b, c, d), sigma
+
+
 def _reference_full_table(L):
-    """Every nonvanishing multiset from the library's scan and predicate, as
-    (support mask, multiset) pairs sorted by (support size, multiset)."""
+    """Every nonvanishing multiset from the weight-filtered scan and the
+    library's predicate, as (support mask, multiset) pairs sorted by
+    (support size, multiset)."""
     T = S._ChainTables(L)
     starts_of = S._chain_starts(L.rs)
     bad = []
-    for multiset, sigma in S._four_root_multisets(L.rs):
+    for multiset, sigma in _four_root_multisets(L.rs):
         if not S._p_multiset_vanishes(T, multiset, starts_of[sigma]):
             bad.append((sum(1 << i for i in set(multiset)), multiset))
     bad.sort(key=lambda t: (t[0].bit_count(), t[1]))
@@ -531,6 +559,26 @@ def _minimal(table):
         if not sub:
             seen.add(mask)
             minimal.append((mask, multiset))
+    return minimal
+
+
+def _reference_per_size_build(L):
+    """The minimal list by the per-size scan: every weight-admissible
+    multiset of each support size, smallest first, skipping one whose support
+    contains or equals a support already found."""
+    T = S._ChainTables(L)
+    starts_of = S._chain_starts(L.rs)
+    found = set()
+    minimal = []
+    for size in range(1, 5):
+        for multiset, sigma in _four_root_multisets(L.rs, size):
+            mask = sum(1 << i for i in set(multiset))
+            sub = mask
+            while sub and sub not in found:
+                sub = (sub - 1) & mask
+            if not sub and not S._p_multiset_vanishes(T, multiset, starts_of[sigma]):
+                found.add(mask)
+                minimal.append((mask, multiset))
     return minimal
 
 
@@ -555,7 +603,7 @@ def test_quartic_table_matches_chain_dict_reference(name, swap, sign):
     L = _fresh_algebra(name, swap, sign)
     full = _reference_full_table(L)
     assert full == _reference_table(L)
-    assert S.quartic_obstructions(L) == _minimal(full)
+    assert S.quartic_obstructions(L) == _minimal(full) == _reference_per_size_build(L)
 
 
 @pytest.mark.slow
@@ -564,7 +612,7 @@ def test_quartic_table_matches_chain_dict_reference_e6():
     full = _reference_full_table(L)
     assert len(full) == 13434
     assert full == _reference_table(L)
-    assert S.quartic_obstructions(L) == _minimal(full)
+    assert S.quartic_obstructions(L) == _minimal(full) == _reference_per_size_build(L)
 
 
 @pytest.mark.slow
@@ -572,7 +620,15 @@ def test_minimal_list_matches_full_table_e7():
     L = _fresh_algebra("E7")
     minimal = S.quartic_obstructions(L)
     assert len(minimal) == 1281
-    assert minimal == _minimal(_reference_full_table(L))
+    assert minimal == _minimal(_reference_full_table(L)) == _reference_per_size_build(L)
+
+
+@pytest.mark.slow
+def test_minimal_list_matches_per_size_build_e8():
+    L = _fresh_algebra("E8")
+    minimal = S.quartic_obstructions(L)
+    assert len(minimal) == 10570
+    assert minimal == _reference_per_size_build(L)
 
 
 @pytest.mark.parametrize("name, sign", [("B3", 1), ("C3", -1), ("G2", 1)])
@@ -620,10 +676,10 @@ def test_support_size_scans_split_the_full_scan(name):
     full = [(m, sum(rs.packed[i] for i in m))
             for m in itertools.combinations_with_replacement(range(rs.num_positive), 4)]
     full = [(m, sigma) for m, sigma in full if sigma in index]
-    assert list(S._four_root_multisets(rs)) == full
+    assert list(_four_root_multisets(rs)) == full
     for size in range(1, 5):
         want = [(m, sigma) for m, sigma in full if len(set(m)) == size]
-        assert list(S._four_root_multisets(rs, size)) == want, size
+        assert list(_four_root_multisets(rs, size)) == want, size
 
 
 @pytest.mark.parametrize("name, calls, entries",
@@ -641,6 +697,31 @@ def test_minimal_build_skips_supports_already_found(monkeypatch, name, calls, en
     assert [vars(L)[k] for k in set(vars(L)) - before] == [minimal]
     assert S.quartic_obstructions(L) is minimal
     assert len(seen) == calls
+    # the walk tests exactly the multisets the per-size scan tests
+    walked = sorted(multiset for _, multiset, _ in seen)
+    seen.clear()
+    _reference_per_size_build(L)
+    assert walked == sorted(multiset for _, multiset, _ in seen)
+
+
+@pytest.mark.parametrize("name", ["B4", "D4", "F4"])
+@pytest.mark.parametrize("modulus", [3, 5, 11])
+def test_walk_matches_per_size_scan_for_any_predicate(monkeypatch, name, modulus):
+    # the walk's pruning depends only on which multisets do not vanish; a
+    # synthetic predicate finds many more triples than any algebra does
+    # (B4: 20 to 23 against 12), so each exclusion of a found triple matters
+    def fake_vanishes(T, multiset, starts):
+        calls.append(multiset)
+        return sum((k + 1) * g * g for k, g in enumerate(multiset)) % modulus != 0
+
+    calls = []
+    monkeypatch.setattr(S, "_p_multiset_vanishes", fake_vanishes)
+    L = _fresh_algebra(name)
+    walked = S.quartic_obstructions(L)
+    walked_calls = sorted(calls)
+    calls.clear()
+    assert walked == _reference_per_size_build(L)
+    assert walked_calls == sorted(calls)
 
 
 def _first_full_table_hit(table, ps):

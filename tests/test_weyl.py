@@ -3,7 +3,7 @@ import pytest
 from conftest import get_rs, is_fc_by_positive_systems
 from liesph import weyl as W
 from liesph.errors import BudgetExceeded, LiesphError, MismatchedSystems
-from liesph.roots import PosRootSet
+from liesph.roots import PosRootSet, has_summing_pair, plane_parabolic
 
 
 def test_apply_simple():
@@ -234,12 +234,51 @@ def test_fc_counts_match_classical_formulas():
         "A2": catalan(3), "A3": catalan(4), "A4": catalan(5),
         "B2": 4 * catalan(2) - 1, "B3": 5 * catalan(3) - 1, "B4": 6 * catalan(4) - 1,
         "C3": 5 * catalan(3) - 1, "C4": 6 * catalan(4) - 1,
-        "D4": 7 * catalan(4) // 2 - 1,
+        "A5": catalan(6), "B5": 7 * catalan(5) - 1,
+        "D4": 7 * catalan(4) // 2 - 1, "D5": 8 * catalan(5) // 2 - 1,
         "F4": 106,
     }
+    assert (expected["A5"], expected["B5"], expected["D5"]) == (132, 293, 167)
     for name, count in expected.items():
-        rs = get_rs(name)
-        assert sum(W.is_fc_inv_base_pair(e) for e in W.enumerate_weyl(rs)) == count, name
+        els = list(W.enumerate_weyl(get_rs(name)))
+        assert sum(W.is_fc_inv_base_pair(e) for e in els) == count, name
+        assert sum(W.is_fc_inv(e) for e in els) == count, name
+
+
+@pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5", "F4"])
+def test_mask_deciders_match_pair_scans(name):
+    # containment of a plane's positive mask, or of a summing pair's mask,
+    # decides what the scans over pairs of inversions decide
+    rs = get_rs(name)
+    for e in W.enumerate_weyl(rs):
+        assert W.is_fc_inv(e) == W.is_fc_inv_base_pair(e), e.word
+        assert W.is_commutative_inv(e) == (not has_summing_pair(rs, e.inv.indices())), e.word
+
+
+@pytest.mark.parametrize("name, planes", [("B4", 22), ("E6", 120), ("E8", 1120)])
+def test_irreducible_plane_masks(name, planes):
+    rs = get_rs(name)
+    masks = W._irreducible_plane_masks(rs)
+    assert len(masks) == len(set(masks)) == planes
+    # each is the positive system of one irreducible plane: 3, 4 or 6 roots
+    # spanning that plane
+    for mask in masks:
+        members = list(PosRootSet(mask, rs.num_positive).indices())
+        assert len(members) in (3, 4, 6)
+        plane = plane_parabolic(rs, (0, members[0]), (0, members[1]))[0]
+        assert [f for _, f in plane if f < rs.num_positive] == members
+    assert W._irreducible_plane_masks(rs) is masks
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2"])
+def test_compose_matches_tuple_comprehension(name):
+    rs = get_rs(name)
+    actions = [e.action for e in W.enumerate_weyl(rs)]
+    for outer in actions:
+        for inner in actions:
+            got = W._compose(outer, inner)
+            assert type(got) is tuple
+            assert got == tuple(outer[i] for i in inner)
 
 
 def test_fc_routes_agree():
