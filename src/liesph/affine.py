@@ -2,9 +2,11 @@
 
 An affine root is a pair (finite root, delta level); only real roots are
 representable.  Group elements are reduced words over {0, 1, .., rank} with
-canonical equality through the images of the affine simple roots.  Single
-roots move through the letter table ``RootSystem.affine_letters``; inversion
-sets and the peel move only the rank + 1 simple-root images, as int codes.
+canonical equality through the images of the affine simple roots.  Every
+reflection works on packed ints: a single root subtracts a multiple of
+alpha_i (``_reflect_key``), and inversion sets and the peel move only the
+rank + 1 simple-root images, as int codes.  ``liesph.weyl`` stores a finite
+Weyl element as the same images, read at level 0.
 """
 
 from __future__ import annotations
@@ -52,23 +54,32 @@ class AffineRoot:
         return f"AffineRoot({self.finite.coords} + {self.level}d)"
 
 
-def _letter(rs: RootSystem, i: int):
+def _simple_key(rs: RootSystem, i: int) -> tuple[int, int]:
     if not 0 <= i <= rs.rank:
         raise LiesphError(f"affine simple index {i} out of range")
-    return rs.affine_letters[i]
+    return _affine_codes(rs)[2][i]
+
+
+def _reflect_key(rs: RootSystem, i: int, level: int, f: int) -> tuple[int, int]:
+    """s_i on f + level*delta, as (level, root index): subtract
+    <f, alpha_i^vee> alpha_i, the finite part on packed ints."""
+    li, fi = _affine_codes(rs)[2][i]
+    a = rs.pairing_table[f][fi]
+    return level - a * li, rs._packed_index[rs.packed[f] - a * rs.packed[fi]]
 
 
 def affine_simple_root(rs: RootSystem, i: int) -> AffineRoot:
     """alpha_0 = delta - theta for i = 0, else the finite simple root."""
-    level, f = _letter(rs, i)[0]
+    level, f = _simple_key(rs, i)
     return AffineRoot(rs, f, level)
 
 
 def affine_apply_simple(rs: RootSystem, i: int, r: AffineRoot) -> AffineRoot:
     if r.system is not rs:
         raise MismatchedSystems("affine root from another system")
-    _, perm, shift = _letter(rs, i)
-    return AffineRoot(rs, perm[r.findex], r.level + shift[r.findex])
+    _simple_key(rs, i)  # the range check
+    level, f = _reflect_key(rs, i, r.level, r.findex)
+    return AffineRoot(rs, f, level)
 
 
 def affine_pairing(a: AffineRoot, b: AffineRoot) -> int:
@@ -146,8 +157,7 @@ def _word_image(rs: RootSystem, word, key: tuple[int, int]) -> tuple[int, int]:
     """Image of a (level, root index) key under the product of the word."""
     level, f = key
     for i in reversed(word):
-        _, perm, shift = rs.affine_letters[i]
-        level, f = level + shift[f], perm[f]
+        level, f = _reflect_key(rs, i, level, f)
     return level, f
 
 
@@ -156,18 +166,21 @@ def _affine_codes(rs: RootSystem):
     ``level * span + packed[f]``.  ``packed`` is linear and smaller than
     span / 2 on roots, so the code is linear, and positive iff the root is.
 
-    Returns ``(span, letters)``: per affine letter i, the code of alpha_i and
-    the pairs (j, <alpha_j, alpha_i^vee>) over its affine Dynkin neighbours."""
+    Returns ``(span, letters, simple)``: per affine letter i, the code of
+    alpha_i and the pairs (j, <alpha_j, alpha_i^vee>) over its affine Dynkin
+    neighbours; and the (level, root index) key of each alpha_i, with
+    alpha_0 = delta - theta."""
     codes = getattr(rs, "_affine_codes", None)
     if codes is None:
         packed, pt = rs.packed, rs.pairing_table
         span = 2 * packed[rs.theta.index] + 1
-        simple = [key for key, _, _ in rs.affine_letters]
+        simple = ((1, rs.neg_index(rs.theta.index)),
+                  *((0, rs.simple_root(i).index) for i in range(1, rs.rank + 1)))
         codes = rs._affine_codes = (span, tuple(
             (li * span + packed[fi],
              tuple((j, pt[fj][fi]) for j, (_, fj) in enumerate(simple) if j != i and pt[fj][fi]))
             for i, (li, fi) in enumerate(simple)
-        ))
+        ), simple)
     return codes
 
 
@@ -289,7 +302,7 @@ def _peel_word(rs: RootSystem, keys) -> tuple[tuple[int, ...], list[int]]:
     v = p u with lengths adding, and a left descent s_i of u puts p alpha_i
     among the keys not yet peeled: the peel sticks exactly when the keys are
     no inversion set, that is, not biconvex."""
-    span, letters = _affine_codes(rs)
+    span, letters, _ = _affine_codes(rs)
     packed = rs.packed
     left = {level * span + packed[f] for level, f in keys}
     img = [c for c, _ in letters]

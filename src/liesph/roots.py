@@ -278,12 +278,9 @@ class RootSystem:
     descending lexicographic coordinates; ``roots[i + num_positive]`` is the
     negative of ``roots[i]``.
 
-    ``packed[i]`` is root i as one int (see ``__init__``); the sum table and
-    the reflections are lookups of packed sums in ``_packed_index``.
-
-    ``affine_letters[i]`` is the affine simple reflection s_i on
-    ``(level, root index)`` keys: ``(alpha_i key, root permutation, level
-    shift per root)``, with s_0 the reflection in delta - theta.
+    ``packed[i]`` is root i as one int (see ``__init__``); the sum table is
+    a lookup of packed sums in ``_packed_index``, and so is a reflected root
+    (``weyl.apply_simple``, ``affine.affine_apply_simple``).
 
     Memo tables fill lazily and idempotently, so concurrent readers at worst
     duplicate work: ``_plane_cache`` holds every rank-2 plane parabolic, finite
@@ -356,17 +353,6 @@ class RootSystem:
             if self.sum_table[self.theta.index][self._simple_index(i)] is not None:
                 raise LiesphError(f"theta + alpha_{i + 1} is a root of {cartan_type.name}")
 
-        self.simple_perms = tuple(self._reflection(self._simple_index(i)) for i in range(self.rank))
-        # s_0(a + n*delta) = s_theta(a) + (n + <a, theta>)*delta
-        th = self.theta.index
-        size = len(self.roots)
-        self.affine_letters = (
-            ((1, self.neg_index(th)), self._reflection(th),
-             tuple(row[th] for row in self.pairing_table)),
-            *(((0, self._simple_index(i)), perm, (0,) * size)
-              for i, perm in enumerate(self.simple_perms)),
-        )
-
         # plane_parabolic's memo, by a sorted pair of (level, root index)
         self._plane_cache: dict[tuple[tuple[int, int], tuple[int, int]], tuple] = {}
 
@@ -407,11 +393,6 @@ class RootSystem:
     def _highest(self, indices) -> Root:
         best = max(indices, key=lambda i: (sum(self.roots[i].coords), self.roots[i].coords))
         return self.roots[best]
-
-    def _reflection(self, a: int) -> tuple[int, ...]:
-        """The root permutation of the reflection in root a: j -> j - <j, a> a."""
-        pa, at, pt = self.packed[a], self._packed_index, self.pairing_table
-        return tuple(at[p - pt[j][a] * pa] for j, p in enumerate(self.packed))
 
     # -- public accessors ------------------------------------------------------
 

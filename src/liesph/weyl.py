@@ -1,18 +1,21 @@
 """Finite Weyl group elements, inversion sets, and commutativity deciders.
 
-An element is stored by its permutation action on the full root list; words
-are tuples of 1-based simple-reflection indices.  Two families of deciders
-are provided for (full) commutativity: definition-based ones that scan all
-reduced words, and inversion-set criteria (no summing pair of inversions;
-no rank-2 parabolic positive subsystem inside the inversion set).
+An element w is stored as the affine module stores one, read at level 0: a
+reduced word of 1-based simple-reflection indices whose product is w, its
+inversion mask N(w) = {beta > 0 : w beta < 0}, and ``img``, the codes of
+w^-1 alpha_j for the affine simple roots alpha_0 .. alpha_rank (see
+``affine._affine_codes``; a level-0 code is the root's packed int).  Two
+families of deciders are provided for (full) commutativity:
+definition-based ones that scan all reduced words, and inversion-set
+criteria (no summing pair of inversions; no rank-2 parabolic positive
+subsystem inside the inversion set).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 
-from .affine import _peel_word
+from .affine import _affine_codes, _inversion_codes, _peel_word, _reflect_images, _reflect_key
 from .errors import BudgetExceeded, LiesphError, MismatchedSystems, WordCapExceeded
 from .roots import (
     PosRootSet,
@@ -28,20 +31,17 @@ DEFAULT_WORD_CAP = 10**6
 
 
 class WeylElement:
-    __slots__ = ("system", "action", "word", "inv_mask")
+    """A reduced word, its inversion mask and the codes ``img`` of the images
+    of the affine simple roots under the inverse of its product.  The mask
+    determines the element, so equality and hashing go by it."""
 
-    def __init__(self, system: RootSystem, action: tuple[int, ...], word: tuple[int, ...]):
+    __slots__ = ("system", "word", "inv_mask", "img")
+
+    def __init__(self, system: RootSystem, word: tuple[int, ...], inv_mask: int, img: tuple[int, ...]):
         self.system = system
-        self.action = action
         self.word = word
-        npos = system.num_positive
-        mask = 0
-        for i in range(npos):
-            if action[i] >= npos:
-                mask |= 1 << i
-        self.inv_mask = mask
-        if len(word) != mask.bit_count():
-            raise LiesphError("word is not reduced for this action")
+        self.inv_mask = inv_mask
+        self.img = img
 
     @property
     def length(self) -> int:
@@ -52,13 +52,29 @@ class WeylElement:
         return PosRootSet(self.inv_mask, self.system.num_positive)
 
     def canonical_word(self) -> tuple[int, ...]:
-        """Lexicographically least reduced word (greedy left descents)."""
-        return _canonical_word(self.system, self.action)
+        """Lexicographically least reduced word (greedy left descents): s_i
+        is a left descent of w when w^-1 alpha_i < 0, and the images under
+        (s_i w)^-1 are those of w^-1 s_i."""
+        letters = _affine_codes(self.system)[1]
+        img = list(self.img)
+        word = []
+        while True:
+            for i in range(1, len(img)):
+                if img[i] < 0:
+                    word.append(i)
+                    _reflect_images(img, letters, i)
+                    break
+            else:
+                return tuple(word)
 
     def apply(self, r: Root) -> Root:
-        if r.system is not self.system:
+        rs = self.system
+        if r.system is not rs:
             raise MismatchedSystems("root from another system")
-        return self.system.roots[self.action[r.index]]
+        f = r.index
+        for i in reversed(self.word):
+            f = _reflect_key(rs, i, 0, f)[1]
+        return rs.roots[f]
 
     def is_identity(self) -> bool:
         return self.inv_mask == 0
@@ -67,76 +83,37 @@ class WeylElement:
         return (
             isinstance(other, WeylElement)
             and other.system is self.system
-            and other.action == self.action
+            and other.inv_mask == self.inv_mask
         )
 
     def __hash__(self):
-        return hash(self.action)
+        return hash(self.inv_mask)
 
     def __repr__(self):
         return f"WeylElement(word={list(self.word)})"
 
 
-def _identity_action(rs: RootSystem) -> tuple[int, ...]:
-    return tuple(range(len(rs.roots)))
-
-
-def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    # (outer o inner)(x) = outer(inner(x)); an action has at least two
-    # entries, so itemgetter returns a tuple
-    return itemgetter(*inner)(outer)
-
-
-def _invert_action(action: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(action)
-    for i, j in enumerate(action):
-        out[j] = i
-    return tuple(out)
-
-
-def _simple_indices(rs: RootSystem) -> list[int]:
-    return [rs.simple_root(i + 1).index for i in range(rs.rank)]
-
-
-def _canonical_word(rs: RootSystem, action: tuple[int, ...]) -> tuple[int, ...]:
-    npos = rs.num_positive
-    simples = _simple_indices(rs)
-    cur_inv = _invert_action(action)
-    word = []
-    while True:
-        for i in range(rs.rank):
-            if cur_inv[simples[i]] >= npos:
-                word.append(i + 1)
-                perm = rs.simple_perms[i]
-                cur_inv = _compose(cur_inv, perm)
-                break
-        else:
-            return tuple(word)
-
-
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, _identity_action(rs), ())
+    return WeylElement(rs, (), 0, tuple(c for c, _ in _affine_codes(rs)[1]))
 
 
 def simple_element(rs: RootSystem, i: int) -> WeylElement:
-    if not 1 <= i <= rs.rank:
-        raise LiesphError(f"simple index {i} out of range")
-    return WeylElement(rs, rs.simple_perms[i - 1], (i,))
+    return from_word(rs, (i,))
 
 
 def from_word(rs: RootSystem, word) -> WeylElement:
-    """Element of the letters' product; the stored word is reduced."""
+    """Element of the letters' product; the stored word is reduced: the
+    given one if it is, else the canonical word."""
     word = tuple(int(i) for i in word)
-    action = _identity_action(rs)
     for i in word:
         if not 1 <= i <= rs.rank:
             raise LiesphError(f"simple index {i} out of range")
-        action = _compose(action, rs.simple_perms[i - 1])
-    npos = rs.num_positive
-    length = sum(1 for i in range(npos) if action[i] >= npos)
-    if length == len(word):
-        return WeylElement(rs, action, word)
-    return WeylElement(rs, action, _canonical_word(rs, action))
+    inv, img = _inversion_codes(rs, word)
+    at = rs._packed_index
+    w = WeylElement(rs, word, sum(1 << at[c] for c in inv), tuple(img))
+    if len(inv) != len(word):
+        w.word = w.canonical_word()
+    return w
 
 
 def apply_simple(rs: RootSystem, i: int, r: Root) -> Root:
@@ -145,18 +122,19 @@ def apply_simple(rs: RootSystem, i: int, r: Root) -> Root:
         raise MismatchedSystems("root from another system")
     if not 1 <= i <= rs.rank:
         raise LiesphError(f"simple index {i} out of range")
-    return rs.roots[rs.simple_perms[i - 1][r.index]]
+    return rs.roots[_reflect_key(rs, i, 0, r.index)[1]]
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     if u.system is not v.system:
         raise MismatchedSystems("elements from different systems")
-    action = _compose(u.action, v.action)
-    return WeylElement(u.system, action, _canonical_word(u.system, action))
+    w = from_word(u.system, u.word + v.word)
+    w.word = w.canonical_word()
+    return w
 
 
 def inverse(u: WeylElement) -> WeylElement:
-    return WeylElement(u.system, _invert_action(u.action), tuple(reversed(u.word)))
+    return from_word(u.system, u.word[::-1])
 
 
 _BRAID = {0: 2, 1: 3, 2: 4, 3: 6}
@@ -173,33 +151,38 @@ def braid_order(rs: RootSystem, i: int, j: int) -> int:
 
 
 def enumerate_weyl(rs: RootSystem, budget: int | None = None):
-    """All group elements exactly once, by nondecreasing length (BFS on the
-    right weak order).  Refuses upfront when the classical order exceeds the
-    budget."""
+    """All group elements exactly once, by nondecreasing length: breadth
+    first on the left weak order, prepending letters.  When w^-1 alpha_i > 0,
+    N(s_i w) = N(w) + {w^-1 alpha_i}, so a child's mask is known before it
+    is built, and duplicates are dropped by mask.  Refuses upfront when the
+    classical order exceeds the budget."""
     order = rs.cartan_type.weyl_order()
     if budget is not None and order > budget:
         raise BudgetExceeded(
             f"|W({rs.cartan_type.name})| = {order} exceeds budget {budget}"
         )
-    npos = rs.num_positive
-    simples = _simple_indices(rs)
+    letters = _affine_codes(rs)[1]
+    at = rs._packed_index
     e = identity(rs)
-    seen = {e.action}
     frontier = [e]
     yield e
     count = 1
     while frontier:
         nxt = []
+        seen = set()
         for w in frontier:
-            for i in range(rs.rank):
-                if w.action[simples[i]] < npos:  # length goes up
-                    action = _compose(w.action, rs.simple_perms[i])
-                    if action not in seen:
-                        seen.add(action)
-                        el = WeylElement(rs, action, w.word + (i + 1,))
+            img = w.img
+            for i in range(1, len(img)):
+                if img[i] > 0:  # length goes up
+                    mask = w.inv_mask | 1 << at[img[i]]
+                    if mask not in seen:
+                        seen.add(mask)
+                        child = list(img)
+                        _reflect_images(child, letters, i)
+                        el = WeylElement(rs, (i,) + w.word, mask, tuple(child))
                         nxt.append(el)
                         yield el
-                        count += 1
+        count += len(nxt)
         frontier = nxt
     if count != order:
         raise LiesphError(f"enumeration produced {count} elements, expected {order}")
@@ -282,31 +265,27 @@ def weak_leq(v: WeylElement, w: WeylElement) -> bool:
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
+    """The lifting property on left descents, as Bruhat order is invariant
+    under inversion: for a left descent s of w, v <= w iff s v <= s w when s
+    is a left descent of v too, and iff v <= s w otherwise."""
     if v.system is not w.system:
         raise MismatchedSystems("elements from different systems")
-    rs = v.system
-    npos = rs.num_positive
-    simples = _simple_indices(rs)
-
-    def ln(action):
-        return sum(1 for i in range(npos) if action[i] >= npos)
-
-    va, wa = v.action, w.action
-    lv, lw = ln(va), ln(wa)
+    letters = _affine_codes(v.system)[1]
+    at = v.system._packed_index
+    vm, wm = v.inv_mask, w.inv_mask
+    vi, wi = list(v.img), list(w.img)
     while True:
-        if va == wa:
+        if vm == wm:
             return True
-        if lv >= lw:  # distinct elements need l(v) < l(w)
+        if vm.bit_count() >= wm.bit_count():  # distinct elements need l(v) < l(w)
             return False
-        for i in range(rs.rank):
-            if wa[simples[i]] >= npos:
-                break
-        perm = rs.simple_perms[i]
-        wa = _compose(wa, perm)
-        lw -= 1
-        if va[simples[i]] >= npos:
-            va = _compose(va, perm)
-            lv -= 1
+        i = next(i for i in range(1, len(wi)) if wi[i] < 0)
+        # N(s_i w) = N(w) - {-w^-1 alpha_i}
+        wm ^= 1 << at[-wi[i]]
+        _reflect_images(wi, letters, i)
+        if vi[i] < 0:
+            vm ^= 1 << at[-vi[i]]
+            _reflect_images(vi, letters, i)
 
 
 # -- reduced words and definition-based deciders --------------------------------

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -17,8 +18,21 @@ NOT_BICONVEX = "input set is not biconvex in the affine positive system"
 # images under the element, and the row-scan and level-split biconvexity tests
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_letters(rs):
+    """Per affine letter i, from coordinates: the key of alpha_i, and s_i as
+    a permutation of the roots with a level shift per root."""
+    theta = rs.neg_index(rs.theta.index)
+    out = []
+    for i in range(rs.rank + 1):
+        alpha = (1, theta) if i == 0 else (0, rs.simple_root(i).index)
+        shift, perm = zip(*(_reference_apply_simple(rs, i, 0, f) for f in range(len(rs.roots))))
+        out.append((alpha, perm, shift))
+    return tuple(out)
+
+
 def _reference_act_letter(rs, i, keys):
-    _, perm, shift = rs.affine_letters[i]
+    _, perm, shift = _reference_letters(rs)[i]
     return {(l + shift[f], perm[f]) for l, f in keys}
 
 
@@ -27,7 +41,7 @@ def _reference_inversion_keys(rs, word):
     keys = set()
     for i in word:
         # N(u s_i) is s_i N(u) plus alpha_i, or s_i (N(u) - alpha_i) if it held alpha_i
-        alpha = rs.affine_letters[i][0]
+        alpha = _reference_letters(rs)[i][0]
         keys = _reference_act_letter(rs, i, keys - {alpha}) | ({alpha} - keys)
     return keys
 
@@ -37,7 +51,7 @@ def _reference_peel_word(rs, keys):
     through the letter."""
     rev = []
     while keys:
-        for i, (alpha, _, _) in enumerate(rs.affine_letters):
+        for i, (alpha, _, _) in enumerate(_reference_letters(rs)):
             if alpha in keys:
                 break
         else:
@@ -49,7 +63,14 @@ def _reference_peel_word(rs, keys):
 
 def _reference_images(rs, word):
     """Images of the affine simple roots under the product of the word."""
-    return tuple(A._word_image(rs, word, alpha) for alpha, _, _ in rs.affine_letters)
+    letters = _reference_letters(rs)
+    images = []
+    for (level, f), _, _ in letters:
+        for i in reversed(word):
+            _, perm, shift = letters[i]
+            level, f = level + shift[f], perm[f]
+        images.append((level, f))
+    return tuple(images)
 
 
 def _reference_element(rs, word):
@@ -122,9 +143,9 @@ def _reference_apply_simple(rs, i, level, f):
 @pytest.mark.parametrize("name, swap", LETTER_TYPES)
 def test_letter_table_matches_coordinate_reference(name, swap):
     rs = get_rs(name, swap)
-    assert len(rs.affine_letters) == rs.rank + 1
+    assert len(_reference_letters(rs)) == rs.rank + 1
     for i in range(rs.rank + 1):
-        assert rs.affine_letters[i][0] == A.affine_simple_root(rs, i).key()
+        assert _reference_letters(rs)[i][0] == A.affine_simple_root(rs, i).key()
         for f in range(len(rs.roots)):
             for level in range(-2, 3):
                 want = _reference_apply_simple(rs, i, level, f)
@@ -393,6 +414,7 @@ def test_affine_layers_match_references_on_random_words(name, swap):
         w = _check_element(rs, word)
         _check_element(rs, w.word)
         ref = _reference_images(rs, word)
+        assert tuple(A._word_image(rs, word, alpha) for alpha, _, _ in _reference_letters(rs)) == ref
         assert classes.setdefault(w.canonical, ref) == ref, word
     # the same equality classes: distinct canonicals, distinct reference images
     assert len(set(classes.values())) == len(classes)

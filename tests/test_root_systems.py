@@ -7,6 +7,8 @@ import pickle
 import pytest
 
 from conftest import GOLDEN_DIR, get_rs, key_mask, plane_positive_systems
+from liesph import affine as A
+from liesph import weyl as W
 from liesph.errors import LiesphError, MismatchedSystems
 from liesph.roots import (
     CartanType,
@@ -362,22 +364,19 @@ def _reference_tables(rs):
             for j, c in enumerate(coords)
         )
 
-    simple = [index_of[c] for c in simples]
     theta = max(range(len(positives)), key=lambda i: (sum(coords[i]), coords[i]))
-    simple_perms = tuple(reflection(i) for i in simple)
-    return {
+    tables = {
         "norm2": norm2,
         "pairing_table": pairing_table,
         "sum_table": [[index_of.get(tuple(x + y for x, y in zip(a, b))) for b in coords]
                       for a in coords],
         "index_of": index_of,
-        "simple_perms": simple_perms,
-        "affine_letters": (
-            ((1, theta + len(positives)), reflection(theta),
-             tuple(row[theta] for row in pairing_table)),
-            *(((0, i), perm, (0,) * len(coords)) for i, perm in zip(simple, simple_perms)),
-        ),
     }
+    # the simple reflections as root permutations, and s_0 on level-0 roots:
+    # s_0(a) = s_theta(a) + <a, theta> delta
+    simple_perms = [reflection(index_of[c]) for c in simples]
+    s0 = list(zip((row[theta] for row in pairing_table), reflection(theta)))
+    return tables, simple_perms, s0
 
 
 TABLE_CASES = [
@@ -393,8 +392,13 @@ TABLE_CASES = [
                          ids=[name + "'" * swap for name, swap in TABLE_CASES])
 def test_tables_match_per_pair_reference(name, swap):
     rs = build_root_system(name, swap=swap)
-    for attr, table in _reference_tables(rs).items():
+    tables, simple_perms, s0 = _reference_tables(rs)
+    for attr, table in tables.items():
         assert getattr(rs, attr) == table, attr
+    for i, perm in enumerate(simple_perms, 1):
+        assert [W.apply_simple(rs, i, r).index for r in rs.roots] == list(perm), i
+    assert [A.affine_apply_simple(rs, 0, A.AffineRoot(rs, f, 0)).key()
+            for f in range(len(rs.roots))] == s0
     assert [rs.index_of[r.coords] for r in rs.roots] == list(range(len(rs.roots)))
 
 

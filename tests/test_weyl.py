@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import get_rs, is_fc_by_positive_systems
+from liesph import affine as A
 from liesph import weyl as W
 from liesph.errors import BudgetExceeded, LiesphError, MismatchedSystems
 from liesph.roots import PosRootSet, has_summing_pair, plane_parabolic
@@ -26,17 +27,21 @@ def test_braid_orders():
 
 
 def test_group_laws():
-    g2 = get_rs("G2")
-    els = list(W.enumerate_weyl(g2))
-    for u in els:
-        assert W.multiply(u, W.inverse(u)).is_identity()
-        assert W.inverse(u).length == u.length
-        assert len(W.inverse(u).inv) == len(u.inv)
-    for u in els[:5]:
-        for v in els:
-            uv = W.multiply(u, v)
-            r = g2.roots[7]
-            assert uv.apply(r) == u.apply(v.apply(r))
+    for name in ["G2", "A3", "B3"]:
+        rs = get_rs(name)
+        els = list(W.enumerate_weyl(rs))
+        simples = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+        for u in els:
+            assert W.multiply(u, W.inverse(u)).is_identity()
+            assert W.inverse(u).length == u.length
+            assert len(W.inverse(u).inv) == len(u.inv)
+            assert W.inverse(W.inverse(u)) == u
+        for u in els:
+            for v in els:
+                uv = W.multiply(u, v)
+                assert uv.word == uv.canonical_word()
+                for r in simples:
+                    assert uv.apply(r) == u.apply(v.apply(r)), (name, u.word, v.word)
 
 
 def test_enumeration_counts_and_order():
@@ -46,7 +51,7 @@ def test_enumeration_counts_and_order():
         assert len(els) == n
         lens = [e.length for e in els]
         assert lens == sorted(lens)
-        assert len({e.action for e in els}) == n
+        assert len({e.inv_mask for e in els}) == n
     g2els = list(W.enumerate_weyl(get_rs("G2")))
     top = [e for e in g2els if e.length == 6]
     assert len(top) == 1 and top[0].inv_mask == (1 << 6) - 1
@@ -153,21 +158,20 @@ def test_bruhat_via_inversion_characterization():
     # compare against subword closure computed by brute force
     import itertools
 
-    for name in ["B2", "G2", "A3"]:
+    for name in ["B2", "G2", "A3", "B3"]:
         rs = get_rs(name)
         els = list(W.enumerate_weyl(rs))
-
-        def brute_leq(v, w):
+        inverses = {e: W.inverse(e) for e in els}
+        for w in els:
             word = w.word
-            for k in range(len(word) + 1):
-                for sub in itertools.combinations(range(len(word)), k):
-                    if W.from_word(rs, [word[i] for i in sub]) == v:
-                        return True
-            return False
-
-        for v in els:
-            for w in els:
-                assert W.bruhat_leq(v, w) == brute_leq(v, w), (name, v.word, w.word)
+            below = {W.from_word(rs, [word[i] for i in sub])
+                     for k in range(len(word) + 1)
+                     for sub in itertools.combinations(range(len(word)), k)}
+            for v in els:
+                got = W.bruhat_leq(v, w)
+                assert got == (v in below), (name, v.word, w.word)
+                # the left-descent walk relies on invariance under inversion
+                assert got == W.bruhat_leq(inverses[v], inverses[w]), (name, v.word, w.word)
 
 
 def test_reduced_words():
@@ -270,15 +274,29 @@ def test_irreducible_plane_masks(name, planes):
     assert W._irreducible_plane_masks(rs) is masks
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2"])
-def test_compose_matches_tuple_comprehension(name):
+@pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2", "F4"])
+def test_images_and_masks_match_apply_simple(name):
+    # img[j] is w^-1 alpha_j, with alpha_0 = delta - theta, and the mask is
+    # {beta > 0 : w beta < 0}, both computed root by root along the word
     rs = get_rs(name)
-    actions = [e.action for e in W.enumerate_weyl(rs)]
-    for outer in actions:
-        for inner in actions:
-            got = W._compose(outer, inner)
-            assert type(got) is tuple
-            assert got == tuple(outer[i] for i in inner)
+    span = A._affine_codes(rs)[0]
+    simples = [rs.neg_index(rs.theta.index)] + [rs.simple_root(i).index for i in range(1, rs.rank + 1)]
+    for e in W.enumerate_weyl(rs):
+        images = []
+        for j, f in enumerate(simples):
+            r = rs.roots[f]
+            for i in e.word:  # w^-1 = s_ik .. s_i1
+                r = W.apply_simple(rs, i, r)
+            images.append((int(j == 0), r.index))
+        assert [A._decode(rs, span, c) for c in e.img] == images, e.word
+        mask = 0
+        for r in rs.positive_roots:
+            image = r
+            for i in reversed(e.word):
+                image = W.apply_simple(rs, i, image)
+            mask |= (not image.is_positive) << r.index
+        assert e.inv_mask == mask, e.word
+        assert W.from_word(rs, e.word) == e
 
 
 def test_fc_routes_agree():
