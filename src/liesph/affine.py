@@ -285,38 +285,46 @@ def _inversion_keys(rs: RootSystem, word) -> tuple[set[tuple[int, int]], tuple]:
     return {_decode(rs, span, c) for c in inv}, tuple(_decode(rs, span, c) for c in img)
 
 
-def _peel_word(rs: RootSystem, keys) -> tuple[tuple[int, ...], list[int]]:
-    """Word of the element with inversion set keys, peeling the lowest
-    affine simple root each step, and the codes of the images of the affine
-    simple roots under the inverse of its product; on level-0 keys only
-    finite letters occur.
+def _peel_codes(rs: RootSystem, left: set[int]) -> tuple[tuple[int, ...], list[int]]:
+    """Word of the element whose inversion set has the codes in ``left``,
+    peeling the lowest affine simple root each step, and the codes of the
+    images of the affine simple roots under the inverse of its product; on
+    level-0 codes only finite letters occur.  Consumes ``left``.
 
-    After peeling s_r1 .. s_rm the set left is p^-1 of the keys not yet
+    After peeling s_r1 .. s_rm the set left is p^-1 of the codes not yet
     peeled, p = s_r1 .. s_rm, so alpha_i lies in it iff p alpha_i is one of
-    them: the keys stay put, and only the images p alpha_j move.
+    them: the codes stay put, and only the images p alpha_j move.
 
     With M(p) = {b > 0 : p^-1 b < 0}, each peeled p alpha_i is positive, so
-    M(p s_i) = M(p) + {p alpha_i}: a peel that empties the keys ends at a p
-    with M(p) = keys, and the word, the product p^-1, has them as its
-    inversion set.  When keys = M(v) for some v, M(p) inside M(v) makes
+    M(p s_i) = M(p) + {p alpha_i}: a peel that empties the codes ends at a p
+    with M(p) = codes, and the word, the product p^-1, has them as its
+    inversion set.  When codes = M(v) for some v, M(p) inside M(v) makes
     v = p u with lengths adding, and a left descent s_i of u puts p alpha_i
-    among the keys not yet peeled: the peel sticks exactly when the keys are
-    no inversion set, that is, not biconvex."""
-    span, letters, _ = _affine_codes(rs)
-    packed = rs.packed
-    left = {level * span + packed[f] for level, f in keys}
+    among the codes not yet peeled: the peel sticks exactly when the codes
+    are no inversion set, that is, not biconvex."""
+    letters = _affine_codes(rs)[1]
     img = [c for c, _ in letters]
     rev = []
-    while left:
-        for i, c in enumerate(img):
+    for _ in range(len(left)):
+        i = 0
+        for c in img:
             if c in left:
                 break
+            i += 1
         else:
             raise LiesphError("input set is not biconvex in the affine positive system")
         left.remove(c)
         rev.append(i)
-        _reflect_images(img, letters, i)
+        for j, a in letters[i][1]:  # _reflect_images, inlined: the call was a quarter of the peel
+            img[j] -= a * c
+        img[i] = -c
     return tuple(reversed(rev)), img
+
+
+def _peel_word(rs: RootSystem, keys) -> tuple[tuple[int, ...], list[int]]:
+    """``_peel_codes`` on (level, root index) keys."""
+    span, packed = _affine_codes(rs)[0], rs.packed
+    return _peel_codes(rs, {level * span + packed[f] for level, f in keys})
 
 
 def affine_from_word(rs: RootSystem, word) -> AffineWeylWord:
@@ -408,5 +416,10 @@ def is_commutative_affine(S: AffineRootSet) -> bool:
 
 def is_fc_affine(S: AffineRootSet) -> bool:
     """No irreducible rank-2 parabolic positive subsystem inside S, for S an
-    inversion set: no pair in S is a base of an irreducible plane."""
+    inversion set: no pair in S is a base of an irreducible plane.
+
+    The pair scan serves the atlas, ``inspect`` and the tests; on an ideal's
+    encoding, ``verify_theorem2`` decides the same from the ideal's layer
+    masks (``ideals._is_fc_by_layers``, whose docstring proves the two
+    agree)."""
     return not has_irreducible_base_pair(S.system, sorted(S.keys))

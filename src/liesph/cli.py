@@ -143,7 +143,11 @@ def _emit(report: dict, fmt: str, out: str | None):
 # -- cache ------------------------------------------------------------------------
 
 
-def _cache_fetch(args, key_fields: dict):
+def _cache_fetch(args, key_fields: dict, expect: dict):
+    """The cached report for key_fields, or None.  An entry is served only
+    when it is a JSON object whose fields in ``expect`` (the report's
+    command, type and, for verify, seed) are the request's; anything else is
+    an unreadable entry, warned about and recomputed."""
     if not args.cache:
         return None, None
     import hashlib  # only a cached run needs it
@@ -158,7 +162,7 @@ def _cache_fetch(args, key_fields: dict):
         return None, path
     except (OSError, ValueError):
         report = None
-    if not isinstance(report, dict):
+    if not isinstance(report, dict) or any(report.get(k) != v for k, v in expect.items()):
         print(f"warning: unreadable cache entry {path}; recomputing", file=sys.stderr)
         return None, path
     return report, path
@@ -198,7 +202,8 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
     }
-    report, cache_path = _cache_fetch(args, key)
+    expect = {"command": f"verify-{args.what}", "type": ct.name, "seed": args.seed}
+    report, cache_path = _cache_fetch(args, key, expect)
     if report is None:
         rs = build_root_system(ct, swap=args.swap)
         if args.what == "theorem1":
@@ -295,7 +300,8 @@ def _g2_report(rs) -> dict:
 def cmd_atlas(args) -> int:
     ct = _parse_type(args)
     key = {"command": "atlas", "what": args.what, "type": ct.name, "swap": args.swap}
-    report, cache_path = _cache_fetch(args, key)
+    expect = {"command": f"atlas-{args.what}", "type": ct.name}
+    report, cache_path = _cache_fetch(args, key, expect)
     if report is None:
         rs = build_root_system(ct, swap=args.swap)
         L = build_chevalley(rs)

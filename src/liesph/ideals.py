@@ -13,14 +13,25 @@ from __future__ import annotations
 from .affine import (
     AffineRootSet,
     AffineWeylWord,
+    _affine_codes,
     _decompositions,
+    _peel_codes,
     element_from_biconvex_affine,
     is_commutative_affine,
     is_fc_affine,
 )
 from .chevalley import ChevalleyAlgebra, build_chevalley
 from .errors import LiesphError, MismatchedSystems
-from .roots import PosRootSet, Root, RootSystem, _FrozenRecord, has_summing_pair, iter_bits
+from .roots import (
+    PosRootSet,
+    Root,
+    RootSystem,
+    _FrozenRecord,
+    _irreducible_planes,
+    _poset_tables,
+    has_summing_pair,
+    iter_bits,
+)
 
 
 class CombinatorialIdeal(_FrozenRecord):
@@ -32,25 +43,6 @@ class CombinatorialIdeal(_FrozenRecord):
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def _poset_tables(rs: RootSystem):
-    """Up-set masks of the root poset (cover = adding one simple root)."""
-    cached = getattr(rs, "_poset_up", None)
-    if cached is not None:
-        return cached
-    npos = rs.num_positive
-    simples = [rs.simple_root(i + 1).index for i in range(rs.rank)]
-    up = [0] * npos
-    for i in sorted(range(npos), key=lambda j: -rs.roots[j].height):
-        mask = 1 << i
-        for s in simples:
-            j = rs.sum_table[i][s]
-            if j is not None:
-                mask |= up[j]
-        up[i] = mask
-    rs._poset_up = up
-    return up
 
 
 def root_poset_leq(rs: RootSystem, a: Root, b: Root) -> bool:
@@ -77,8 +69,11 @@ def is_combinatorial_ideal(rs: RootSystem, ps: PosRootSet) -> bool:
 
 def _layers(rs: RootSystem, mask: int) -> tuple[PosRootSet, ...]:
     """Psi^(k) for k >= 1, in one pass by height.  The layers nest, so the
-    deepest layer of a member is 1 plus that of the deeper summand, over its
-    decompositions into two members, and 1 when it has none."""
+    deepest layer of a member, its depth, is 1 plus that of the deeper
+    summand, over its decompositions into two members, and 1 when it has
+    none.  The members of depth k are layer k minus layer k + 1, which is
+    all ``verify_theorem2`` reads: the encoding's codes come from the
+    depths, and full commutativity from the layer masks."""
     npos = rs.num_positive
     pairs = _decompositions(rs)[0]
     depth = [0] * npos
@@ -185,7 +180,9 @@ def is_abelian(rs: RootSystem, ps: PosRootSet) -> bool:
 
 
 def psi_hat(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineRootSet:
-    """Affine encoding: union over k of {k*delta - a : a in Psi^(k)}.
+    """Affine encoding: union over k of {k*delta - a : a in Psi^(k)}, as keys,
+    for the atlas, ``inspect`` and the tests; ``verify_theorem2`` builds the
+    same set as codes (``_encoding_codes``).
 
     The set is biconvex (Cellini-Papi); ``element_from_biconvex_affine``
     proves it by peeling the set into its element, the one check."""
@@ -198,6 +195,83 @@ def psi_hat(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineRootSet:
     return AffineRootSet._trusted(rs, keys)
 
 
+def _code_ladders(rs: RootSystem) -> list[tuple[int, ...]]:
+    """Per positive root g, the codes (``affine._affine_codes``) of
+    k*delta - g for 1 <= k <= ht(g), ``k * span - packed[g]``, memoized on
+    rs: a member of layer k is a sum of k positive roots, so its depth is at
+    most its height."""
+    ladders = getattr(rs, "_code_ladders", None)
+    if ladders is None:
+        span, packed = _affine_codes(rs)[0], rs.packed
+        ladders = rs._code_ladders = [
+            tuple(range(span - packed[g], r.height * span - packed[g] + 1, span))
+            for g, r in enumerate(rs.positive_roots)
+        ]
+    return ladders
+
+
+def _encoding_codes(rs: RootSystem, layers: list[int]) -> set[int]:
+    """The codes of ``psi_hat``, from each member's depth: k*delta - g for
+    1 <= k <= depth(g), where the members of depth k are ``layers[k - 1]``
+    minus ``layers[k]``."""
+    ladders = _code_ladders(rs)
+    depths = [(k, layer & ~deeper)
+              for k, layer, deeper in zip(range(1, len(layers) + 1), layers, layers[1:] + [0])]
+    return {c for k, exact in depths for g in iter_bits(exact) for c in ladders[g][:k]}
+
+
+def _is_fc_by_layers(rs: RootSystem, layers: list[int]) -> bool:
+    """Whether w_I is fully commutative, from the layer masks of I
+    (``layers[k - 1]`` is I^k).
+
+    Lemma: w_I is fully commutative iff no irreducible plane P = Phi cap
+    span has every q in P+ in I^ht_P(q), where ht_P is the height in P's
+    own base (``roots._irreducible_planes``).
+
+    Proof.  N(w_I) = {k delta - b : b in I^k}, and w_I is not fully
+    commutative iff some pair in N(w_I) is a base of an irreducible plane
+    parabolic (``is_fc_affine``); N(w_I) is closed, so it then holds the
+    positive system that base spans.
+
+    If: let {f, h} be the base of P+.  Each root of P is x f + y h with
+    integers x, y of one sign, so the affine roots in span{delta - f,
+    delta - h} are the (x + y) delta - (x f + y h), one for each root of P:
+    an irreducible system with base (delta - f, delta - h), a pair in
+    N(w_I) as f and h lie in I^1.
+
+    Only if: let (k1 delta - f, k2 delta - h) in N(w_I) be a base of the
+    irreducible system A of the affine roots in its span, and P the plane
+    of f and h.  If A projects onto P, then {f, h} is a base of P whose
+    positive system consists of positive roots, so it is the base of P+.
+    Each q = x f + y h in P+ gives the positive root (x k1 + y k2) delta - q
+    of A, which lies in N(w_I): q is in I^(x k1 + y k2), inside I^(x + y)
+    as the layers nest.  Otherwise A is an irreducible rank-2 system with
+    fewer roots than P.  Only a G2 plane holds one, an A2, and it is the
+    long-root one, as the short roots generate all of P.  So P is G2 with
+    base alpha, beta (beta long), and A has base f = beta, h = 3 alpha +
+    beta.  A simple root is no sum of two positive roots, so k1 = 1; alpha
+    = (h - f) / 3 would have the level (k2 - 1) / 3, which is no integer
+    as alpha is not in A, so k2 >= 2.  The only decomposition of h into two positive roots is
+    alpha + (2 alpha + beta), so alpha lies in I, and then I = Phi+, whose
+    layers are the roots by height: the G2 plane itself is the witness.
+
+    An irreducible plane's highest root has ht_P >= 2, so only the planes
+    whose highest root lies in I^2 are read."""
+    if len(layers) < 2:
+        return True
+    planes = _irreducible_planes(rs)
+    for top in iter_bits(layers[1]):
+        for buckets in planes[top]:
+            if len(buckets) > len(layers):
+                continue
+            for bucket, layer in zip(buckets, layers):
+                if bucket & ~layer:
+                    break
+            else:
+                return False
+    return True
+
+
 def w_of_ideal(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineWeylWord:
     return element_from_biconvex_affine(psi_hat(rs, ideal))
 
@@ -205,27 +279,39 @@ def w_of_ideal(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineWeylWord:
 def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     """Per ideal: spherical iff the affine element is fully commutative
     (commutative in G2); abelian iff commutative; spherical forces the third
-    layer to vanish.  Building the affine element peels the encoding, which
-    proves it biconvex; a peel that sticks, or a word of the wrong length,
-    is a mismatch naming the check.  Member coordinates are built only for
-    the mismatches."""
+    layer to vanish.
+
+    Each ideal is read in one pass over its layer masks, as ``_layers``
+    left them.  The encoding is built as codes from the members' depths
+    (``_encoding_codes``) and peeled once (``affine._peel_codes``), which
+    proves it biconvex; a peel that sticks, or a word shorter than the
+    encoding, is a mismatch naming the check.  Full commutativity is read
+    off the layer masks (``_is_fc_by_layers``), and commutativity off the
+    negated members, the encoding's finite parts.  Member coordinates are
+    built only for the mismatches."""
     from .spherical import is_spherical_subspace
 
     L = L or build_chevalley(rs)
     is_g2 = rs.cartan_type.name == "G2"
+    npos = rs.num_positive
+    summable = _decompositions(rs)[1]
     mismatches = []
     n_spherical = n_abelian = n_fc = n_comm = 0
     ideal_list = enumerate_ideals(rs)
     for ideal in ideal_list:
         members = ideal.members
-        S = psi_hat(rs, ideal)
+        layers = [layer.mask for layer in ideal.layers]
+        codes = _encoding_codes(rs, layers)
+        size = len(codes)
         try:
-            element_from_biconvex_affine(S)
+            if len(_peel_codes(rs, codes)[0]) != size:
+                raise LiesphError("peeling failed to reproduce the input set")
         except LiesphError as exc:  # the peel stuck, or its word is short
             mismatches.append({"members": members, "reason": f"affine encoding: {exc}"})
         sph = is_spherical_subspace(L, members)
-        fc = is_fc_affine(S)
-        comm = is_commutative_affine(S)
+        fc = _is_fc_by_layers(rs, layers)
+        negated = members.mask << npos
+        comm = not any(summable[f] & negated for f in iter_bits(negated))
         abelian = is_abelian(rs, members)
         n_spherical += sph
         n_abelian += abelian
@@ -236,9 +322,9 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
             mismatches.append({"members": members, "decider_value": dec, "spherical": sph})
         if abelian != comm:
             mismatches.append({"members": members, "reason": "abelian != commutative"})
-        if sph and len(ideal.layers) > 2:
+        if sph and len(layers) > 2:
             mismatches.append({"members": members, "reason": "spherical ideal with layer 3"})
-        if abelian != (len(ideal.layers) <= 1):
+        if abelian != (len(layers) <= 1):
             mismatches.append({"members": members, "reason": "abelian != single layer"})
     for m in mismatches:
         m["members"] = [list(rs.roots[i].coords) for i in m["members"]]

@@ -285,9 +285,12 @@ class RootSystem:
     Memo tables fill lazily and idempotently, so concurrent readers at worst
     duplicate work: ``_plane_cache`` holds every rank-2 plane parabolic, finite
     and affine alike (see ``plane_parabolic``), over the table of finite
-    planes (``_plane_table``); the ideals module stashes the root poset's
-    up-sets, the affine module its root codes and the decompositions of
-    each root into two, and the weyl module the masks of the summing pairs
+    planes (``_plane_table``), from which the irreducible planes' positive
+    roots are bucketed by height (``_irreducible_planes``); the root poset's
+    up-sets (``_poset_tables``) sit here too.  The affine module stashes its
+    root codes and the decompositions of each root into two, the ideals
+    module the codes of each root's encoding levels, the spherical module
+    its weight index, and the weyl module the masks of the summing pairs
     and of the irreducible planes' positive roots.
     """
 
@@ -547,9 +550,18 @@ def _plane_table(rs: RootSystem) -> dict[tuple[int, int], tuple]:
             b = coords[j]
             minors = [a[k] * b[l] - a[l] * b[k] for k, l in minor_kl]
             d = gcd(*minors)
-            if next(m for m in minors if m) < 0:
+            for m in minors:
+                if m:
+                    break
+            if m < 0:
                 d = -d
-            buckets.setdefault(tuple(m // d for m in minors), set()).update((i, j))
+            key = tuple([m // d for m in minors])
+            plane = buckets.get(key)
+            if plane is None:
+                buckets[key] = {i, j}
+            else:
+                plane.add(i)
+                plane.add(j)
     table = {}
     for minors, positive in buckets.items():
         k, l = next(kl for kl, m in zip(minor_kl, minors) if m)
@@ -562,6 +574,57 @@ def _plane_table(rs: RootSystem) -> dict[tuple[int, int], tuple]:
                     table[(f, g)] = hit
     rs._finite_planes = table
     return table
+
+
+def _irreducible_planes(rs: RootSystem) -> list[list[tuple[int, ...]]]:
+    """Per positive root t, the irreducible planes P = Phi cap span whose
+    highest positive root is t, read once from ``_plane_table`` and memoized
+    on rs.  Each plane is its positive roots bucketed by height in P's own
+    base {f, h}: ``buckets[k - 1]`` is the mask of the q = x*f + y*h in P+
+    with x + y = k.  Any other q in P+ has x, y >= 1, so it is higher than f
+    and h: the base is the first two positive roots of the plane.
+    """
+    by_top = getattr(rs, "_plane_heights", None)
+    if by_top is not None:
+        return by_top
+    npos = rs.num_positive
+    coords = [r.coords for r in rs.roots]
+    by_top = [[] for _ in range(npos)]
+    planes = {hit for hit in _plane_table(rs).values() if len(hit[0]) > 4}
+    for plane, k, l in sorted(planes):
+        positive = [q for q in plane if q < npos]
+        f, h = coords[positive[0]], coords[positive[1]]
+        det = f[k] * h[l] - f[l] * h[k]
+        buckets = [0] * len(positive)
+        for q in positive:
+            c = coords[q]
+            buckets[(c[k] * (h[l] - f[l]) - c[l] * (h[k] - f[k])) // det - 1] |= 1 << q
+        while not buckets[-1]:
+            buckets.pop()
+        by_top[buckets[-1].bit_length() - 1].append(tuple(buckets))
+    rs._plane_heights = by_top
+    return by_top
+
+
+def _poset_tables(rs: RootSystem) -> list[int]:
+    """Up-set masks of the root poset (cover = adding one simple root),
+    memoized on rs: ``up[i]`` holds root i and every positive root above it,
+    which are the positive roots whose coordinates are all at least its."""
+    up = getattr(rs, "_poset_up", None)
+    if up is not None:
+        return up
+    npos = rs.num_positive
+    simples = [rs.simple_root(i + 1).index for i in range(rs.rank)]
+    up = [0] * npos
+    for i in sorted(range(npos), key=lambda j: -rs.roots[j].height):
+        mask = 1 << i
+        for s in simples:
+            j = rs.sum_table[i][s]
+            if j is not None:
+                mask |= up[j]
+        up[i] = mask
+    rs._poset_up = up
+    return up
 
 
 def _finite_plane(rs: RootSystem, fu: int, fv: int) -> tuple:

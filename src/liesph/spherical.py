@@ -35,12 +35,11 @@ import functools
 import itertools
 import random
 import sys
-from operator import sub
 
 from .chevalley import ChevalleyAlgebra, ad_matrix, build_chevalley, height
 from .errors import LiesphError, MismatchedSystems
 from .linalg import mat_is_zero, mat_mul, matrix_rank
-from .roots import PosRootSet, Root, RootSystem, _Record, iter_bits
+from .roots import PosRootSet, Root, RootSystem, _poset_tables, _Record, iter_bits
 from . import weyl as _weyl
 
 
@@ -75,18 +74,35 @@ def _weight_index(rs: RootSystem) -> dict[int, list[tuple[int, int]]]:
     the sum of theirs.  The index maps each nonzero weight sigma >= 0 with
     mu + sigma in Phi or 0 for some root mu to its decompositions (mu, end),
     mu in index order: end is the root index of mu + sigma, or len(rs.roots)
-    when mu + sigma = 0.
+    when mu + sigma = 0, in index order.
+
+    The ends are read off the root poset, as coordinatewise order on
+    positive roots is the poset's order: for mu > 0 they are the positive
+    roots above mu; for mu = -m they are every positive root, then -e for
+    each e < m, then 0.
     """
     cached = getattr(rs, "_weight_idx", None)
     if cached is not None:
         return cached
-    ends = [r.coords for r in rs.roots] + [(0,) * rs.rank]
-    packed_ends = rs.packed + [0]
+    npos, packed = rs.num_positive, rs.packed
+    up = _poset_tables(rs)
+    below = [0] * npos  # the e < m, per m
+    for e, mask in enumerate(up):
+        for m in iter_bits(mask & ~(1 << e)):
+            below[m] |= 1 << e
+    zero = len(rs.roots)
     index: dict[int, list[tuple[int, int]]] = {}
-    for mu, r in enumerate(rs.roots):
-        for end, coords in enumerate(ends):
-            if min(map(sub, coords, r.coords)) >= 0 and coords != r.coords:
-                index.setdefault(packed_ends[end] - rs.packed[mu], []).append((mu, end))
+    for mu in range(npos):
+        p = packed[mu]
+        for end in iter_bits(up[mu] & ~(1 << mu)):
+            index.setdefault(packed[end] - p, []).append((mu, end))
+    for m in range(npos):
+        mu, p = m + npos, packed[m]  # packed[mu] = -p
+        for end in range(npos):
+            index.setdefault(packed[end] + p, []).append((mu, end))
+        for e in iter_bits(below[m]):
+            index.setdefault(p - packed[e], []).append((mu, e + npos))
+        index.setdefault(p, []).append((mu, zero))
     rs._weight_idx = index
     return index
 

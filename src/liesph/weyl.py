@@ -21,7 +21,7 @@ from .roots import (
     PosRootSet,
     Root,
     RootSystem,
-    _plane_table,
+    _irreducible_planes,
     has_irreducible_base_pair,
     iter_bits,
     plane_solver,
@@ -407,13 +407,12 @@ def _summing_pair_masks(rs: RootSystem) -> list[int]:
 
 
 def _irreducible_plane_masks(rs: RootSystem) -> list[int]:
-    """The masks of the positive roots of each irreducible plane, read once
-    from ``_plane_table`` and memoized on rs."""
+    """The masks of the positive roots of each irreducible plane, the union
+    of its height buckets in ``_irreducible_planes`` (which theorem 2 reads
+    bucket by bucket), memoized on rs."""
     masks = getattr(rs, "_irreducible_plane_masks", None)
     if masks is None:
-        npos = rs.num_positive
-        planes = {plane for plane, _, _ in _plane_table(rs).values() if len(plane) > 4}
-        masks = sorted(sum(1 << f for f in plane if f < npos) for plane in planes)
+        masks = sorted(sum(buckets) for planes in _irreducible_planes(rs) for buckets in planes)
         rs._irreducible_plane_masks = masks
     return masks
 

@@ -198,6 +198,9 @@ FAILURES = [
     ("cache entry not an object",
      lambda tmp, cap: _cache_entry(tmp, cap, "[]\n"),
      0, "warning: unreadable cache entry "),
+    ("cache entry of another report",
+     lambda tmp, cap: _cache_entry(tmp, cap, '{"ideals": 3}\n'),
+     0, "warning: unreadable cache entry "),
     ("--out into a missing directory",
      lambda tmp, cap: ["verify", "theorem1", "--type", "A2", "--out", str(tmp / "no" / "r.json")],
      4, "error: [Errno 2] No such file or directory: "),
@@ -359,20 +362,19 @@ def test_encoding_commands_peel_each_ideal_once(monkeypatch, capsys):
 def test_theorem2_reports_a_failed_encoding_as_a_mismatch(monkeypatch, capsys):
     # an encoding that fails its biconvexity check is a mismatch of that
     # ideal, reported with the other ideals, and checked once, by the peel
-    from liesph import affine, ideals
-    from liesph.affine import AffineRootSet
+    from liesph import ideals
 
-    psi_hat, peel = ideals.psi_hat, affine._peel_word
+    encode, peel = ideals._encoding_codes, ideals._peel_codes
     calls, other_proofs = [], []
 
-    def drop_top_key_of_full_ideal(rs, ideal):
-        S = psi_hat(rs, ideal)
-        if ideal.size < rs.num_positive:
-            return S
-        return AffineRootSet(rs, S.keys - {max(S.keys)})
+    def drop_top_code_of_full_ideal(rs, layers):
+        codes = encode(rs, layers)
+        if layers[0] == (1 << rs.num_positive) - 1:
+            codes.remove(max(codes))
+        return codes
 
-    monkeypatch.setattr(ideals, "psi_hat", drop_top_key_of_full_ideal)
-    monkeypatch.setattr(affine, "_peel_word", lambda rs, keys: calls.append(keys) or peel(rs, keys))
+    monkeypatch.setattr(ideals, "_encoding_codes", drop_top_code_of_full_ideal)
+    monkeypatch.setattr(ideals, "_peel_codes", lambda rs, codes: calls.append(codes) or peel(rs, codes))
     _count_other_biconvexity_proofs(monkeypatch, other_proofs)
     code, rep = run_json(capsys, "verify", "theorem2", "--type", "B3")
     assert code == 1

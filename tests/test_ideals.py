@@ -266,13 +266,15 @@ def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
 
     from liesph.cli import main
 
-    peel = A._peel_word
+    peel = A._peel_codes
 
-    def drop_first_letter(rs, keys):
-        word, img = peel(rs, keys)
+    def drop_first_letter(rs, codes):
+        word, img = peel(rs, codes)
         return word[1:], img
 
-    monkeypatch.setattr(A, "_peel_word", drop_first_letter)
+    # the code peel, where the affine module and verify_theorem2 resolve it
+    monkeypatch.setattr(A, "_peel_codes", drop_first_letter)
+    monkeypatch.setattr(I, "_peel_codes", drop_first_letter)
     b2 = get_rs("B2")
     S = I.psi_hat(b2, I.make_ideal(b2, PosRootSet(0b1111, 4)))
     with pytest.raises(LiesphError, match="peeling failed to reproduce the input set"):
@@ -281,3 +283,73 @@ def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     reasons = [m.get("reason") for m in report["mismatches"]]
     assert reasons == ["affine encoding: peeling failed to reproduce the input set"] * 5
+
+
+def _check_layer_path(rs):
+    """verify_theorem2's per-ideal path against the public deciders on the
+    key set: the depth-built codes are psi_hat's keys, the code peel gives
+    element_from_biconvex_affine's word and images, full commutativity by
+    the layer masks is is_fc_affine, and commutativity on the negated
+    members is is_commutative_affine."""
+    span, packed = A._affine_codes(rs)[0], rs.packed
+    npos = rs.num_positive
+    summable = A._decompositions(rs)[1]
+    for ideal in I.enumerate_ideals(rs):
+        layers = [layer.mask for layer in ideal.layers]
+        S = I.psi_hat(rs, ideal)
+        codes = I._encoding_codes(rs, layers)
+        assert codes == {level * span + packed[f] for level, f in S.keys}
+        word, img = A._peel_codes(rs, codes)
+        w = A.element_from_biconvex_affine(S)
+        assert word == w.word and tuple(A._decode(rs, span, c) for c in img) == w.canonical
+        assert I._is_fc_by_layers(rs, layers) == A.is_fc_affine(S), ideal
+        negated = ideal.members.mask << npos
+        comm = not any(summable[f] & negated for f in iter_bits(negated))
+        assert comm == A.is_commutative_affine(S), ideal
+
+
+LAYER_PATH_CASES = [(n, False) for n in [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6", "C2", "C3", "C4", "C5",
+    "C6", "D4", "D5", "D6", "E6", "E7", "F4", "G2"]]
+LAYER_PATH_CASES += [(n, True) for n in ["B2", "C2", "G2"]]
+
+
+@pytest.mark.parametrize("name, swap", LAYER_PATH_CASES,
+                         ids=[f"{n}{'-swap' if w else ''}" for n, w in LAYER_PATH_CASES])
+def test_layer_path_matches_the_key_set_deciders(name, swap):
+    _check_layer_path(get_rs(name, swap))
+
+
+@pytest.mark.slow
+def test_layer_path_matches_the_key_set_deciders_e8():
+    _check_layer_path(get_rs("E8"))
+
+
+def _bucket_coords(rs, buckets):
+    return [sorted(rs.roots[q].coords for q in iter_bits(b)) for b in buckets]
+
+
+def test_plane_height_buckets_by_hand():
+    # a rank-2 type is one irreducible plane; its buckets are the positive
+    # roots by height, and the highest root keys it
+    for name, swap, want in [
+        ("A2", False, [[(0, 1), (1, 0)], [(1, 1)]]),
+        ("B2", False, [[(0, 1), (1, 0)], [(1, 1)], [(1, 2)]]),
+        ("G2", False, [[(0, 1), (1, 0)], [(1, 1)], [(2, 1)], [(3, 1)], [(3, 2)]]),
+        ("G2", True, [[(0, 1), (1, 0)], [(1, 1)], [(1, 2)], [(1, 3)], [(2, 3)]]),
+    ]:
+        rs = get_rs(name, swap)
+        planes = I._irreducible_planes(rs)
+        assert [len(p) for p in planes] == [0] * (rs.num_positive - 1) + [1]
+        assert _bucket_coords(rs, planes[rs.theta.index][0]) == [sorted(b) for b in want]
+    # inside B3 (e1 - e2, e2 - e3, e3), the planes topped by e1 + e2: the B2
+    # plane span{e1, e2}, whose base e1 - e2, e2 is not made of simple roots
+    # of B3, and two A2 planes
+    b3 = get_rs("B3")
+    top = b3.root_from_coords((1, 2, 2)).index
+    got = [_bucket_coords(b3, buckets) for buckets in I._irreducible_planes(b3)[top]]
+    assert sorted(got) == [
+        [[(0, 1, 0), (1, 1, 2)], [(1, 2, 2)]],  # e2 - e3, e1 + e3
+        [[(0, 1, 1), (1, 0, 0)], [(1, 1, 1)], [(1, 2, 2)]],  # e2, e1 - e2; e1
+        [[(0, 1, 2), (1, 1, 0)], [(1, 2, 2)]],  # e2 + e3, e1 - e3
+    ]

@@ -1,6 +1,7 @@
 import itertools
 import multiprocessing
 import os
+from operator import sub
 
 import pytest
 
@@ -657,6 +658,32 @@ def _counting_predicate(monkeypatch):
     vanishes = S._p_multiset_vanishes
     monkeypatch.setattr(S, "_p_multiset_vanishes", lambda *a: calls.append(a) or vanishes(*a))
     return calls
+
+
+def _reference_weight_index(rs):
+    """The weight index by a scan of every ordered pair (mu, end) of a root
+    and a root or 0, keeping those with end - mu nonzero and nonnegative."""
+    ends = [r.coords for r in rs.roots] + [(0,) * rs.rank]
+    packed_ends = rs.packed + [0]
+    index = {}
+    for mu, r in enumerate(rs.roots):
+        for end, coords in enumerate(ends):
+            if min(map(sub, coords, r.coords)) >= 0 and coords != r.coords:
+                index.setdefault(packed_ends[end] - rs.packed[mu], []).append((mu, end))
+    return index
+
+
+WEIGHT_INDEX_CASES = [(n, False) for n in [
+    "A1", "A2", "A3", "A5", "A8", "B2", "B3", "B5", "B8", "C3", "C5", "C8", "D4", "D5", "D8",
+    "E6", "E7", "E8", "F4", "G2"]] + [(n, True) for n in ["B2", "C2", "G2"]]
+
+
+@pytest.mark.parametrize("name, swap", WEIGHT_INDEX_CASES,
+                         ids=[f"{n}{'-swap' if w else ''}" for n, w in WEIGHT_INDEX_CASES])
+def test_weight_index_from_the_poset_matches_the_pair_scan(name, swap):
+    # same keys in the same order, and the same (mu, end) lists
+    rs = get_rs(name, swap)
+    assert list(S._weight_index(rs).items()) == list(_reference_weight_index(rs).items())
 
 
 def test_weight_filter_skips_inadmissible_multisets(monkeypatch):
