@@ -12,7 +12,7 @@ Weyl element as the same images, read at level 0.
 from __future__ import annotations
 
 from .errors import LiesphError, MismatchedSystems
-from .roots import RootSystem, has_irreducible_base_pair, has_summing_pair
+from .roots import RootSystem, has_irreducible_base_pair, has_summing_pair, iter_bits
 
 
 class AffineRoot:
@@ -354,6 +354,19 @@ def _decompositions(rs: RootSystem) -> tuple[list[list[tuple[int, int]]], list[i
     return dec
 
 
+def _has_summing_pair(rs: RootSystem, mask: int) -> bool:
+    """Whether two (not necessarily distinct) roots in a mask of root
+    indices, positive or negative, sum to a root: some member's summable
+    mask meets the mask.  The one decider for abelian ideals, affine
+    commutativity on an encoding's finite parts and finite commutativity;
+    ``roots.has_summing_pair`` is its reference."""
+    summable = _decompositions(rs)[1]
+    for f in iter_bits(mask):  # a loop: any() over a generator took 2.5 times as long
+        if summable[f] & mask:
+            return True
+    return False
+
+
 def is_biconvex_affine(S: AffineRootSet) -> bool:
     """Closure of S and of its complement under real-root addition, read off
     the first missing level e[f] of each finite root f (Shi's coordinates).
@@ -418,8 +431,8 @@ def is_fc_affine(S: AffineRootSet) -> bool:
     """No irreducible rank-2 parabolic positive subsystem inside S, for S an
     inversion set: no pair in S is a base of an irreducible plane.
 
-    The pair scan serves the atlas, ``inspect`` and the tests; on an ideal's
-    encoding, ``verify_theorem2`` decides the same from the ideal's layer
-    masks (``ideals._is_fc_by_layers``, whose docstring proves the two
-    agree)."""
+    The pair scan is public API and the tests' reference; on an ideal's
+    encoding, the per-ideal path of ``liesph.ideals`` decides the same from
+    the ideal's layer masks (``ideals._is_fc_by_layers``, whose docstring
+    proves the two agree)."""
     return not has_irreducible_base_pair(S.system, sorted(S.keys))

@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import __version__
-from . import affine as A
 from . import ideals as I
 from . import spherical as S
 from . import weyl as W
@@ -391,18 +390,9 @@ def cmd_inspect(args) -> int:
                 raise LiesphError("ideal generators must be positive roots")
         ideal = I.ideal_from_generators(rs, gens)
         ps = ideal.members
-        Shat = I.psi_hat(rs, ideal)
-        subject = {
-            "subject": "ideal",
-            "generators": [list(rs.roots[i].coords) for i in I.minimal_generators(rs, ps)],
-            "members": [list(rs.roots[i].coords) for i in ps],
-            "layers": [[list(rs.roots[i].coords) for i in layer.indices()] for layer in ideal.layers],
-            "psi_hat": Shat.to_json_list(),
-            "w_word": list(A.element_from_biconvex_affine(Shat).word),
-            "abelian": I.is_abelian(rs, ps),
-            "fully_commutative": A.is_fc_affine(Shat),
-            "commutative": A.is_commutative_affine(Shat),
-        }
+        subject = I.ideal_record(rs, L, ideal)
+        subject["fully_commutative"] = subject.pop("fc")
+        subject["subject"] = "ideal"
 
     base = S.make_report(L, ps, subject["subject"]).to_json_dict()
     dim_orbit, h, ranks = S.orbit_fingerprint(L, ps, trials=args.trials, seed=args.seed)

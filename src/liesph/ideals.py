@@ -10,15 +10,15 @@ roots, hence the inversion set of a unique affine Weyl group element.
 
 from __future__ import annotations
 
+from . import spherical as _spherical
 from .affine import (
     AffineRootSet,
     AffineWeylWord,
     _affine_codes,
     _decompositions,
+    _has_summing_pair,
     _peel_codes,
     element_from_biconvex_affine,
-    is_commutative_affine,
-    is_fc_affine,
 )
 from .chevalley import ChevalleyAlgebra, build_chevalley
 from .errors import LiesphError, MismatchedSystems
@@ -29,7 +29,6 @@ from .roots import (
     _FrozenRecord,
     _irreducible_planes,
     _poset_tables,
-    has_summing_pair,
     iter_bits,
 )
 
@@ -55,16 +54,12 @@ def root_poset_leq(rs: RootSystem, a: Root, b: Root) -> bool:
 
 
 def is_combinatorial_ideal(rs: RootSystem, ps: PosRootSet) -> bool:
-    """Closed under addition of arbitrary positive roots."""
+    """Closed under addition of arbitrary positive roots: an up-set of the
+    root poset, as a + b lies above a, and each step up adds a simple root."""
     if ps.width != rs.num_positive:
         raise MismatchedSystems("bit vector from another system")
-    mask = ps.mask
-    for i in ps.indices():
-        for b in range(rs.num_positive):
-            s = rs.sum_table[i][b]
-            if s is not None and not mask >> s & 1:
-                return False
-    return True
+    up, mask = _poset_tables(rs), ps.mask
+    return all(not up[i] & ~mask for i in iter_bits(mask))
 
 
 def _layers(rs: RootSystem, mask: int) -> tuple[PosRootSet, ...]:
@@ -120,13 +115,13 @@ def ideal_from_generators(rs: RootSystem, generators) -> CombinatorialIdeal:
 
 
 def minimal_generators(rs: RootSystem, ps: PosRootSet) -> list[int]:
-    """Minimal members (the antichain generating the up-set)."""
+    """Minimal members (the antichain generating the up-set): those strictly
+    above no member."""
     up = _poset_tables(rs)
-    out = []
-    for i in ps.indices():
-        if not any(j != i and up[j] >> i & 1 for j in ps.indices()):
-            out.append(i)
-    return out
+    above = 0
+    for i in iter_bits(ps.mask):
+        above |= up[i] & ~(1 << i)
+    return list(iter_bits(ps.mask & ~above))
 
 
 def enumerate_ideals(rs: RootSystem) -> list[CombinatorialIdeal]:
@@ -176,13 +171,13 @@ def is_abelian(rs: RootSystem, ps: PosRootSet) -> bool:
     """No two members (with repetition) sum to a root."""
     if ps.width != rs.num_positive:
         raise MismatchedSystems("bit vector from another system")
-    return not has_summing_pair(rs, ps.indices())
+    return not _has_summing_pair(rs, ps.mask)
 
 
 def psi_hat(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineRootSet:
     """Affine encoding: union over k of {k*delta - a : a in Psi^(k)}, as keys,
-    for the atlas, ``inspect`` and the tests; ``verify_theorem2`` builds the
-    same set as codes (``_encoding_codes``).
+    the reports' ``psi_hat`` field; the per-ideal path builds the same set
+    as codes (``_encoding_codes``).
 
     The set is biconvex (Cellini-Papi); ``element_from_biconvex_affine``
     proves it by peeling the set into its element, the one check."""
@@ -276,43 +271,57 @@ def w_of_ideal(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineWeylWord:
     return element_from_biconvex_affine(psi_hat(rs, ideal))
 
 
+def _encoding_word(rs: RootSystem, layers: list[int]) -> tuple[int, ...]:
+    """The word of w_I from the layer masks of I: the depth-built codes
+    (``_encoding_codes``) peeled once (``affine._peel_codes``), which proves
+    them biconvex.  A peel that sticks, or a word shorter than the encoding,
+    raises LiesphError naming the check."""
+    codes = _encoding_codes(rs, layers)
+    size = len(codes)
+    word = _peel_codes(rs, codes)[0]
+    if len(word) != size:
+        raise LiesphError("peeling failed to reproduce the input set")
+    return word
+
+
+def _ideal_flags(rs: RootSystem, L: ChevalleyAlgebra, members: PosRootSet, layers: list[int]):
+    """(spherical, fc, commutative, abelian) of an ideal, from its members
+    and layer masks.  Full commutativity of w_I is read off the layers
+    (``_is_fc_by_layers``); commutativity off the negated members, the
+    encoding's finite parts, as a sum of real affine roots is real iff
+    their finite parts sum to a root."""
+    return (
+        _spherical.is_spherical_subspace(L, members),
+        _is_fc_by_layers(rs, layers),
+        not _has_summing_pair(rs, members.mask << rs.num_positive),
+        is_abelian(rs, members),
+    )
+
+
 def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     """Per ideal: spherical iff the affine element is fully commutative
     (commutative in G2); abelian iff commutative; spherical forces the third
     layer to vanish.
 
     Each ideal is read in one pass over its layer masks, as ``_layers``
-    left them.  The encoding is built as codes from the members' depths
-    (``_encoding_codes``) and peeled once (``affine._peel_codes``), which
-    proves it biconvex; a peel that sticks, or a word shorter than the
-    encoding, is a mismatch naming the check.  Full commutativity is read
-    off the layer masks (``_is_fc_by_layers``), and commutativity off the
-    negated members, the encoding's finite parts.  Member coordinates are
-    built only for the mismatches."""
-    from .spherical import is_spherical_subspace
-
+    left them, by the per-ideal path the atlas and ``inspect`` share: the
+    encoding is peeled once (``_encoding_word``), and an encoding that
+    fails is a mismatch naming the check; the flags come from
+    ``_ideal_flags``.  Member coordinates are built only for the
+    mismatches."""
     L = L or build_chevalley(rs)
     is_g2 = rs.cartan_type.name == "G2"
-    npos = rs.num_positive
-    summable = _decompositions(rs)[1]
     mismatches = []
     n_spherical = n_abelian = n_fc = n_comm = 0
     ideal_list = enumerate_ideals(rs)
     for ideal in ideal_list:
         members = ideal.members
         layers = [layer.mask for layer in ideal.layers]
-        codes = _encoding_codes(rs, layers)
-        size = len(codes)
         try:
-            if len(_peel_codes(rs, codes)[0]) != size:
-                raise LiesphError("peeling failed to reproduce the input set")
+            _encoding_word(rs, layers)
         except LiesphError as exc:  # the peel stuck, or its word is short
             mismatches.append({"members": members, "reason": f"affine encoding: {exc}"})
-        sph = is_spherical_subspace(L, members)
-        fc = _is_fc_by_layers(rs, layers)
-        negated = members.mask << npos
-        comm = not any(summable[f] & negated for f in iter_bits(negated))
-        abelian = is_abelian(rs, members)
+        sph, fc, comm, abelian = _ideal_flags(rs, L, members, layers)
         n_spherical += sph
         n_abelian += abelian
         n_fc += fc
@@ -347,27 +356,28 @@ def maximal_spherical_ideals(records: list[dict]) -> list[list[list[int]]]:
     return sorted(sorted(map(list, m)) for m in spherical if not any(m < o for o in spherical))
 
 
-def ideal_atlas(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> list[dict]:
-    """One JSON-ready record per ideal: generators, members, layers, affine
-    encoding, word, and the classification flags."""
-    from .spherical import is_spherical_subspace
+def ideal_record(rs: RootSystem, L: ChevalleyAlgebra, ideal: CombinatorialIdeal) -> dict:
+    """One JSON-ready record of an ideal: generators, members, layers,
+    affine encoding, the word of w_I and the classification flags, by the
+    per-ideal path of ``verify_theorem2``.  A failed encoding raises."""
+    members = ideal.members
+    layers = [layer.mask for layer in ideal.layers]
+    word = _encoding_word(rs, layers)
+    sph, fc, comm, abelian = _ideal_flags(rs, L, members, layers)
+    return {
+        "generators": [list(rs.roots[i].coords) for i in minimal_generators(rs, members)],
+        "members": [list(rs.roots[i].coords) for i in members],
+        "layers": [[list(rs.roots[i].coords) for i in layer.indices()] for layer in ideal.layers],
+        "psi_hat": psi_hat(rs, ideal).to_json_list(),
+        "w_word": list(word),
+        "abelian": abelian,
+        "commutative": comm,
+        "fc": fc,
+        "spherical": sph,
+    }
 
+
+def ideal_atlas(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> list[dict]:
+    """``ideal_record`` of every ideal, in ``enumerate_ideals`` order."""
     L = L or build_chevalley(rs)
-    records = []
-    for ideal in enumerate_ideals(rs):
-        S = psi_hat(rs, ideal)
-        w = element_from_biconvex_affine(S)
-        records.append(
-            {
-                "generators": [list(rs.roots[i].coords) for i in minimal_generators(rs, ideal.members)],
-                "members": [list(rs.roots[i].coords) for i in ideal.members],
-                "layers": [[list(rs.roots[i].coords) for i in layer.indices()] for layer in ideal.layers],
-                "psi_hat": S.to_json_list(),
-                "w_word": list(w.word),
-                "abelian": is_abelian(rs, ideal.members),
-                "commutative": is_commutative_affine(S),
-                "fc": is_fc_affine(S),
-                "spherical": is_spherical_subspace(L, ideal.members),
-            }
-        )
-    return records
+    return [ideal_record(rs, L, ideal) for ideal in enumerate_ideals(rs)]

@@ -288,10 +288,10 @@ class RootSystem:
     planes (``_plane_table``), from which the irreducible planes' positive
     roots are bucketed by height (``_irreducible_planes``); the root poset's
     up-sets (``_poset_tables``) sit here too.  The affine module stashes its
-    root codes and the decompositions of each root into two, the ideals
-    module the codes of each root's encoding levels, the spherical module
-    its weight index, and the weyl module the masks of the summing pairs
-    and of the irreducible planes' positive roots.
+    root codes and the decompositions of each root into two, with each
+    root's summable mask, the ideals module the codes of each root's
+    encoding levels, the spherical module its weight index, and the weyl
+    module the masks of the irreducible planes' positive roots.
     """
 
     def __init__(self, cartan_type: CartanType, swap: bool = False):

@@ -15,7 +15,14 @@ from __future__ import annotations
 
 from collections import deque
 
-from .affine import _affine_codes, _inversion_codes, _peel_word, _reflect_images, _reflect_key
+from .affine import (
+    _affine_codes,
+    _has_summing_pair,
+    _inversion_codes,
+    _peel_word,
+    _reflect_images,
+    _reflect_key,
+)
 from .errors import BudgetExceeded, LiesphError, MismatchedSystems, WordCapExceeded
 from .roots import (
     PosRootSet,
@@ -393,19 +400,6 @@ def pairing_nonneg(rs: RootSystem, ps: PosRootSet) -> bool:
     return True
 
 
-def _summing_pair_masks(rs: RootSystem) -> list[int]:
-    """The masks {a, b} of the positive roots a < b with a + b a root,
-    memoized on rs."""
-    masks = getattr(rs, "_summing_pair_masks", None)
-    if masks is None:
-        st = rs.sum_table
-        npos = rs.num_positive
-        masks = [1 << a | 1 << b for a in range(npos) for b in range(a + 1, npos)
-                 if st[a][b] is not None]
-        rs._summing_pair_masks = masks
-    return masks
-
-
 def _irreducible_plane_masks(rs: RootSystem) -> list[int]:
     """The masks of the positive roots of each irreducible plane, the union
     of its height buckets in ``_irreducible_planes`` (which theorem 2 reads
@@ -418,15 +412,10 @@ def _irreducible_plane_masks(rs: RootSystem) -> list[int]:
 
 
 def is_commutative_inv(w: WeylElement) -> bool:
-    """No two (not necessarily distinct) inversions sum to a root.
-
-    Since a + a is never a root, this asks whether some summing pair's mask
-    lies inside the inversion set: the same decision as has_summing_pair."""
-    inv = w.inv_mask
-    for mask in _summing_pair_masks(w.system):
-        if mask & inv == mask:
-            return False
-    return True
+    """No two (not necessarily distinct) inversions sum to a root, decided
+    on the inversion mask through the per-root summable masks
+    (``affine._has_summing_pair``): the same decision as has_summing_pair."""
+    return not _has_summing_pair(w.system, w.inv_mask)
 
 
 def is_fc_inv(w: WeylElement) -> bool:

@@ -8,6 +8,7 @@ from liesph import affine as A
 from liesph import ideals as I
 from liesph import weyl as W
 from liesph.errors import LiesphError
+from liesph.roots import has_summing_pair
 
 LETTER_TYPES = [(n, False) for n in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
                                      "D4", "F4", "G2")] + [(n, True) for n in ("B2", "C2", "G2")]
@@ -336,6 +337,23 @@ def test_biconvex_against_letter_oracle_on_random_sets(name):
         _assert_peel_decides(S, got)
         accepted += got
     assert 0 < accepted < 2000
+
+
+@pytest.mark.parametrize("name", ["A1", "B3", "G2", "F4", "E6"])
+def test_summing_pair_decider_matches_the_pair_scan(name):
+    # the summable-mask decider on masks of root indices, positive and
+    # negative alike, against roots.has_summing_pair; in A1 no two roots
+    # sum to a root, elsewhere both answers occur
+    rs = get_rs(name)
+    n = len(rs.roots)
+    rng = random.Random(f"summing-{name}")
+    found = 0
+    for _ in range(2000):
+        members = rng.sample(range(n), rng.randint(0, min(n, 8)))
+        got = A._has_summing_pair(rs, sum(1 << f for f in members))
+        assert got == has_summing_pair(rs, sorted(members)), sorted(members)
+        found += got
+    assert found < 2000 and (found > 0) == (name != "A1")
 
 
 def _assert_peel_decides(S, biconvex):

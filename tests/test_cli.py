@@ -346,11 +346,12 @@ def _count_other_biconvexity_proofs(monkeypatch, calls):
 
 
 def test_encoding_commands_peel_each_ideal_once(monkeypatch, capsys):
-    # atlas ideals and inspect --ideal-gen build each element by the peel alone
-    from liesph import affine
+    # atlas ideals and inspect --ideal-gen build each element by the code
+    # peel alone, on the per-ideal path of verify theorem2
+    from liesph import ideals
 
-    peel, calls, other_proofs = affine._peel_word, [], []
-    monkeypatch.setattr(affine, "_peel_word", lambda rs, keys: calls.append(keys) or peel(rs, keys))
+    peel, calls, other_proofs = ideals._peel_codes, [], []
+    monkeypatch.setattr(ideals, "_peel_codes", lambda rs, c: calls.append(c) or peel(rs, c))
     _count_other_biconvexity_proofs(monkeypatch, other_proofs)
     code, rep = run_json(capsys, "atlas", "ideals", "--type", "B3")
     assert code == 0 and rep["count"] == len(calls) == 20

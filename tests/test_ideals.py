@@ -1,12 +1,14 @@
 import pickle
+import random
 
 import pytest
 
-from conftest import get_rs
+from conftest import get_algebra, get_rs
 from liesph import affine as A
 from liesph import ideals as I
+from liesph.chevalley import build_chevalley
 from liesph.errors import LiesphError
-from liesph.roots import PosRootSet, iter_bits
+from liesph.roots import PosRootSet, has_summing_pair, iter_bits
 
 IDEAL_COUNTS = {
     "A1": 2, "A2": 5, "B2": 6, "G2": 8, "A3": 14, "B3": 20, "C3": 20,
@@ -31,7 +33,32 @@ def test_upset_equals_sum_closure():
         up = I._poset_tables(rs)
         for m in range(1 << rs.num_positive):
             upward = all(up[i] & ~m == 0 for i in range(rs.num_positive) if m >> i & 1)
+            assert upward == _reference_is_combinatorial_ideal(rs, m)
             assert upward == I.is_combinatorial_ideal(rs, PosRootSet(m, rs.num_positive))
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "C4", "D4", "F4", "G2", "E6"])
+def test_poset_mask_deciders_match_the_pair_scans(name):
+    # is_combinatorial_ideal and minimal_generators read the up-set masks;
+    # the scans over every (member, positive root) and (member, member) pair
+    # are the references, on every ideal and on seeded random masks: each
+    # random mask, its up-closure, and that closure less one member
+    rs = get_rs(name)
+    npos = rs.num_positive
+    up = I._poset_tables(rs)
+    rng = random.Random(f"poset-{name}")
+    masks = [ideal.members.mask for ideal in I.enumerate_ideals(rs)]
+    for _ in range(1000):
+        density = rng.random()
+        m = sum(1 << i for i in range(npos) if rng.random() < density)
+        closure = 0
+        for i in iter_bits(m):
+            closure |= up[i]
+        masks += [m, closure, closure & ~(1 << rng.randrange(npos))]
+    for m in masks:
+        ps = PosRootSet(m, npos)
+        assert I.is_combinatorial_ideal(rs, ps) == _reference_is_combinatorial_ideal(rs, m), m
+        assert I.minimal_generators(rs, ps) == _reference_minimal_generators(rs, m), m
 
 
 def test_ideal_counts():
@@ -203,6 +230,26 @@ def test_combinatorial_ideal_is_a_frozen_value():
         del ideal.layers
 
 
+# -- references: the pair scans the up-set masks replaced --------------------
+
+
+def _reference_is_combinatorial_ideal(rs, mask):
+    """Every member plus any positive root, when a root, is a member."""
+    for i in iter_bits(mask):
+        for b in range(rs.num_positive):
+            s = rs.sum_table[i][b]
+            if s is not None and not mask >> s & 1:
+                return False
+    return True
+
+
+def _reference_minimal_generators(rs, mask):
+    """The members strictly above no other member, over every pair."""
+    up = I._poset_tables(rs)
+    members = list(iter_bits(mask))
+    return [i for i in members if not any(j != i and up[j] >> i & 1 for j in members)]
+
+
 # -- reference: the layers by rescanning, one layer at a time ---------------
 
 
@@ -285,16 +332,19 @@ def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
     assert reasons == ["affine encoding: peeling failed to reproduce the input set"] * 5
 
 
-def _check_layer_path(rs):
-    """verify_theorem2's per-ideal path against the public deciders on the
-    key set: the depth-built codes are psi_hat's keys, the code peel gives
-    element_from_biconvex_affine's word and images, full commutativity by
-    the layer masks is is_fc_affine, and commutativity on the negated
-    members is is_commutative_affine."""
+def _check_layer_path(rs, L, records=None):
+    """The per-ideal path against the public deciders on the key set: the
+    depth-built codes are psi_hat's keys, the code peel gives
+    element_from_biconvex_affine's word and images, and _ideal_flags' fc,
+    commutative and abelian are is_fc_affine, is_commutative_affine and
+    has_summing_pair on the members.  Each of the atlas records, when
+    given, is the one the key-set route builds: its w_word the word of
+    element_from_biconvex_affine (so _encoding_word's), its generators by
+    the pair scan."""
     span, packed = A._affine_codes(rs)[0], rs.packed
-    npos = rs.num_positive
-    summable = A._decompositions(rs)[1]
-    for ideal in I.enumerate_ideals(rs):
+    coords = [list(r.coords) for r in rs.roots]
+    ideals = I.enumerate_ideals(rs)
+    for ideal, record in zip(ideals, records or [None] * len(ideals), strict=True):
         layers = [layer.mask for layer in ideal.layers]
         S = I.psi_hat(rs, ideal)
         codes = I._encoding_codes(rs, layers)
@@ -302,10 +352,23 @@ def _check_layer_path(rs):
         word, img = A._peel_codes(rs, codes)
         w = A.element_from_biconvex_affine(S)
         assert word == w.word and tuple(A._decode(rs, span, c) for c in img) == w.canonical
-        assert I._is_fc_by_layers(rs, layers) == A.is_fc_affine(S), ideal
-        negated = ideal.members.mask << npos
-        comm = not any(summable[f] & negated for f in iter_bits(negated))
-        assert comm == A.is_commutative_affine(S), ideal
+        flags = I._ideal_flags(rs, L, ideal.members, layers)
+        fc, comm = A.is_fc_affine(S), A.is_commutative_affine(S)
+        abelian = not has_summing_pair(rs, ideal.members.indices())
+        assert flags[1:] == (fc, comm, abelian), ideal
+        if record is not None:
+            minimal = _reference_minimal_generators(rs, ideal.members.mask)
+            assert record == {
+                "generators": [coords[i] for i in minimal],
+                "members": [coords[i] for i in ideal.members],
+                "layers": [[coords[i] for i in layer] for layer in ideal.layers],
+                "psi_hat": S.to_json_list(),
+                "w_word": list(w.word),
+                "abelian": abelian,
+                "commutative": comm,
+                "fc": fc,
+                "spherical": flags[0],
+            }, ideal
 
 
 LAYER_PATH_CASES = [(n, False) for n in [
@@ -317,12 +380,15 @@ LAYER_PATH_CASES += [(n, True) for n in ["B2", "C2", "G2"]]
 @pytest.mark.parametrize("name, swap", LAYER_PATH_CASES,
                          ids=[f"{n}{'-swap' if w else ''}" for n, w in LAYER_PATH_CASES])
 def test_layer_path_matches_the_key_set_deciders(name, swap):
-    _check_layer_path(get_rs(name, swap))
+    rs = get_rs(name, swap)
+    L = build_chevalley(rs)
+    _check_layer_path(rs, L, I.ideal_atlas(rs, L))
 
 
 @pytest.mark.slow
 def test_layer_path_matches_the_key_set_deciders_e8():
-    _check_layer_path(get_rs("E8"))
+    # no atlas: as a list it would hold all 25 080 encodings at once
+    _check_layer_path(get_rs("E8"), get_algebra("E8"))
 
 
 def _bucket_coords(rs, buckets):
