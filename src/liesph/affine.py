@@ -12,7 +12,7 @@ Weyl element as the same images, read at level 0.
 from __future__ import annotations
 
 from .errors import LiesphError, MismatchedSystems
-from .roots import RootSystem, has_irreducible_base_pair, has_summing_pair, iter_bits
+from .roots import RootSystem, _memo, has_irreducible_base_pair, has_summing_pair, iter_bits
 
 
 class AffineRoot:
@@ -161,27 +161,25 @@ def _word_image(rs: RootSystem, word, key: tuple[int, int]) -> tuple[int, int]:
     return level, f
 
 
+@_memo
 def _affine_codes(rs: RootSystem):
-    """Real affine roots as ints, built on first use: f + level*delta is
-    ``level * span + packed[f]``.  ``packed`` is linear and smaller than
-    span / 2 on roots, so the code is linear, and positive iff the root is.
+    """Real affine roots as ints: f + level*delta is ``level * span +
+    packed[f]``.  ``packed`` is linear and smaller than span / 2 on roots,
+    so the code is linear, and positive iff the root is.
 
     Returns ``(span, letters, simple)``: per affine letter i, the code of
     alpha_i and the pairs (j, <alpha_j, alpha_i^vee>) over its affine Dynkin
     neighbours; and the (level, root index) key of each alpha_i, with
     alpha_0 = delta - theta."""
-    codes = getattr(rs, "_affine_codes", None)
-    if codes is None:
-        packed, pt = rs.packed, rs.pairing_table
-        span = 2 * packed[rs.theta.index] + 1
-        simple = ((1, rs.neg_index(rs.theta.index)),
-                  *((0, rs.simple_root(i).index) for i in range(1, rs.rank + 1)))
-        codes = rs._affine_codes = (span, tuple(
-            (li * span + packed[fi],
-             tuple((j, pt[fj][fi]) for j, (_, fj) in enumerate(simple) if j != i and pt[fj][fi]))
-            for i, (li, fi) in enumerate(simple)
-        ), simple)
-    return codes
+    packed, pt = rs.packed, rs.pairing_table
+    span = 2 * packed[rs.theta.index] + 1
+    simple = ((1, rs.neg_index(rs.theta.index)),
+              *((0, rs.simple_root(i).index) for i in range(1, rs.rank + 1)))
+    return (span, tuple(
+        (li * span + packed[fi],
+         tuple((j, pt[fj][fi]) for j, (_, fj) in enumerate(simple) if j != i and pt[fj][fi]))
+        for i, (li, fi) in enumerate(simple)
+    ), simple)
 
 
 def _reflect_images(img: list[int], letters, i: int):
@@ -335,30 +333,28 @@ def affine_inversions(w: AffineWeylWord) -> AffineRootSet:
     return AffineRootSet(w.system, w.inv_keys)
 
 
+@_memo
 def _decompositions(rs: RootSystem) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Built on first use: per root g, each unordered pair {f, h} of roots
-    with f + h = g, once, as ``(f, h)`` with f < h, in increasing order of
-    h, so that the pairs of positive roots come first; and per root h, the
-    bit mask of the roots f with f + h a root."""
-    dec = getattr(rs, "_root_decompositions", None)
-    if dec is None:
-        pairs = [[] for _ in rs.roots]
-        summable = [0] * len(rs.roots)
-        for h, row in enumerate(rs.sum_table):
-            for f, g in enumerate(row):
-                if g is not None:
-                    summable[h] |= 1 << f
-                    if f < h:
-                        pairs[g].append((f, h))
-        dec = rs._root_decompositions = (pairs, summable)
-    return dec
+    """Per root g, each unordered pair {f, h} of roots with f + h = g,
+    once, as ``(f, h)`` with f < h, in increasing order of h, so that the
+    pairs of positive roots come first; and per root h, the bit mask of the
+    roots f with f + h a root."""
+    pairs = [[] for _ in rs.roots]
+    summable = [0] * len(rs.roots)
+    for h, row in enumerate(rs.sum_table):
+        for f, g in enumerate(row):
+            if g is not None:
+                summable[h] |= 1 << f
+                if f < h:
+                    pairs[g].append((f, h))
+    return pairs, summable
 
 
 def _has_summing_pair(rs: RootSystem, mask: int) -> bool:
     """Whether two (not necessarily distinct) roots in a mask of root
     indices, positive or negative, sum to a root: some member's summable
-    mask meets the mask.  The one decider for abelian ideals, affine
-    commutativity on an encoding's finite parts and finite commutativity;
+    mask meets the mask.  The one decider for abelian ideals, which is
+    the commutativity of their affine elements, and finite commutativity;
     ``roots.has_summing_pair`` is its reference."""
     summable = _decompositions(rs)[1]
     for f in iter_bits(mask):  # a loop: any() over a generator took 2.5 times as long

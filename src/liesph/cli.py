@@ -399,7 +399,7 @@ def cmd_inspect(args) -> int:
     report = {
         **base,
         **subject,
-        "generic_height": S.generic_height(L, ps, trials=args.trials, seed=args.seed),
+        "generic_height": h,  # generic_height draws the fingerprint's samples
         "orbit_fingerprint": {"orbit_dim": dim_orbit, "height": h, "ranks": list(ranks)},
         "command": "inspect",
         "seed": args.seed,

@@ -28,6 +28,7 @@ from .roots import (
     RootSystem,
     _FrozenRecord,
     _irreducible_planes,
+    _memo,
     _poset_tables,
     iter_bits,
 )
@@ -190,19 +191,15 @@ def psi_hat(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineRootSet:
     return AffineRootSet._trusted(rs, keys)
 
 
+@_memo
 def _code_ladders(rs: RootSystem) -> list[tuple[int, ...]]:
     """Per positive root g, the codes (``affine._affine_codes``) of
-    k*delta - g for 1 <= k <= ht(g), ``k * span - packed[g]``, memoized on
-    rs: a member of layer k is a sum of k positive roots, so its depth is at
-    most its height."""
-    ladders = getattr(rs, "_code_ladders", None)
-    if ladders is None:
-        span, packed = _affine_codes(rs)[0], rs.packed
-        ladders = rs._code_ladders = [
-            tuple(range(span - packed[g], r.height * span - packed[g] + 1, span))
-            for g, r in enumerate(rs.positive_roots)
-        ]
-    return ladders
+    k*delta - g for 1 <= k <= ht(g), ``k * span - packed[g]``: a member of
+    layer k is a sum of k positive roots, so its depth is at most its
+    height."""
+    span, packed = _affine_codes(rs)[0], rs.packed
+    return [tuple(range(span - packed[g], r.height * span - packed[g] + 1, span))
+            for g, r in enumerate(rs.positive_roots)]
 
 
 def _encoding_codes(rs: RootSystem, layers: list[int]) -> set[int]:
@@ -285,23 +282,24 @@ def _encoding_word(rs: RootSystem, layers: list[int]) -> tuple[int, ...]:
 
 
 def _ideal_flags(rs: RootSystem, L: ChevalleyAlgebra, members: PosRootSet, layers: list[int]):
-    """(spherical, fc, commutative, abelian) of an ideal, from its members
-    and layer masks.  Full commutativity of w_I is read off the layers
-    (``_is_fc_by_layers``); commutativity off the negated members, the
-    encoding's finite parts, as a sum of real affine roots is real iff
-    their finite parts sum to a root."""
+    """(spherical, fc, abelian) of an ideal, from its members and layer
+    masks.  Full commutativity of w_I is read off the layers
+    (``_is_fc_by_layers``).  Abelianness is also commutativity of w_I: a sum
+    of real affine roots is real iff their finite parts sum to a root, the
+    encoding's finite parts are the negated members, and a + b is a root iff
+    -a - b is."""
     return (
         _spherical.is_spherical_subspace(L, members),
         _is_fc_by_layers(rs, layers),
-        not _has_summing_pair(rs, members.mask << rs.num_positive),
         is_abelian(rs, members),
     )
 
 
 def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     """Per ideal: spherical iff the affine element is fully commutative
-    (commutative in G2); abelian iff commutative; spherical forces the third
-    layer to vanish.
+    (commutative in G2); abelian iff a single layer; spherical forces the
+    third layer to vanish.  Commutativity is abelianness
+    (``_ideal_flags``), so the report counts them once.
 
     Each ideal is read in one pass over its layer masks, as ``_layers``
     left them, by the per-ideal path the atlas and ``inspect`` share: the
@@ -312,7 +310,7 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     L = L or build_chevalley(rs)
     is_g2 = rs.cartan_type.name == "G2"
     mismatches = []
-    n_spherical = n_abelian = n_fc = n_comm = 0
+    n_spherical = n_abelian = n_fc = 0
     ideal_list = enumerate_ideals(rs)
     for ideal in ideal_list:
         members = ideal.members
@@ -321,16 +319,13 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
             _encoding_word(rs, layers)
         except LiesphError as exc:  # the peel stuck, or its word is short
             mismatches.append({"members": members, "reason": f"affine encoding: {exc}"})
-        sph, fc, comm, abelian = _ideal_flags(rs, L, members, layers)
+        sph, fc, abelian = _ideal_flags(rs, L, members, layers)
         n_spherical += sph
         n_abelian += abelian
         n_fc += fc
-        n_comm += comm
-        dec = comm if is_g2 else fc
+        dec = abelian if is_g2 else fc
         if dec != sph:
             mismatches.append({"members": members, "decider_value": dec, "spherical": sph})
-        if abelian != comm:
-            mismatches.append({"members": members, "reason": "abelian != commutative"})
         if sph and len(layers) > 2:
             mismatches.append({"members": members, "reason": "spherical ideal with layer 3"})
         if abelian != (len(layers) <= 1):
@@ -344,7 +339,7 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
         "spherical": n_spherical,
         "abelian": n_abelian,
         "fc": n_fc,
-        "commutative": n_comm,
+        "commutative": n_abelian,
         "mismatches": mismatches,
     }
 
@@ -363,7 +358,7 @@ def ideal_record(rs: RootSystem, L: ChevalleyAlgebra, ideal: CombinatorialIdeal)
     members = ideal.members
     layers = [layer.mask for layer in ideal.layers]
     word = _encoding_word(rs, layers)
-    sph, fc, comm, abelian = _ideal_flags(rs, L, members, layers)
+    sph, fc, abelian = _ideal_flags(rs, L, members, layers)
     return {
         "generators": [list(rs.roots[i].coords) for i in minimal_generators(rs, members)],
         "members": [list(rs.roots[i].coords) for i in members],
@@ -371,7 +366,7 @@ def ideal_record(rs: RootSystem, L: ChevalleyAlgebra, ideal: CombinatorialIdeal)
         "psi_hat": psi_hat(rs, ideal).to_json_list(),
         "w_word": list(word),
         "abelian": abelian,
-        "commutative": comm,
+        "commutative": abelian,
         "fc": fc,
         "spherical": sph,
     }

@@ -7,6 +7,7 @@ root has squared length 2, which keeps every Gram entry an integer.
 
 from __future__ import annotations
 
+from functools import wraps
 from math import gcd
 from operator import mul
 
@@ -23,6 +24,23 @@ _RANK_CONSTRAINTS = {
 }
 
 _WEYL_ORDER_EXC = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}
+
+
+def _memo(build):
+    """A table built from one owner, a root system or an algebra, on first
+    use, and kept in the owner's ``__dict__`` under the builder's qualified
+    name, so that it lives exactly as long as the owner.  Tables fill
+    idempotently: concurrent readers at worst build one twice."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @wraps(build)
+    def table(owner):
+        memo = owner.__dict__
+        if key not in memo:
+            memo[key] = build(owner)
+        return memo[key]
+
+    return table
 
 
 def _factorial(n: int) -> int:
@@ -282,16 +300,8 @@ class RootSystem:
     a lookup of packed sums in ``_packed_index``, and so is a reflected root
     (``weyl.apply_simple``, ``affine.affine_apply_simple``).
 
-    Memo tables fill lazily and idempotently, so concurrent readers at worst
-    duplicate work: ``_plane_cache`` holds every rank-2 plane parabolic, finite
-    and affine alike (see ``plane_parabolic``), over the table of finite
-    planes (``_plane_table``), from which the irreducible planes' positive
-    roots are bucketed by height (``_irreducible_planes``); the root poset's
-    up-sets (``_poset_tables``) sit here too.  The affine module stashes its
-    root codes and the decompositions of each root into two, with each
-    root's summable mask, the ideals module the codes of each root's
-    encoding levels, the spherical module its weight index, and the weyl
-    module the masks of the irreducible planes' positive roots.
+    Every derived table is a ``_memo`` builder, kept on the system it was
+    built from.
     """
 
     def __init__(self, cartan_type: CartanType, swap: bool = False):
@@ -355,9 +365,6 @@ class RootSystem:
         for i in range(self.rank):
             if self.sum_table[self.theta.index][self._simple_index(i)] is not None:
                 raise LiesphError(f"theta + alpha_{i + 1} is a root of {cartan_type.name}")
-
-        # plane_parabolic's memo, by a sorted pair of (level, root index)
-        self._plane_cache: dict[tuple[tuple[int, int], tuple[int, int]], tuple] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -529,18 +536,16 @@ def plane_solver(a_coords, b_coords):
 _RANK2_TAGS = {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}
 
 
+@_memo
 def _plane_table(rs: RootSystem) -> dict[tuple[int, int], tuple]:
-    """Every finite plane, built on first use in one pass over the pairs of
-    positive roots.  Two pairs span the same plane exactly when their 2x2
-    coordinate minors are proportional, so each pair is bucketed by its
-    minors divided by their gcd, signed positive at the first nonzero one.
+    """Every finite plane, in one pass over the pairs of positive roots.
+    Two pairs span the same plane exactly when their 2x2 coordinate minors
+    are proportional, so each pair is bucketed by its minors divided by
+    their gcd, signed positive at the first nonzero one.
 
     Maps each sorted pair of non-opposite roots of a plane to ``(the roots
     of the plane in index order, k, l)``, where the minor (k, l) is nonzero
     on every basis of the plane."""
-    table = getattr(rs, "_finite_planes", None)
-    if table is not None:
-        return table
     npos = rs.num_positive
     minor_kl = [(k, l) for k in range(rs.rank) for l in range(k + 1, rs.rank)]
     coords = [r.coords for r in rs.positive_roots]
@@ -572,21 +577,18 @@ def _plane_table(rs: RootSystem) -> dict[tuple[int, int], tuple]:
             for g in plane[x + 1 :]:
                 if g != f + npos:
                     table[(f, g)] = hit
-    rs._finite_planes = table
     return table
 
 
+@_memo
 def _irreducible_planes(rs: RootSystem) -> list[list[tuple[int, ...]]]:
     """Per positive root t, the irreducible planes P = Phi cap span whose
-    highest positive root is t, read once from ``_plane_table`` and memoized
-    on rs.  Each plane is its positive roots bucketed by height in P's own
-    base {f, h}: ``buckets[k - 1]`` is the mask of the q = x*f + y*h in P+
-    with x + y = k.  Any other q in P+ has x, y >= 1, so it is higher than f
+    highest positive root is t, read from ``_plane_table``.  Each plane is
+    its positive roots bucketed by height in P's own base {f, h}:
+    ``buckets[k - 1]`` is the mask of the q = x*f + y*h in P+ with
+    x + y = k.  Any other q in P+ has x, y >= 1, so it is higher than f
     and h: the base is the first two positive roots of the plane.
     """
-    by_top = getattr(rs, "_plane_heights", None)
-    if by_top is not None:
-        return by_top
     npos = rs.num_positive
     coords = [r.coords for r in rs.roots]
     by_top = [[] for _ in range(npos)]
@@ -602,17 +604,14 @@ def _irreducible_planes(rs: RootSystem) -> list[list[tuple[int, ...]]]:
         while not buckets[-1]:
             buckets.pop()
         by_top[buckets[-1].bit_length() - 1].append(tuple(buckets))
-    rs._plane_heights = by_top
     return by_top
 
 
+@_memo
 def _poset_tables(rs: RootSystem) -> list[int]:
-    """Up-set masks of the root poset (cover = adding one simple root),
-    memoized on rs: ``up[i]`` holds root i and every positive root above it,
-    which are the positive roots whose coordinates are all at least its."""
-    up = getattr(rs, "_poset_up", None)
-    if up is not None:
-        return up
+    """Up-set masks of the root poset (cover = adding one simple root):
+    ``up[i]`` holds root i and every positive root above it, which are the
+    positive roots whose coordinates are all at least its."""
     npos = rs.num_positive
     simples = [rs.simple_root(i + 1).index for i in range(rs.rank)]
     up = [0] * npos
@@ -623,7 +622,6 @@ def _poset_tables(rs: RootSystem) -> list[int]:
             if j is not None:
                 mask |= up[j]
         up[i] = mask
-    rs._poset_up = up
     return up
 
 
@@ -634,6 +632,12 @@ def _finite_plane(rs: RootSystem, fu: int, fv: int) -> tuple:
     if hit is None:
         raise LiesphError("a plane parabolic needs linearly independent roots")
     return hit
+
+
+@_memo
+def _plane_parabolics(rs: RootSystem) -> dict:
+    """``plane_parabolic``'s results, by the sorted pair of its keys."""
+    return {}
 
 
 def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> tuple:
@@ -652,7 +656,8 @@ def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> t
     u, v is an integer.
     """
     key = (u, v) if u <= v else (v, u)
-    hit = rs._plane_cache.get(key)
+    cache = _plane_parabolics(rs)
+    hit = cache.get(key)
     if hit is not None:
         return hit
     (lu, fu), (lv, fv) = key
@@ -672,8 +677,7 @@ def plane_parabolic(rs: RootSystem, u: tuple[int, int], v: tuple[int, int]) -> t
         if not rest:
             members.append((level, f))
             base = base and x * y >= 0
-    data = (members, len(members) > 4, base)
-    rs._plane_cache[key] = data
+    data = cache[key] = (members, len(members) > 4, base)
     return data
 
 
@@ -687,7 +691,7 @@ def has_irreducible_base_pair(rs: RootSystem, keys: list) -> bool:
     the imaginary direction, whose positive systems are infinite and never
     inside a finite set."""
     npos = rs.num_positive
-    cache = rs._plane_cache  # keyed by sorted pairs, as the keys come
+    cache = _plane_parabolics(rs)  # keyed by sorted pairs, as the keys come
     for x, u in enumerate(keys):
         fu = u[1]
         opposite = fu - npos if fu >= npos else fu + npos

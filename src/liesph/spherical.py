@@ -39,7 +39,7 @@ import sys
 from .chevalley import ChevalleyAlgebra, ad_matrix, build_chevalley, height
 from .errors import LiesphError, MismatchedSystems
 from .linalg import mat_is_zero, mat_mul, matrix_rank
-from .roots import PosRootSet, Root, RootSystem, _poset_tables, _Record, iter_bits
+from .roots import PosRootSet, Root, RootSystem, _memo, _poset_tables, _Record, iter_bits
 from . import weyl as _weyl
 
 
@@ -67,8 +67,9 @@ class SphericalReport(_Record):
 # -- deterministic quartic oracle ------------------------------------------------
 
 
+@_memo
 def _weight_index(rs: RootSystem) -> dict[int, list[tuple[int, int]]]:
-    """The four-root multisets' weight index, built once per root system.
+    """The four-root multisets' weight index.
 
     Weights are ``rs.packed`` ints, so the weight of four positive roots is
     the sum of theirs.  The index maps each nonzero weight sigma >= 0 with
@@ -81,9 +82,6 @@ def _weight_index(rs: RootSystem) -> dict[int, list[tuple[int, int]]]:
     roots above mu; for mu = -m they are every positive root, then -e for
     each e < m, then 0.
     """
-    cached = getattr(rs, "_weight_idx", None)
-    if cached is not None:
-        return cached
     npos, packed = rs.num_positive, rs.packed
     up = _poset_tables(rs)
     below = [0] * npos  # the e < m, per m
@@ -103,7 +101,6 @@ def _weight_index(rs: RootSystem) -> dict[int, list[tuple[int, int]]]:
         for e in iter_bits(below[m]):
             index.setdefault(p - packed[e], []).append((mu, e + npos))
         index.setdefault(p, []).append((mu, zero))
-    rs._weight_idx = index
     return index
 
 
@@ -213,10 +210,11 @@ def _p_multiset_vanishes(T: _ChainTables, multiset: tuple[int, ...], starts) -> 
     return True
 
 
+@_memo
 def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]]]:
     """The first nonvanishing size-4 multiset of each inclusion-minimal
     support, as (support mask, multiset) pairs in (support size, multiset)
-    order; computed once per algebra.
+    order.
 
     A walk builds the supports size by size, smallest first, and never one
     that contains a support already found: the members are drawn level by
@@ -226,9 +224,6 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
     root string holds at most four roots.  Each support's multisets are
     tried in lexicographic order up to the first that does not vanish; only
     those whose weight has chain starts reach _p_multiset_vanishes."""
-    cached = getattr(L, "_quartic_obstructions", None)
-    if cached is not None:
-        return cached
     rs = L.rs
     T = _ChainTables(L)
     starts_of = _chain_starts(rs)
@@ -279,7 +274,6 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
                     if sigma in starts_of:
                         first_nonvanishing((((a, b, c, d), sigma),))
     minimal.sort(key=lambda entry: (entry[0].bit_count(), entry[1]))
-    L._quartic_obstructions = minimal
     return minimal
 
 

@@ -29,6 +29,7 @@ from .roots import (
     Root,
     RootSystem,
     _irreducible_planes,
+    _memo,
     has_irreducible_base_pair,
     iter_bits,
     plane_solver,
@@ -400,15 +401,12 @@ def pairing_nonneg(rs: RootSystem, ps: PosRootSet) -> bool:
     return True
 
 
+@_memo
 def _irreducible_plane_masks(rs: RootSystem) -> list[int]:
     """The masks of the positive roots of each irreducible plane, the union
     of its height buckets in ``_irreducible_planes`` (which theorem 2 reads
-    bucket by bucket), memoized on rs."""
-    masks = getattr(rs, "_irreducible_plane_masks", None)
-    if masks is None:
-        masks = sorted(sum(buckets) for planes in _irreducible_planes(rs) for buckets in planes)
-        rs._irreducible_plane_masks = masks
-    return masks
+    bucket by bucket)."""
+    return sorted(sum(buckets) for planes in _irreducible_planes(rs) for buckets in planes)
 
 
 def is_commutative_inv(w: WeylElement) -> bool:

@@ -1,14 +1,22 @@
 import copy
+import gc
 import itertools
 import json
 import os
 import pickle
+import sys
+import weakref
+from collections import Counter
 
 import pytest
 
 from conftest import GOLDEN_DIR, get_rs, key_mask, plane_positive_systems
 from liesph import affine as A
+from liesph import ideals as I
+from liesph import roots as R
+from liesph import spherical as S
 from liesph import weyl as W
+from liesph.chevalley import build_chevalley
 from liesph.errors import LiesphError, MismatchedSystems
 from liesph.roots import (
     CartanType,
@@ -415,3 +423,45 @@ def test_cartan_type_is_a_frozen_value():
     with pytest.raises(AttributeError):
         del b3.family
     assert b3.rank == 3
+
+
+# every table memoized on a root system, and the one memoized on an algebra
+SYSTEM_MEMOS = [(R, "_plane_table"), (R, "_irreducible_planes"), (R, "_poset_tables"),
+                (R, "_plane_parabolics"), (A, "_affine_codes"), (A, "_decompositions"),
+                (I, "_code_ladders"), (W, "_irreducible_plane_masks"), (S, "_weight_index")]
+ALGEBRA_MEMOS = [(S, "quartic_obstructions")]
+
+
+def test_memoized_tables_are_built_once_per_owner():
+    # two fresh B3 systems and their algebras; each builder runs once per
+    # owner however often it is asked, and two owners never share a table
+    owners = [build_root_system("B3") for _ in range(2)]
+    algebras = [build_chevalley(rs) for rs in owners]
+    assert all(not any("." in k for k in vars(owner)) for owner in owners + algebras)
+    builds = Counter()
+    codes = {getattr(m, n).__wrapped__.__code__: n for m, n in SYSTEM_MEMOS + ALGEBRA_MEMOS}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            builds[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        tables = {}
+        for memos, pair in ((SYSTEM_MEMOS, owners), (ALGEBRA_MEMOS, algebras)):
+            for module, name in memos:
+                f = getattr(module, name)
+                tables[name] = [f(owner) for owner in pair]
+                for owner, table in zip(pair, tables[name]):
+                    assert f(owner) is table, name
+                    assert vars(owner)[f"{module.__name__}.{name}"] is table, name
+    finally:
+        sys.setprofile(None)
+    assert builds == dict.fromkeys(codes.values(), 2)
+    for name, (first, second) in tables.items():
+        assert first is not second and first == second, name
+    # a table lives as long as its owner and no longer
+    gone = weakref.ref(owners[0])
+    del owners, algebras, tables, pair, owner, table
+    gc.collect()
+    assert gone() is None

@@ -10,7 +10,7 @@ from liesph import ideals as I
 from liesph import spherical as S
 from liesph import weyl as W
 from liesph.errors import LiesphError
-from liesph.roots import PosRootSet
+from liesph.roots import PosRootSet, iter_bits
 
 
 def g2_psi0():
@@ -389,6 +389,16 @@ def test_orbit_fingerprints():
     for e in W.enumerate_weyl(g2):
         _, hh, _ = S.orbit_fingerprint(L, e.inv, trials=2, seed=0)
         assert (hh <= 3) == S.is_spherical_subspace(L, e.inv)
+
+
+@pytest.mark.parametrize("trials, seed", [(1, 0), (5, 0), (2, 7)])
+def test_generic_height_is_the_fingerprint_height(trials, seed):
+    # both draw the same seeded samples, and inspect reports the
+    # fingerprint's height as its generic_height
+    subjects = [(get_algebra(n), e.inv) for n in ("G2", "B3") for e in W.enumerate_weyl(get_rs(n))]
+    subjects += [(get_algebra("B3"), i.members) for i in I.enumerate_ideals(get_rs("B3"))]
+    for L, ps in subjects:
+        assert S.generic_height(L, ps, trials, seed) == S.orbit_fingerprint(L, ps, trials, seed)[1]
 
 
 def test_regular_nilpotent_fingerprint_f4():
@@ -789,6 +799,43 @@ def test_witness_scan_over_minimal_supports_e6_random_masks():
         assert witness == _first_full_table_hit(full, ps)
         hits += witness is not None
     assert 0 < hits < 2000
+
+
+def _certify_obstructions(name, supports, minimality):
+    """Each quartic_obstructions support is not spherical, by the height of
+    one seeded sample on it (at least 4), and is minimal: without any one of
+    its members it holds no other support, so every element on the rest has
+    height at most 3."""
+    L = get_algebra(name)
+    npos = L.rs.num_positive
+    for mask, _ in S.quartic_obstructions(L):
+        where = (name, [L.rs.roots[g].coords for g in iter_bits(mask)])
+        if supports:
+            assert S.generic_height(L, PosRootSet(mask, npos), trials=1, seed=0) >= 4, where
+        if minimality:
+            for g in iter_bits(mask):
+                rest = PosRootSet(mask & ~(1 << g), npos)
+                dropped = L.rs.roots[g].coords
+                assert S.generic_height(L, rest, trials=1, seed=0) <= 3, (where, dropped)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "F4", "G2", "E6"])
+def test_obstructions_are_minimal_nonspherical_supports(name):
+    _certify_obstructions(name, supports=True, minimality=True)
+
+
+def test_obstruction_supports_are_not_spherical_e7():
+    _certify_obstructions("E7", supports=True, minimality=False)
+
+
+@pytest.mark.slow
+def test_obstruction_supports_are_minimal_e7():
+    _certify_obstructions("E7", supports=False, minimality=True)
+
+
+@pytest.mark.slow
+def test_obstruction_supports_are_not_spherical_e8():
+    _certify_obstructions("E8", supports=True, minimality=False)
 
 
 def test_one_table_lookup_per_witness(monkeypatch):
