@@ -363,47 +363,6 @@ def _has_summing_pair(rs: RootSystem, mask: int) -> bool:
     return False
 
 
-def is_biconvex_affine(S: AffineRootSet) -> bool:
-    """Closure of S and of its complement under real-root addition, read off
-    the first missing level e[f] of each finite root f (Shi's coordinates).
-
-    An inversion set holds, of each root f, exactly the levels lo(f) <=
-    level < e[f], where lo(f) is 0 for f > 0 and 1 for f < 0, and never
-    levels of both f and -f; any other S is rejected.  On such a set, for
-    each g = f + h: the complement is closed iff e[g] <= e[f] + e[h], and S
-    is closed iff e[f] + e[h] - 1 <= e[g] when f and h both occur.  The work
-    is linear in S and in the decompositions of the roots that occur."""
-    rs = S.system
-    npos = rs.num_positive
-    pairs, summable = _decompositions(rs)
-    first = [0] * npos + [1] * npos  # lo(f), raised to e[f] below
-    count = [0] * len(first)
-    for level, f in S.keys:
-        count[f] += 1
-        if level >= first[f]:
-            first[f] = level + 1
-    occurring = [f for f, c in enumerate(count) if c]
-    mask = 0
-    for f in occurring:
-        if first[f] - count[f] != (f >= npos) or (f < npos and count[f + npos]):
-            return False
-        mask |= 1 << f
-    closed = 0
-    for g in occurring:
-        eg = first[g]
-        for f, h in pairs[g]:
-            ef, eh = first[f], first[h]
-            if eg > ef + eh:
-                return False
-            if count[f] and count[h]:
-                if ef + eh - 1 > eg:
-                    return False
-                closed += 1
-    # each summing pair inside S counts twice in the masks, and was counted
-    # once above if its sum occurs; a sum outside S breaks closure
-    return 2 * closed == sum((summable[f] & mask).bit_count() for f in occurring)
-
-
 def element_from_biconvex_affine(S: AffineRootSet) -> AffineWeylWord:
     """The element whose inversion set is S; the peel rejects a set that is
     not biconvex, as it sticks exactly there.  Its final images are those of
@@ -413,6 +372,20 @@ def element_from_biconvex_affine(S: AffineRootSet) -> AffineWeylWord:
     if len(word) != len(S.keys):
         raise LiesphError("peeling failed to reproduce the input set")
     return AffineWeylWord._trusted(rs, word, S.keys, img)
+
+
+def is_biconvex_affine(S: AffineRootSet) -> bool:
+    """Whether S is an inversion set, decided by the one peel: it empties S
+    exactly then (``_peel_codes`` proves it), and
+    ``element_from_biconvex_affine`` holds it to the length of S.  Closure
+    of S and of its complement alone is weaker: on A1 no two real roots sum
+    to a root, so closure accepts sets such as {-a + 2 delta} and
+    {a, -a + delta}, which are no inversion set."""
+    try:
+        element_from_biconvex_affine(S)
+    except LiesphError:
+        return False
+    return True
 
 
 def is_commutative_affine(S: AffineRootSet) -> bool:

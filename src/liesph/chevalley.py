@@ -40,9 +40,6 @@ class NilpotentElement:
     def support_set(self) -> PosRootSet:
         return PosRootSet.from_indices(self.coeffs, self.system.num_positive)
 
-    def to_vector(self) -> dict:
-        return dict(self.coeffs)
-
     def __repr__(self):
         terms = {self.system.roots[i].coords: c for i, c in sorted(self.coeffs.items())}
         return f"NilpotentElement({terms})"
@@ -75,10 +72,6 @@ class ChevalleyAlgebra:
 
     def nilpotent(self, coeffs) -> NilpotentElement:
         return NilpotentElement(self.rs, coeffs)
-
-    def basis_weight(self, b: int):
-        """Root of a root-vector basis element, None for Cartan elements."""
-        return self.rs.roots[b] if b < self.num_roots else None
 
     def bracket_basis(self, i: int, j: int) -> dict:
         key = (i, j)

@@ -119,10 +119,6 @@ class CartanType(_FrozenRecord):
     def is_simply_laced(self) -> bool:
         return self.family in ("A", "D", "E")
 
-    @property
-    def is_doubly_laced(self) -> bool:
-        return self.family in ("B", "C", "F")
-
     def num_positive_roots(self) -> int:
         n = self.rank
         if self.family == "A":

@@ -252,14 +252,16 @@ def is_biconvex(rs: RootSystem, ps: PosRootSet) -> bool:
 
 
 def element_from_biconvex(rs: RootSystem, ps: PosRootSet) -> WeylElement:
-    """The unique w with inversion set ps; the affine peel on level-0 keys
-    rejects a set that is not biconvex."""
+    """The unique w with inversion set ps, from the affine peel on level-0
+    keys, which rejects a set that is not biconvex: a peel that empties ps
+    has built a reduced word with inversion set ps, and its final images
+    are those under w^-1."""
     if ps.width != rs.num_positive:
         raise MismatchedSystems("bit vector from another system")
-    w = from_word(rs, _peel_word(rs, {(0, i) for i in ps.indices()})[0])
-    if w.inv_mask != ps.mask:
+    word, img = _peel_word(rs, {(0, i) for i in ps.indices()})
+    if len(word) != ps.mask.bit_count():
         raise LiesphError("peeling failed to reproduce the input set")
-    return w
+    return WeylElement(rs, word, ps.mask, tuple(img))
 
 
 # -- orders --------------------------------------------------------------------

@@ -17,6 +17,34 @@ def get_algebra(name: str, sign: int = 1):
     return build_chevalley(get_rs(name), sign)
 
 
+# -- reference: biconvexity as closure of a set and its complement ----------
+
+
+def reference_is_biconvex_affine(S):
+    """Closure of S and of its complement, scanning a whole sum-table row
+    per key: a reference for the library's verdict, which is the peel's.
+    On A1 closure is weaker than being an inversion set, as no two real
+    roots sum to a root there."""
+    rs = S.system
+    keys = S.keys
+    pairs = sorted(keys)
+    for x, (la, fa) in enumerate(pairs):
+        for lb, fb in pairs[x:]:
+            s = rs.sum_table[fa][fb]
+            if s is not None and (la + lb, s) not in keys:
+                return False
+    npos = rs.num_positive
+    for lg, fg in pairs:
+        for h, g2 in enumerate(rs.sum_table[fg]):
+            if g2 is None:
+                continue
+            f = rs.neg_index(h)
+            for m in range(f >= npos, lg + (g2 < npos)):
+                if (m, f) not in keys and (lg - m, g2) not in keys:
+                    return False
+    return True
+
+
 # -- reference: full commutativity by plane positive systems ----------------
 
 

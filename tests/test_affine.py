@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import get_rs, is_fc_by_positive_systems
+from conftest import get_rs, is_fc_by_positive_systems, reference_is_biconvex_affine
 from liesph import affine as A
 from liesph import ideals as I
 from liesph import weyl as W
@@ -16,7 +16,8 @@ NOT_BICONVEX = "input set is not biconvex in the affine positive system"
 
 
 # -- references: the set-push peel and inversion set, the canonical form as
-# images under the element, and the row-scan and level-split biconvexity tests
+# images under the element, and the level-split biconvexity test (the
+# row-scan one is conftest's, shared with the ideal tests)
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,28 +82,6 @@ def _reference_element(rs, word):
     if len(inv) != len(word):
         word = _reference_peel_word(rs, inv)
     return tuple(word), inv
-
-
-def _reference_is_biconvex_affine(S):
-    """Closure of S and of its complement, scanning a whole sum-table row per key."""
-    rs = S.system
-    keys = S.keys
-    pairs = sorted(keys)
-    for x, (la, fa) in enumerate(pairs):
-        for lb, fb in pairs[x:]:
-            s = rs.sum_table[fa][fb]
-            if s is not None and (la + lb, s) not in keys:
-                return False
-    npos = rs.num_positive
-    for lg, fg in pairs:
-        for h, g2 in enumerate(rs.sum_table[fg]):
-            if g2 is None:
-                continue
-            f = rs.neg_index(h)
-            for m in range(f >= npos, lg + (g2 < npos)):
-                if (m, f) not in keys and (lg - m, g2) not in keys:
-                    return False
-    return True
 
 
 def _levelsplit_reference_is_biconvex_affine(S):
@@ -238,7 +217,7 @@ def test_inversion_round_trip():
         w = A.affine_from_word(g2, word)
         S = A.affine_inversions(w)
         assert len(S) == w.length
-        assert A.is_biconvex_affine(S)
+        assert A.is_biconvex_affine(S) and reference_is_biconvex_affine(S)
         assert A.element_from_biconvex_affine(S) == w
 
 
@@ -252,7 +231,7 @@ def test_inversion_round_trip_random_words():
             word = [rng.randrange(rs.rank + 1) for _ in range(rng.randint(1, 9))]
             w = A.affine_from_word(rs, word)
             S = A.affine_inversions(w)
-            assert A.is_biconvex_affine(S)
+            assert A.is_biconvex_affine(S) and reference_is_biconvex_affine(S)
             assert A.element_from_biconvex_affine(S) == w
             # applying the word to the inversion set lands in the negatives
             for r in S:
@@ -265,7 +244,7 @@ def test_biconvex_rejects_bad_sets():
     # (delta - theta) + (2a1+a2 at level 0) = delta - alpha1 - ... is a sum
     # of two positive roots outside the set; concretely {2d - theta} fails
     S = A.AffineRootSet(g2, [(2, g2.neg_index(g2.theta.index))])
-    assert not A.is_biconvex_affine(S)
+    assert not A.is_biconvex_affine(S) and not reference_is_biconvex_affine(S)
     with pytest.raises(LiesphError):
         A.element_from_biconvex_affine(S)
     with pytest.raises(LiesphError):
@@ -357,9 +336,11 @@ def test_summing_pair_decider_matches_the_pair_scan(name):
 
 
 def _assert_peel_decides(S, biconvex):
-    """``element_from_biconvex_affine`` raises exactly on a set that is not
-    biconvex, and otherwise builds the element that ``AffineWeylWord``
-    rebuilds from its word, with inversion set S."""
+    """``element_from_biconvex_affine`` agrees with the verdict, which a
+    caller has held against a reference: it raises exactly on a set that is
+    not biconvex, and otherwise builds the element that ``AffineWeylWord``
+    rebuilds from its word by the one-pass inversion set, with inversion
+    set S."""
     if biconvex:
         w = A.element_from_biconvex_affine(S)
         want = A.AffineWeylWord(S.system, w.word)
@@ -370,13 +351,14 @@ def _assert_peel_decides(S, biconvex):
 
 
 def _check_against_references(rs, keys):
-    """Same biconvexity verdict as both references and as the peel, same
-    peel (or the same failure) as the set-push one, and for a peeled word
-    the same element as the set-push layers build; on a biconvex set, the
-    FC verdict of the positive-system decider.  Returns the verdict."""
+    """The library's biconvexity verdict, the peel's, equals both closure
+    references; the peel is the set-push one (or fails with it), and a
+    peeled word gives the same element as the set-push layers build; on a
+    biconvex set, the FC verdict of the positive-system decider.  Returns
+    the verdict."""
     S = A.AffineRootSet(rs, keys)
     verdict = A.is_biconvex_affine(S)
-    assert verdict == _reference_is_biconvex_affine(S), sorted(keys)
+    assert verdict == reference_is_biconvex_affine(S), sorted(keys)
     assert verdict == _levelsplit_reference_is_biconvex_affine(S), sorted(keys)
     if verdict:
         assert A.is_fc_affine(S) == is_fc_by_positive_systems(rs, keys), sorted(keys)
@@ -460,7 +442,7 @@ def test_g2_maximal_abelian_encoding():
             (1, neg(g2.root_from_coords((3, 2)).index)),
         ],
     )
-    assert A.is_biconvex_affine(S)
+    assert A.is_biconvex_affine(S) and reference_is_biconvex_affine(S)
     w = A.element_from_biconvex_affine(S)
     assert w.length == 3
     assert A.affine_inversions(w) == S
@@ -477,7 +459,7 @@ def test_b2_full_ideal_not_fc():
         (3, neg(b2.root_from_coords((1, 2)).index)),
     ]
     S = A.AffineRootSet(b2, keys)
-    assert A.is_biconvex_affine(S)
+    assert A.is_biconvex_affine(S) and reference_is_biconvex_affine(S)
     assert not A.is_fc_affine(S)
     assert not A.is_commutative_affine(S)
 

@@ -838,6 +838,34 @@ def test_obstruction_supports_are_not_spherical_e8():
     _certify_obstructions("E8", supports=True, minimality=False)
 
 
+def _certify_maximal_spherical_ideals(name):
+    """Every maximal spherical ideal (no spherical ideal holds it strictly)
+    has height at most 3 at one seeded sample: evidence, independent of the
+    quartic list, that it is spherical.  Returns how many there are."""
+    rs, L = get_rs(name), get_algebra(name)
+    spherical = [ideal.members.mask for ideal in I.enumerate_ideals(rs)
+                 if S.is_spherical_subspace(L, ideal.members)]
+    maximal = [m for m in spherical if not any(o != m and m & ~o == 0 for o in spherical)]
+    for mask in maximal:
+        where = (name, [rs.roots[g].coords for g in iter_bits(mask)])
+        assert S.generic_height(L, PosRootSet(mask, rs.num_positive), trials=1, seed=0) <= 3, where
+    return len(maximal)
+
+
+# observed counts of maximal spherical ideals, pinned as regression values
+MAXIMAL_SPHERICAL_IDEALS = {"A4": 4, "B4": 3, "C4": 4, "D5": 5, "F4": 3, "G2": 1, "E6": 6, "E7": 7}
+
+
+@pytest.mark.parametrize("name", sorted(MAXIMAL_SPHERICAL_IDEALS))
+def test_maximal_spherical_ideals_have_height_at_most_3(name):
+    assert _certify_maximal_spherical_ideals(name) == MAXIMAL_SPHERICAL_IDEALS[name]
+
+
+@pytest.mark.slow
+def test_maximal_spherical_ideals_have_height_at_most_3_e8():
+    assert _certify_maximal_spherical_ideals("E8") == 8
+
+
 def test_one_table_lookup_per_witness(monkeypatch):
     L = get_algebra("A3")
     calls = []

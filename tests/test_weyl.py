@@ -101,10 +101,15 @@ def test_biconvex_deciders_match_inversion_sets():
 
 
 def test_biconvex_round_trip_larger_types():
-    for name in ["A3", "B3", "C3", "F4"]:
+    # equality goes by the mask alone, so the peel's word and images are
+    # held against the element from_word rebuilds from that word
+    for name in ["A3", "B3", "C3", "D4", "F4", "G2"]:
         rs = get_rs(name)
         for e in W.enumerate_weyl(rs):
-            assert W.element_from_biconvex(rs, e.inv) == e
+            w = W.element_from_biconvex(rs, e.inv)
+            want = W.from_word(rs, w.word)
+            assert (w.word, w.inv_mask, w.img) == (want.word, want.inv_mask, want.img), e
+            assert w == e
 
 
 def test_element_from_biconvex_checks_its_round_trip(monkeypatch):
