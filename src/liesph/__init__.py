@@ -71,8 +71,6 @@ from .weyl import (
     identity,
     inverse,
     inversions,
-    is_biclosed,
-    is_biconvex,
     is_commutative_def,
     is_commutative_inv,
     is_fc_def,

@@ -25,14 +25,56 @@ DEFAULT_BUDGET = 200_000
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_BUDGET, EXIT_IO, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
 
 
+def _is_int(text: str) -> bool:
+    """ASCII digits after at most one minus: the integers the CLI reads.
+    int() would also read "+2", "1_0", surrounding spaces and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
+def _integer(text: str) -> int:
+    """argparse type for --seed."""
+    if not _is_int(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     """argparse type for --budget, --workers, --cap-words and --trials: ASCII digits, >= 1."""
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    if not _is_int(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
+# the optional flags; each command declares the ones it reads (REPORTS, and
+# build_parser for inspect)
+OPTIONS = {
+    "--seed": {"type": _integer, "default": 0},
+    "--trials": {"type": _positive_int, "default": 5},
+    "--budget": {"type": _positive_int, "default": DEFAULT_BUDGET,
+                 "help": "largest Weyl group a command may enumerate"},
+    "--workers": {"type": _positive_int, "default": 1},
+    "--cache": {"help": "directory for cached report payloads"},
+    "--cap-words": {"type": _positive_int, "default": W.DEFAULT_WORD_CAP},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # the four flags every command reads, in a parent parser: a child copies
+    # its actions instead of building them again
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--type", required=True, help="Cartan type, e.g. B3 or F4")
+    common.add_argument("--swap", action="store_true",
+                        help="swap the two simple-root labels (rank-2 types only)")
+    common.add_argument("--format", choices=("json", "csv", "md"), default="json")
+    common.add_argument("--out", help="write the report here instead of stdout")
+
+    def command(subparsers, name, flags, **kwargs):
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
+        return p
+
     parser = argparse.ArgumentParser(
         prog="liesph",
         description="Exact verification of commutativity/sphericality "
@@ -40,31 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"liesph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in (("verify", "run an exhaustive verifier"),
+                            ("atlas", "emit the ideal or FC-element atlas")):
+        targets = sub.add_parser(name, help=help_text).add_subparsers(dest="what", required=True)
+        for (cmd, what), (_, flags) in REPORTS.items():
+            if cmd == name:
+                command(targets, what, flags)
 
-    def common(p):
-        p.add_argument("--type", required=True, help="Cartan type, e.g. B3 or F4")
-        p.add_argument("--swap", action="store_true",
-                       help="swap the two simple-root labels (rank-2 types only)")
-        p.add_argument("--format", choices=("json", "csv", "md"), default="json")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=_positive_int, default=5)
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                       help="largest Weyl group a command may enumerate")
-        p.add_argument("--workers", type=_positive_int, default=1)
-        p.add_argument("--cache", help="directory for cached report payloads")
-        p.add_argument("--cap-words", type=_positive_int, default=W.DEFAULT_WORD_CAP)
-
-    p_verify = sub.add_parser("verify", help="run an exhaustive verifier")
-    p_verify.add_argument("what", choices=("theorem1", "theorem2", "subspaces", "lemmas", "g2"))
-    common(p_verify)
-
-    p_atlas = sub.add_parser("atlas", help="emit the ideal or FC-element atlas")
-    p_atlas.add_argument("what", choices=("ideals", "fc"))
-    common(p_atlas)
-
-    p_inspect = sub.add_parser("inspect", help="drill into one element or ideal")
-    common(p_inspect)
+    p_inspect = command(sub, "inspect", ("--seed", "--trials", "--cap-words"),
+                        help="drill into one element or ideal")
     p_inspect.add_argument("--word", help="reduced word, e.g. 1,2,1")
     p_inspect.add_argument("--ideal-gen", dest="ideal_gen",
                            help="ideal generators as ;-separated coordinate lists, e.g. 2,1")
@@ -142,18 +168,19 @@ def _emit(report: dict, fmt: str, out: str | None):
 # -- cache ------------------------------------------------------------------------
 
 
-def _cache_fetch(args, key_fields: dict, expect: dict):
-    """The cached report for key_fields, or None.  An entry is served only
-    when it is a JSON object whose fields in ``expect`` (the report's
-    command, type and, for verify, seed) are the request's; anything else is
-    an unreadable entry, warned about and recomputed."""
-    if not args.cache:
+def _cache_fetch(cache: str | None, key_fields: dict, expect: dict):
+    """The report cached in directory ``cache`` under key_fields, or None,
+    with the entry's path.  An entry is served only when it is a JSON object
+    whose fields in ``expect`` (the report's command, type and, for verify,
+    seed) are the request's; anything else is an unreadable entry, warned
+    about and recomputed."""
+    if not cache:
         return None, None
     import hashlib  # only a cached run needs it
 
     key = json.dumps({"version": __version__, **key_fields}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    path = os.path.join(args.cache, f"{digest}.json")
+    path = os.path.join(cache, f"{digest}.json")
     try:
         with open(path) as fh:
             report = json.load(fh)
@@ -185,48 +212,12 @@ def _cache_store(path: str | None, report: dict):
 # -- commands ---------------------------------------------------------------------
 
 
-def _parse_type(args) -> CartanType:
-    return CartanType.parse(args.type)
-
-
-def cmd_verify(args) -> int:
-    ct = _parse_type(args)
-    if args.what == "g2" and ct.name != "G2":
-        raise LiesphError("verify g2 requires --type G2")
-    key = {
-        "command": "verify",
-        "what": args.what,
-        "type": ct.name,
-        "swap": args.swap,
-        "seed": args.seed,
-        "trials": args.trials,
-    }
-    expect = {"command": f"verify-{args.what}", "type": ct.name, "seed": args.seed}
-    report, cache_path = _cache_fetch(args, key, expect)
-    if report is None:
-        rs = build_root_system(ct, swap=args.swap)
-        if args.what == "theorem1":
-            report = S.verify_theorem1(rs, budget=args.budget, workers=args.workers)
-        elif args.what == "theorem2":
-            report = I.verify_theorem2(rs)
-        elif args.what == "subspaces":
-            report = S.verify_subspace_theorem(rs, budget=args.budget)
-        elif args.what == "lemmas":
-            report = S.verify_lemma_quadruples(rs)
-        else:
-            report = _g2_report(rs)
-        report["command"] = f"verify-{args.what}"
-        report["seed"] = args.seed
-        _cache_store(cache_path, report)
-    _emit(report, args.format, args.out)
-    bad = report.get("mismatches", report.get("violations", []))
-    return EXIT_MISMATCH if bad else EXIT_OK
-
-
 def _g2_report(rs) -> dict:
     """Unit checks for the G2-specific statements: the two non-spherical
     pair mechanisms, the one-parameter degeneration, and both exhaustive
     biconditionals."""
+    if rs.cartan_type.name != "G2":
+        raise LiesphError("verify g2 requires --type G2")
     from fractions import Fraction
 
     L = build_chevalley(rs)
@@ -296,52 +287,70 @@ def _g2_report(rs) -> dict:
     return {"type": "G2", "checks": checks, "mismatches": failed}
 
 
-def cmd_atlas(args) -> int:
-    ct = _parse_type(args)
-    key = {"command": "atlas", "what": args.what, "type": ct.name, "swap": args.swap}
-    expect = {"command": f"atlas-{args.what}", "type": ct.name}
-    report, cache_path = _cache_fetch(args, key, expect)
+def _ideal_atlas(rs, args) -> dict:
+    records = I.ideal_atlas(rs, build_chevalley(rs))
+    return {"count": len(records), "records": records,
+            "maximal_spherical_ideals": I.maximal_spherical_ideals(records)}
+
+
+def _fc_atlas(rs, args) -> dict:
+    L = build_chevalley(rs)
+    records = []
+    for e in W.enumerate_weyl(rs, budget=args.budget):
+        if not W.is_fc_inv(e):
+            continue
+        records.append(
+            {
+                "word": list(e.canonical_word()),
+                "length": e.length,
+                "inversions": [list(rs.roots[i].coords) for i in e.inv],
+                "commutative": W.is_commutative_inv(e),
+                "spherical": S.is_spherical_subspace(L, e.inv),
+            }
+        )
+    records.sort(key=lambda r: (r["length"], r["word"]))
+    return {"count": len(records), "records": records}
+
+
+# (command, target) -> (report builder, the flags the command reads besides
+# --type, --swap, --format and --out)
+REPORTS = {
+    ("verify", "theorem1"): (lambda rs, a: S.verify_theorem1(rs, budget=a.budget, workers=a.workers),
+                             ("--seed", "--budget", "--workers", "--cache")),
+    ("verify", "theorem2"): (lambda rs, a: I.verify_theorem2(rs), ("--seed", "--cache")),
+    ("verify", "subspaces"): (lambda rs, a: S.verify_subspace_theorem(rs, budget=a.budget),
+                              ("--seed", "--budget", "--cache")),
+    ("verify", "lemmas"): (lambda rs, a: S.verify_lemma_quadruples(rs), ("--seed", "--cache")),
+    ("verify", "g2"): (lambda rs, a: _g2_report(rs), ("--seed", "--cache")),
+    ("atlas", "ideals"): (_ideal_atlas, ("--cache",)),
+    ("atlas", "fc"): (_fc_atlas, ("--budget", "--cache")),
+}
+
+
+def cmd_report(args) -> int:
+    """``verify`` and ``atlas``: the report of the (command, target) pair,
+    from the cache when it holds it.  The cache key is the report's command,
+    type and, for verify, seed, with the swap flag."""
+    ct = CartanType.parse(args.type)
+    expect = {"command": f"{args.command}-{args.what}", "type": ct.name}
+    if args.command == "verify":
+        expect["seed"] = args.seed
+    report, cache_path = _cache_fetch(args.cache, {**expect, "swap": args.swap}, expect)
     if report is None:
-        rs = build_root_system(ct, swap=args.swap)
-        L = build_chevalley(rs)
-        maximal_spherical = None
-        if args.what == "ideals":
-            records = I.ideal_atlas(rs, L)
-            maximal_spherical = I.maximal_spherical_ideals(records)
-        else:
-            records = []
-            for e in W.enumerate_weyl(rs, budget=args.budget):
-                if not W.is_fc_inv(e):
-                    continue
-                records.append(
-                    {
-                        "word": list(e.canonical_word()),
-                        "length": e.length,
-                        "inversions": [list(rs.roots[i].coords) for i in e.inv],
-                        "commutative": W.is_commutative_inv(e),
-                        "spherical": S.is_spherical_subspace(L, e.inv),
-                    }
-                )
-            records.sort(key=lambda r: (r["length"], r["word"]))
-        report = {
-            "command": f"atlas-{args.what}",
-            "type": ct.name,
-            "count": len(records),
-            "records": records,
-        }
-        if maximal_spherical is not None:
-            report["maximal_spherical_ideals"] = maximal_spherical
+        build, _ = REPORTS[args.command, args.what]
+        report = build(build_root_system(ct, swap=args.swap), args)
+        report.update(expect)
         _cache_store(cache_path, report)
     _emit(report, args.format, args.out)
-    return EXIT_OK
+    bad = report.get("mismatches", report.get("violations", []))
+    return EXIT_MISMATCH if bad else EXIT_OK
 
 
 def _parse_ints(text: str) -> list[int] | None:
-    """Comma-separated integers, each ASCII digits after at most one minus;
-    spaces around a part are fine.  None for anything else int() would
-    read, such as "+2" or non-ASCII digits."""
+    """Comma-separated integers, each as ``_is_int`` reads them; spaces
+    around a part are fine.  None for anything else."""
     parts = [p.strip() for p in text.split(",")]
-    if all(p.removeprefix("-").isascii() and p.removeprefix("-").isdigit() for p in parts):
+    if all(_is_int(p) for p in parts):
         return [int(p) for p in parts]
     return None
 
@@ -354,7 +363,7 @@ def _parse_coords(text: str, rank: int) -> tuple[int, ...]:
 
 
 def cmd_inspect(args) -> int:
-    ct = _parse_type(args)
+    ct = CartanType.parse(args.type)
     if bool(args.word) == bool(args.ideal_gen):
         raise LiesphError("inspect needs exactly one of --word / --ideal-gen")
     rs = build_root_system(ct, swap=args.swap)
@@ -416,11 +425,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "atlas":
-            return cmd_atlas(args)
-        return cmd_inspect(args)
+        return cmd_inspect(args) if args.command == "inspect" else cmd_report(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

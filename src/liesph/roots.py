@@ -495,40 +495,6 @@ def root_string_p(rs: RootSystem, a: Root, b: Root) -> int:
     return p
 
 
-def plane_solver(a_coords, b_coords):
-    """Return a function solving x*a + y*b = c exactly, or None if no solution.
-
-    Requires a, b linearly independent; returns None-returning solver entries
-    as (x, y) Fractions.
-    """
-    from fractions import Fraction
-
-    n = len(a_coords)
-    minor = None
-    for k in range(n):
-        for l in range(k + 1, n):
-            det = a_coords[k] * b_coords[l] - a_coords[l] * b_coords[k]
-            if det:
-                minor = (k, l, det)
-                break
-        if minor:
-            break
-    if minor is None:
-        return None
-
-    k, l, det = minor
-
-    def solve(c_coords):
-        x = Fraction(c_coords[k] * b_coords[l] - c_coords[l] * b_coords[k], det)
-        y = Fraction(a_coords[k] * c_coords[l] - a_coords[l] * c_coords[k], det)
-        for i in range(n):
-            if x * a_coords[i] + y * b_coords[i] != c_coords[i]:
-                return None
-        return x, y
-
-    return solve
-
-
 _RANK2_TAGS = {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}
 
 

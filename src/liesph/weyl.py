@@ -32,7 +32,6 @@ from .roots import (
     _memo,
     has_irreducible_base_pair,
     iter_bits,
-    plane_solver,
 )
 
 DEFAULT_WORD_CAP = 10**6
@@ -204,51 +203,6 @@ def longest_element(rs: RootSystem) -> WeylElement:
     npos = rs.num_positive
     full = (1 << npos) - 1
     return element_from_biconvex(rs, PosRootSet(full, npos))
-
-
-# -- biclosed / biconvex sets -------------------------------------------------
-
-
-def _is_closed_mask(rs: RootSystem, mask: int) -> bool:
-    idxs = list(iter_bits(mask))
-    st = rs.sum_table
-    for x, a in enumerate(idxs):
-        row = st[a]
-        for b in idxs[x:]:
-            s = row[b]
-            if s is not None and not mask >> s & 1:
-                return False
-    return True
-
-
-def is_biclosed(rs: RootSystem, ps: PosRootSet) -> bool:
-    if ps.width != rs.num_positive:
-        raise MismatchedSystems("bit vector from another system")
-    full = (1 << rs.num_positive) - 1
-    return _is_closed_mask(rs, ps.mask) and _is_closed_mask(rs, full & ~ps.mask)
-
-
-def _is_convex_mask(rs: RootSystem, mask: int) -> bool:
-    idxs = list(iter_bits(mask))
-    for x, a in enumerate(idxs):
-        for b in idxs[x + 1 :]:
-            solve = plane_solver(rs.roots[a].coords, rs.roots[b].coords)
-            if solve is None:
-                continue
-            for c in range(rs.num_positive):
-                if mask >> c & 1:
-                    continue
-                sol = solve(rs.roots[c].coords)
-                if sol is not None and sol[0] > 0 and sol[1] > 0:
-                    return False
-    return True
-
-
-def is_biconvex(rs: RootSystem, ps: PosRootSet) -> bool:
-    if ps.width != rs.num_positive:
-        raise MismatchedSystems("bit vector from another system")
-    full = (1 << rs.num_positive) - 1
-    return _is_convex_mask(rs, ps.mask) and _is_convex_mask(rs, full & ~ps.mask)
 
 
 def element_from_biconvex(rs: RootSystem, ps: PosRootSet) -> WeylElement:

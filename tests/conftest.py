@@ -2,7 +2,8 @@ import functools
 import os
 
 from liesph.chevalley import build_chevalley
-from liesph.roots import build_root_system
+from liesph.errors import MismatchedSystems
+from liesph.roots import PosRootSet, RootSystem, build_root_system, iter_bits
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -43,6 +44,87 @@ def reference_is_biconvex_affine(S):
                 if (m, f) not in keys and (lg - m, g2) not in keys:
                     return False
     return True
+
+
+# -- reference: finite biclosed and biconvex sets by pair scans --------------
+# closure and convexity of a set and of its complement, held against
+# weyl.element_from_biconvex, whose peel is the library's decider
+
+
+def plane_solver(a_coords, b_coords):
+    """Return a function solving x*a + y*b = c exactly, or None if no solution.
+
+    Requires a, b linearly independent; returns None-returning solver entries
+    as (x, y) Fractions.
+    """
+    from fractions import Fraction
+
+    n = len(a_coords)
+    minor = None
+    for k in range(n):
+        for l in range(k + 1, n):
+            det = a_coords[k] * b_coords[l] - a_coords[l] * b_coords[k]
+            if det:
+                minor = (k, l, det)
+                break
+        if minor:
+            break
+    if minor is None:
+        return None
+
+    k, l, det = minor
+
+    def solve(c_coords):
+        x = Fraction(c_coords[k] * b_coords[l] - c_coords[l] * b_coords[k], det)
+        y = Fraction(a_coords[k] * c_coords[l] - a_coords[l] * c_coords[k], det)
+        for i in range(n):
+            if x * a_coords[i] + y * b_coords[i] != c_coords[i]:
+                return None
+        return x, y
+
+    return solve
+
+
+def _is_closed_mask(rs: RootSystem, mask: int) -> bool:
+    idxs = list(iter_bits(mask))
+    st = rs.sum_table
+    for x, a in enumerate(idxs):
+        row = st[a]
+        for b in idxs[x:]:
+            s = row[b]
+            if s is not None and not mask >> s & 1:
+                return False
+    return True
+
+
+def is_biclosed(rs: RootSystem, ps: PosRootSet) -> bool:
+    if ps.width != rs.num_positive:
+        raise MismatchedSystems("bit vector from another system")
+    full = (1 << rs.num_positive) - 1
+    return _is_closed_mask(rs, ps.mask) and _is_closed_mask(rs, full & ~ps.mask)
+
+
+def _is_convex_mask(rs: RootSystem, mask: int) -> bool:
+    idxs = list(iter_bits(mask))
+    for x, a in enumerate(idxs):
+        for b in idxs[x + 1 :]:
+            solve = plane_solver(rs.roots[a].coords, rs.roots[b].coords)
+            if solve is None:
+                continue
+            for c in range(rs.num_positive):
+                if mask >> c & 1:
+                    continue
+                sol = solve(rs.roots[c].coords)
+                if sol is not None and sol[0] > 0 and sol[1] > 0:
+                    return False
+    return True
+
+
+def is_biconvex(rs: RootSystem, ps: PosRootSet) -> bool:
+    if ps.width != rs.num_positive:
+        raise MismatchedSystems("bit vector from another system")
+    full = (1 << rs.num_positive) - 1
+    return _is_convex_mask(rs, ps.mask) and _is_convex_mask(rs, full & ~ps.mask)
 
 
 # -- reference: full commutativity by plane positive systems ----------------

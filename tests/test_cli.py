@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import liesph
-from liesph.cli import main
+from liesph.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -64,7 +65,7 @@ def test_budget_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(spherical, "quartic_obstructions", no_table)
     for name, order in (("E8", 696729600), ("E7", 2903040)):
-        for argv in (["verify", "theorem1", "--type", "B2"], ["verify", "subspaces"], ["atlas", "fc"]):
+        for argv in (["verify", "theorem1"], ["verify", "subspaces"], ["atlas", "fc"]):
             assert main([*argv, "--type", name]) == 3
             out, err = capsys.readouterr()
             assert out == ""
@@ -249,8 +250,8 @@ NONPOSITIVE_FLAGS = [
     ("verify", "theorem1", "--type", "A2", "--budget", "-1"),
     ("verify", "theorem1", "--type", "A2", "--workers", "-3"),
     ("verify", "theorem1", "--type", "A2", "--workers", "two"),
-    ("verify", "theorem1", "--type", "B3", "--trials", "0"),
-    ("verify", "theorem1", "--type", "B3", "--trials", "-4"),
+    ("inspect", "--type", "A2", "--word", "1,2,1", "--trials", "0"),
+    ("inspect", "--type", "A2", "--word", "1,2,1", "--trials", "-4"),
 ]
 
 
@@ -261,6 +262,87 @@ def test_numeric_flags_below_one_are_usage_errors(capsys, argv):
     assert out == ""
     assert err.splitlines()[-1].endswith(
         f"error: argument {argv[-2]}: expected a positive integer, got {argv[-1]!r}")
+
+
+# int() reads each of these seeds, the second as 10 and the third as 3
+NOT_INTEGERS = ["+2", "1_0", "\u0663"]
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS, ids=[ascii(t) for t in NOT_INTEGERS])
+def test_seed_takes_ascii_digits_after_one_minus(capsys, text):
+    assert main(["verify", "theorem1", "--type", "A1", "--seed", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f"error: argument --seed: expected an integer, got {text!r}")
+
+
+def test_negative_seed_is_read(capsys):
+    code, rep = run_json(capsys, "verify", "theorem1", "--type", "A1", "--seed", "-3")
+    assert code == 0 and rep["seed"] == -3
+
+
+# the optional flags each (command, target) reads, besides --type, --swap,
+# --format and --out, which every one reads
+TAKES = {
+    "verify theorem1": {"--seed", "--budget", "--workers", "--cache"},
+    "verify subspaces": {"--seed", "--budget", "--cache"},
+    "verify theorem2": {"--seed", "--cache"},
+    "verify lemmas": {"--seed", "--cache"},
+    "verify g2": {"--seed", "--cache"},
+    "atlas ideals": {"--cache"},
+    "atlas fc": {"--budget", "--cache"},
+    "inspect": {"--seed", "--trials", "--cap-words"},
+}
+FLAG_VALUES = {"--seed": "4", "--budget": "100", "--workers": "2", "--cache": "DIR",
+               "--trials": "2", "--cap-words": "50"}
+
+
+def _leaf_parsers(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), parser
+    for action in subparsers:
+        for name, p in action.choices.items():
+            yield from _leaf_parsers(p, (*path, name))
+
+
+def test_each_parser_declares_its_row_of_the_matrix_and_nothing_else():
+    common = {"-h", "--help", "--type", "--swap", "--format", "--out"}
+    subject = {"inspect": {"--word", "--ideal-gen"}}
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert set(leaves) == set(TAKES)
+    for command, p in leaves.items():
+        options = {s for a in p._actions for s in a.option_strings}
+        assert options == common | TAKES[command] | subject.get(command, set()), command
+    # every action but the help one sets a value
+    assert sum(len(p._actions) - 1 for p in leaves.values()) == 53
+
+
+@pytest.mark.parametrize("flag", FLAG_VALUES)
+@pytest.mark.parametrize("command", TAKES)
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command, flag):
+    subject = {"verify g2": ["--type", "G2"], "inspect": ["--type", "B2", "--word", "1,2"]}
+    argv = [*command.split(), *subject.get(command, ["--type", "B2"]),
+            flag, FLAG_VALUES[flag].replace("DIR", str(tmp_path))]
+    code, out = run(capsys, *argv)
+    if flag in TAKES[command]:
+        assert code == 0 and out
+    else:
+        assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("verify", "theorem2", "--type", "B2", "--workers", "2"),
+     "liesph: error: unrecognized arguments: --workers 2"),
+    (("inspect", "--type", "B2", "--word", "1,2", "--cache", "DIR"),
+     "liesph: error: unrecognized arguments: --cache DIR"),
+    # the target comes before the flags
+    (("verify", "--type", "B2", "theorem2"), "liesph verify: error: argument what: invalid choice: 'B2'"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv, error):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].startswith(error)
 
 
 def test_spaces_around_word_and_coordinate_parts(capsys):

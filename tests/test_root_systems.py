@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import GOLDEN_DIR, get_rs, key_mask, plane_positive_systems
+from conftest import GOLDEN_DIR, get_rs, key_mask, plane_positive_systems, plane_solver
 from liesph import affine as A
 from liesph import ideals as I
 from liesph import roots as R
@@ -24,7 +24,6 @@ from liesph.roots import (
     build_root_system,
     pairing,
     plane_parabolic,
-    plane_solver,
     rank2_parabolic,
     root_string_p,
     root_sum,

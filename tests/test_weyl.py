@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import get_rs, is_fc_by_positive_systems
+from conftest import get_rs, is_biclosed, is_biconvex, is_fc_by_positive_systems
 from liesph import affine as A
 from liesph import weyl as W
 from liesph.errors import BudgetExceeded, LiesphError, MismatchedSystems
@@ -90,8 +90,8 @@ def test_biconvex_deciders_match_inversion_sets():
         inv_masks = {e.inv_mask: e for e in W.enumerate_weyl(rs)}
         for m in range(1 << rs.num_positive):
             ps = PosRootSet(m, rs.num_positive)
-            closed = W.is_biclosed(rs, ps)
-            convex = W.is_biconvex(rs, ps)
+            closed = is_biclosed(rs, ps)
+            convex = is_biconvex(rs, ps)
             assert closed == convex == (m in inv_masks)
             if closed:
                 assert W.element_from_biconvex(rs, ps) == inv_masks[m]
@@ -131,7 +131,7 @@ def test_element_from_biconvex_rejects_a_set_of_another_width():
 def test_biconvex_spec_examples():
     b2 = get_rs("B2")
     ps = b2.posrootset([b2.root_from_coords(c) for c in [(1, 0), (1, 1), (1, 2)]])
-    assert W.is_biconvex(b2, ps)
+    assert is_biconvex(b2, ps)
     assert W.element_from_biconvex(b2, ps) == W.from_word(b2, [1, 2, 1])
     empty = PosRootSet(0, 4)
     assert W.element_from_biconvex(b2, empty).is_identity()
