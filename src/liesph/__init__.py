@@ -29,7 +29,6 @@ from .chevalley import (
 )
 from .errors import BudgetExceeded, LiesphError, MismatchedSystems, WordCapExceeded
 from .ideals import (
-    CombinatorialIdeal,
     enumerate_ideals,
     ideal_from_generators,
     is_abelian,

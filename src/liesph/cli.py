@@ -73,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = subparsers.add_parser(name, parents=[common], **kwargs)
         for flag in flags:
             p.add_argument(flag, **OPTIONS[flag])
+        p.set_defaults(parser=p)  # the parser that reports a flag the command does not read
         return p
 
     parser = argparse.ArgumentParser(
@@ -397,9 +398,8 @@ def cmd_inspect(args) -> int:
         for g in gens:
             if not g.is_positive:
                 raise LiesphError("ideal generators must be positive roots")
-        ideal = I.ideal_from_generators(rs, gens)
-        ps = ideal.members
-        subject = I.ideal_record(rs, L, ideal)
+        ps = I.ideal_from_generators(rs, gens)
+        subject = I.ideal_record(rs, ps)  # its sphericality is make_report's, below
         subject["fully_commutative"] = subject.pop("fc")
         subject["subject"] = "ideal"
 
@@ -421,7 +421,9 @@ def cmd_inspect(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:

@@ -2,7 +2,9 @@
 affine encoding of an ideal as an inversion set.
 
 A combinatorial ideal is a positive-root set closed under adding arbitrary
-positive roots; equivalently an up-set of the root poset.  Its layers
+positive roots; equivalently an up-set of the root poset.  An ideal is its
+member set, a ``PosRootSet``: its layers and its encoding are functions of
+the members, computed where they are read.  Its layers
 Psi^(k) = (Psi^(k-1) + Psi) cap Phi^+ shrink to empty, and
 {k*delta - a : a in Psi^(k)} is a finite biconvex set of positive affine
 roots, hence the inversion set of a unique affine Weyl group element.
@@ -15,6 +17,7 @@ from .affine import (
     AffineRootSet,
     AffineWeylWord,
     _affine_codes,
+    _decode,
     _decompositions,
     _has_summing_pair,
     _peel_codes,
@@ -26,23 +29,11 @@ from .roots import (
     PosRootSet,
     Root,
     RootSystem,
-    _FrozenRecord,
     _irreducible_planes,
     _memo,
     _poset_tables,
     iter_bits,
 )
-
-
-class CombinatorialIdeal(_FrozenRecord):
-    __slots__ = ("members", "layers")
-
-    def __init__(self, members: PosRootSet, layers: tuple[PosRootSet, ...]):
-        super().__init__(members, layers)  # layers[0] = Psi^(1) = members
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def root_poset_leq(rs: RootSystem, a: Root, b: Root) -> bool:
@@ -63,13 +54,14 @@ def is_combinatorial_ideal(rs: RootSystem, ps: PosRootSet) -> bool:
     return all(not up[i] & ~mask for i in iter_bits(mask))
 
 
-def _layers(rs: RootSystem, mask: int) -> tuple[PosRootSet, ...]:
-    """Psi^(k) for k >= 1, in one pass by height.  The layers nest, so the
-    deepest layer of a member, its depth, is 1 plus that of the deeper
-    summand, over its decompositions into two members, and 1 when it has
-    none.  The members of depth k are layer k minus layer k + 1, which is
-    all ``verify_theorem2`` reads: the encoding's codes come from the
-    depths, and full commutativity from the layer masks."""
+def _layers(rs: RootSystem, mask: int) -> list[int]:
+    """The masks of Psi^(k) for k >= 1, in one pass by height; ``[0]`` for
+    the empty ideal.  The layers nest, so the deepest layer of a member,
+    its depth, is 1 plus that of the deeper summand, over its
+    decompositions into two members, and 1 when it has none.  The members
+    of depth k are layer k minus layer k + 1, which is what the encoding's
+    codes come from (``_encoding_codes``); full commutativity reads the
+    layer masks (``_is_fc_by_layers``)."""
     npos = rs.num_positive
     pairs = _decompositions(rs)[0]
     depth = [0] * npos
@@ -93,18 +85,19 @@ def _layers(rs: RootSystem, mask: int) -> tuple[PosRootSet, ...]:
     layer = 0
     for bits in reversed(by_depth):
         layer |= bits
-        layers.append(PosRootSet(layer, npos))
-    return tuple(reversed(layers)) or (PosRootSet(0, npos),)
+        layers.append(layer)
+    return layers[::-1] or [0]
 
 
-def make_ideal(rs: RootSystem, ps: PosRootSet) -> CombinatorialIdeal:
+def make_ideal(rs: RootSystem, ps: PosRootSet) -> PosRootSet:
+    """ps, checked to be an ideal."""
     if not is_combinatorial_ideal(rs, ps):
         raise LiesphError("set is not closed under adding positive roots")
-    return CombinatorialIdeal(ps, _layers(rs, ps.mask))
+    return ps
 
 
-def ideal_from_generators(rs: RootSystem, generators) -> CombinatorialIdeal:
-    """Up-closure of a set of positive roots."""
+def ideal_from_generators(rs: RootSystem, generators) -> PosRootSet:
+    """Up-closure of a set of positive roots, an ideal by construction."""
     up = _poset_tables(rs)
     mask = 0
     for g in generators:
@@ -112,7 +105,7 @@ def ideal_from_generators(rs: RootSystem, generators) -> CombinatorialIdeal:
         if not 0 <= idx < rs.num_positive:
             raise LiesphError("generators must be positive roots")
         mask |= up[idx]
-    return make_ideal(rs, PosRootSet(mask, rs.num_positive))
+    return PosRootSet(mask, rs.num_positive)
 
 
 def minimal_generators(rs: RootSystem, ps: PosRootSet) -> list[int]:
@@ -125,7 +118,7 @@ def minimal_generators(rs: RootSystem, ps: PosRootSet) -> list[int]:
     return list(iter_bits(ps.mask & ~above))
 
 
-def enumerate_ideals(rs: RootSystem) -> list[CombinatorialIdeal]:
+def enumerate_ideals(rs: RootSystem) -> list[PosRootSet]:
     """All up-sets of the root poset, sorted by size then bit pattern."""
     up = _poset_tables(rs)
     npos = rs.num_positive
@@ -143,7 +136,7 @@ def enumerate_ideals(rs: RootSystem) -> list[CombinatorialIdeal]:
 
     rec(0, 0)
     masks.sort(key=lambda m: (m.bit_count(), m))
-    return [CombinatorialIdeal(PosRootSet(m, npos), _layers(rs, m)) for m in masks]
+    return [PosRootSet(m, npos) for m in masks]
 
 
 def antichain_ideal_masks(rs: RootSystem) -> set[int]:
@@ -175,20 +168,20 @@ def is_abelian(rs: RootSystem, ps: PosRootSet) -> bool:
     return not _has_summing_pair(rs, ps.mask)
 
 
-def psi_hat(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineRootSet:
-    """Affine encoding: union over k of {k*delta - a : a in Psi^(k)}, as keys,
-    the reports' ``psi_hat`` field; the per-ideal path builds the same set
-    as codes (``_encoding_codes``).
+def psi_hat(rs: RootSystem, ideal: PosRootSet) -> AffineRootSet:
+    """Affine encoding of an ideal: union over k of {k*delta - a : a in
+    Psi^(k)}, decoded from the codes ``_encoding_codes`` builds.  Raises
+    LiesphError when the set is no ideal.
 
     The set is biconvex (Cellini-Papi); ``element_from_biconvex_affine``
     proves it by peeling the set into its element, the one check."""
-    npos = rs.num_positive
-    keys = frozenset(
-        (k, i + npos)
-        for k, layer in enumerate(ideal.layers, start=1)
-        for i in iter_bits(layer.mask)
-    )
-    return AffineRootSet._trusted(rs, keys)
+    return _decoded(rs, _encoding_codes(rs, _layers(rs, make_ideal(rs, ideal).mask)))
+
+
+def _decoded(rs: RootSystem, codes) -> AffineRootSet:
+    """The affine root set of an encoding's codes, as (level, root index) keys."""
+    span = _affine_codes(rs)[0]
+    return AffineRootSet._trusted(rs, frozenset(_decode(rs, span, c) for c in codes))
 
 
 @_memo
@@ -264,16 +257,15 @@ def _is_fc_by_layers(rs: RootSystem, layers: list[int]) -> bool:
     return True
 
 
-def w_of_ideal(rs: RootSystem, ideal: CombinatorialIdeal) -> AffineWeylWord:
+def w_of_ideal(rs: RootSystem, ideal: PosRootSet) -> AffineWeylWord:
     return element_from_biconvex_affine(psi_hat(rs, ideal))
 
 
-def _encoding_word(rs: RootSystem, layers: list[int]) -> tuple[int, ...]:
-    """The word of w_I from the layer masks of I: the depth-built codes
-    (``_encoding_codes``) peeled once (``affine._peel_codes``), which proves
-    them biconvex.  A peel that sticks, or a word shorter than the encoding,
+def _encoding_word(rs: RootSystem, codes: set[int]) -> tuple[int, ...]:
+    """The word of w_I from the codes of its encoding (``_encoding_codes``),
+    peeled once (``affine._peel_codes``), which proves them biconvex and
+    consumes them.  A peel that sticks, or a word shorter than the encoding,
     raises LiesphError naming the check."""
-    codes = _encoding_codes(rs, layers)
     size = len(codes)
     word = _peel_codes(rs, codes)[0]
     if len(word) != size:
@@ -281,18 +273,14 @@ def _encoding_word(rs: RootSystem, layers: list[int]) -> tuple[int, ...]:
     return word
 
 
-def _ideal_flags(rs: RootSystem, L: ChevalleyAlgebra, members: PosRootSet, layers: list[int]):
-    """(spherical, fc, abelian) of an ideal, from its members and layer
-    masks.  Full commutativity of w_I is read off the layers
-    (``_is_fc_by_layers``).  Abelianness is also commutativity of w_I: a sum
-    of real affine roots is real iff their finite parts sum to a root, the
-    encoding's finite parts are the negated members, and a + b is a root iff
-    -a - b is."""
-    return (
-        _spherical.is_spherical_subspace(L, members),
-        _is_fc_by_layers(rs, layers),
-        is_abelian(rs, members),
-    )
+def _ideal_flags(rs: RootSystem, members: PosRootSet, layers: list[int]) -> tuple[bool, bool]:
+    """(fc, abelian) of an ideal, from its members and layer masks.  Full
+    commutativity of w_I is read off the layers (``_is_fc_by_layers``).
+    Abelianness is also commutativity of w_I: a sum of real affine roots is
+    real iff their finite parts sum to a root, the encoding's finite parts
+    are the negated members, and a + b is a root iff -a - b is.
+    Sphericality is the algebra's question, asked by each caller once."""
+    return _is_fc_by_layers(rs, layers), is_abelian(rs, members)
 
 
 def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
@@ -301,10 +289,10 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     third layer to vanish.  Commutativity is abelianness
     (``_ideal_flags``), so the report counts them once.
 
-    Each ideal is read in one pass over its layer masks, as ``_layers``
-    left them, by the per-ideal path the atlas and ``inspect`` share: the
-    encoding is peeled once (``_encoding_word``), and an encoding that
-    fails is a mismatch naming the check; the flags come from
+    Each ideal's layer masks are computed once (``_layers``) and read by
+    the per-ideal path the atlas and ``inspect`` share: the encoding's
+    codes are peeled once (``_encoding_word``), and an encoding that fails
+    is a mismatch naming the check; fc and abelianness come from
     ``_ideal_flags``.  Member coordinates are built only for the
     mismatches."""
     L = L or build_chevalley(rs)
@@ -312,14 +300,14 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     mismatches = []
     n_spherical = n_abelian = n_fc = 0
     ideal_list = enumerate_ideals(rs)
-    for ideal in ideal_list:
-        members = ideal.members
-        layers = [layer.mask for layer in ideal.layers]
+    for members in ideal_list:
+        layers = _layers(rs, members.mask)
         try:
-            _encoding_word(rs, layers)
+            _encoding_word(rs, _encoding_codes(rs, layers))
         except LiesphError as exc:  # the peel stuck, or its word is short
             mismatches.append({"members": members, "reason": f"affine encoding: {exc}"})
-        sph, fc, abelian = _ideal_flags(rs, L, members, layers)
+        sph = _spherical.is_spherical_subspace(L, members)
+        fc, abelian = _ideal_flags(rs, members, layers)
         n_spherical += sph
         n_abelian += abelian
         n_fc += fc
@@ -351,28 +339,30 @@ def maximal_spherical_ideals(records: list[dict]) -> list[list[list[int]]]:
     return sorted(sorted(map(list, m)) for m in spherical if not any(m < o for o in spherical))
 
 
-def ideal_record(rs: RootSystem, L: ChevalleyAlgebra, ideal: CombinatorialIdeal) -> dict:
+def ideal_record(rs: RootSystem, members: PosRootSet) -> dict:
     """One JSON-ready record of an ideal: generators, members, layers,
-    affine encoding, the word of w_I and the classification flags, by the
-    per-ideal path of ``verify_theorem2``.  A failed encoding raises."""
-    members = ideal.members
-    layers = [layer.mask for layer in ideal.layers]
-    word = _encoding_word(rs, layers)
-    sph, fc, abelian = _ideal_flags(rs, L, members, layers)
+    affine encoding, the word of w_I and the flags but sphericality, by the
+    per-ideal path of ``verify_theorem2``: one code set is both the
+    ``psi_hat`` field and the peeled encoding.  A failed encoding raises."""
+    layers = _layers(rs, members.mask)
+    codes = _encoding_codes(rs, layers)
+    encoding = _decoded(rs, codes).to_json_list()  # before the peel consumes the codes
+    fc, abelian = _ideal_flags(rs, members, layers)
     return {
         "generators": [list(rs.roots[i].coords) for i in minimal_generators(rs, members)],
         "members": [list(rs.roots[i].coords) for i in members],
-        "layers": [[list(rs.roots[i].coords) for i in layer.indices()] for layer in ideal.layers],
-        "psi_hat": psi_hat(rs, ideal).to_json_list(),
-        "w_word": list(word),
+        "layers": [[list(rs.roots[i].coords) for i in iter_bits(layer)] for layer in layers],
+        "psi_hat": encoding,
+        "w_word": list(_encoding_word(rs, codes)),
         "abelian": abelian,
         "commutative": abelian,
         "fc": fc,
-        "spherical": sph,
     }
 
 
 def ideal_atlas(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> list[dict]:
-    """``ideal_record`` of every ideal, in ``enumerate_ideals`` order."""
+    """``ideal_record`` of every ideal, with its sphericality, in
+    ``enumerate_ideals`` order."""
     L = L or build_chevalley(rs)
-    return [ideal_record(rs, L, ideal) for ideal in enumerate_ideals(rs)]
+    return [{**ideal_record(rs, members), "spherical": _spherical.is_spherical_subspace(L, members)}
+            for members in enumerate_ideals(rs)]

@@ -530,12 +530,12 @@ def verify_subspace_theorem(rs: RootSystem, L: ChevalleyAlgebra | None = None,
         if sph != ref:
             mismatches.append({"subject": "biconvex", "word": list(w.word)})
     ideal_list = _ideals.enumerate_ideals(rs)
-    for ideal in ideal_list:
-        sph = is_spherical_subspace(L, ideal.members)
-        ref = _ideals.is_abelian(rs, ideal.members) if is_g2 else _weyl.pairing_nonneg(rs, ideal.members)
+    for members in ideal_list:
+        sph = is_spherical_subspace(L, members)
+        ref = _ideals.is_abelian(rs, members) if is_g2 else _weyl.pairing_nonneg(rs, members)
         if sph != ref:
             mismatches.append(
-                {"subject": "ideal", "members": [list(rs.roots[i].coords) for i in ideal.members]}
+                {"subject": "ideal", "members": [list(rs.roots[i].coords) for i in members]}
             )
     return {
         "type": rs.cartan_type.name,

@@ -332,10 +332,11 @@ def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command, f
 
 
 @pytest.mark.parametrize("argv, error", [
+    # the command's own parser reports the flag, under its usage line
     (("verify", "theorem2", "--type", "B2", "--workers", "2"),
-     "liesph: error: unrecognized arguments: --workers 2"),
+     "liesph verify theorem2: error: unrecognized arguments: --workers 2"),
     (("inspect", "--type", "B2", "--word", "1,2", "--cache", "DIR"),
-     "liesph: error: unrecognized arguments: --cache DIR"),
+     "liesph inspect: error: unrecognized arguments: --cache DIR"),
     # the target comes before the flags
     (("verify", "--type", "B2", "theorem2"), "liesph verify: error: argument what: invalid choice: 'B2'"),
 ])
@@ -343,6 +344,8 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv, error):
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines()[-1].startswith(error)
+    prog = error.split(":")[0]
+    assert err.startswith(f"usage: {prog} ")
 
 
 def test_spaces_around_word_and_coordinate_parts(capsys):
@@ -440,6 +443,19 @@ def test_encoding_commands_peel_each_ideal_once(monkeypatch, capsys):
     code, rep = run_json(capsys, "inspect", "--type", "B3", "--ideal-gen", "0,1,1")
     assert code == 0 and rep["w_word"] and len(calls) == 21
     assert other_proofs == []
+
+
+def test_inspect_ideal_decides_sphericality_once(monkeypatch, capsys):
+    # the witness scan behind the report's spherical flag and witness is the
+    # only one; the ideal record does not ask again
+    from liesph import spherical
+
+    witness, calls = spherical.spherical_witness, []
+    monkeypatch.setattr(spherical, "spherical_witness",
+                        lambda L, ps: calls.append(ps) or witness(L, ps))
+    code, rep = run_json(capsys, "inspect", "--type", "F4", "--ideal-gen", "0,1,1,1")
+    assert code == 0 and rep["subject"] == "ideal"
+    assert len(calls) == 1
 
 
 def test_theorem2_reports_a_failed_encoding_as_a_mismatch(monkeypatch, capsys):

@@ -1,4 +1,3 @@
-import pickle
 import random
 
 import pytest
@@ -9,6 +8,7 @@ from liesph import ideals as I
 from liesph.chevalley import build_chevalley
 from liesph.errors import LiesphError
 from liesph.roots import PosRootSet, has_summing_pair, iter_bits
+from liesph.spherical import is_spherical_subspace
 
 IDEAL_COUNTS = {
     "A1": 2, "A2": 5, "B2": 6, "G2": 8, "A3": 14, "B3": 20, "C3": 20,
@@ -47,7 +47,7 @@ def test_poset_mask_deciders_match_the_pair_scans(name):
     npos = rs.num_positive
     up = I._poset_tables(rs)
     rng = random.Random(f"poset-{name}")
-    masks = [ideal.members.mask for ideal in I.enumerate_ideals(rs)]
+    masks = [ideal.mask for ideal in I.enumerate_ideals(rs)]
     for _ in range(1000):
         density = rng.random()
         m = sum(1 << i for i in range(npos) if rng.random() < density)
@@ -65,7 +65,7 @@ def test_ideal_counts():
     for name, count in IDEAL_COUNTS.items():
         ideals = I.enumerate_ideals(get_rs(name))
         assert len(ideals) == count, name
-        masks = [i.members.mask for i in ideals]
+        masks = [i.mask for i in ideals]
         assert len(set(masks)) == count
         assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
 
@@ -73,29 +73,32 @@ def test_ideal_counts():
 def test_antichain_cross_check():
     for name in IDEAL_COUNTS:
         rs = get_rs(name)
-        assert {i.members.mask for i in I.enumerate_ideals(rs)} == I.antichain_ideal_masks(rs)
+        assert {i.mask for i in I.enumerate_ideals(rs)} == I.antichain_ideal_masks(rs)
 
 
 def test_empty_and_full_present():
     for name in ["A2", "B2", "G2", "F4"]:
         rs = get_rs(name)
-        masks = {i.members.mask for i in I.enumerate_ideals(rs)}
+        masks = {i.mask for i in I.enumerate_ideals(rs)}
         assert 0 in masks and (1 << rs.num_positive) - 1 in masks
 
 
 def test_ideal_from_generators():
     g2 = get_rs("G2")
     psi0 = I.ideal_from_generators(g2, [g2.root_from_coords((2, 1))])
-    assert {g2.roots[i].coords for i in psi0.members} == {(2, 1), (3, 1), (3, 2)}
-    assert I.minimal_generators(g2, psi0.members) == [g2.root_from_coords((2, 1)).index]
+    assert {g2.roots[i].coords for i in psi0} == {(2, 1), (3, 1), (3, 2)}
+    assert I.minimal_generators(g2, psi0) == [g2.root_from_coords((2, 1)).index]
+    assert I.make_ideal(g2, psi0) is psi0
     with pytest.raises(LiesphError):
         I.make_ideal(g2, g2.posrootset([g2.simple_root(1)]))
+    with pytest.raises(LiesphError):
+        I.psi_hat(g2, g2.posrootset([g2.simple_root(1)]))
 
 
 def test_is_abelian():
     g2 = get_rs("G2")
     psi0 = I.ideal_from_generators(g2, [g2.root_from_coords((2, 1))])
-    assert I.is_abelian(g2, psi0.members)
+    assert I.is_abelian(g2, psi0)
     assert I.is_abelian(g2, g2.posrootset([g2.theta]))
     b2 = get_rs("B2")
     assert not I.is_abelian(b2, PosRootSet((1 << 4) - 1, 4))
@@ -103,8 +106,7 @@ def test_is_abelian():
 
 def test_layers():
     b2 = get_rs("B2")
-    full = I.make_ideal(b2, PosRootSet((1 << 4) - 1, 4))
-    layers = [sorted(b2.roots[i].coords for i in l.indices()) for l in full.layers]
+    layers = [sorted(b2.roots[i].coords for i in iter_bits(l)) for l in I._layers(b2, 0b1111)]
     assert layers == [
         [(0, 1), (1, 0), (1, 1), (1, 2)],
         [(1, 1), (1, 2)],
@@ -114,12 +116,14 @@ def test_layers():
     for name in ["B2", "G2", "B3", "C3"]:
         rs = get_rs(name)
         for ideal in I.enumerate_ideals(rs):
-            prev = ideal.members
-            for layer in ideal.layers:
-                assert layer.issubset(prev) or layer == ideal.layers[0]
-                assert layer.issubset(ideal.members)
+            layers = I._layers(rs, ideal.mask)
+            assert layers[0] == ideal.mask
+            prev = ideal.mask
+            for layer in layers:
+                assert layer & ~prev == 0
                 prev = layer
-            assert I.is_abelian(rs, ideal.members) == (len(ideal.layers) <= 1)
+            assert I.is_abelian(rs, ideal) == (len(layers) <= 1)
+    assert I._layers(b2, 0) == [0]  # the empty ideal: one empty layer
 
 
 def test_psi_hat_examples():
@@ -136,8 +140,7 @@ def test_psi_hat_examples():
     }
 
     b2 = get_rs("B2")
-    full = I.make_ideal(b2, PosRootSet((1 << 4) - 1, 4))
-    Sf = I.psi_hat(b2, full)
+    Sf = I.psi_hat(b2, PosRootSet((1 << 4) - 1, 4))
     assert {(r.level, r.finite.coords) for r in Sf} == {
         (1, (-1, 0)), (1, (0, -1)), (1, (-1, -1)), (1, (-1, -2)),
         (2, (-1, -1)), (2, (-1, -2)), (3, (-1, -2)),
@@ -166,7 +169,7 @@ def test_pairing_transfer():
         rs = get_rs(name)
         for ideal in I.enumerate_ideals(rs):
             S = I.psi_hat(rs, ideal)
-            finite_ok = W.pairing_nonneg(rs, ideal.members)
+            finite_ok = W.pairing_nonneg(rs, ideal)
             affine_ok = all(
                 A.affine_pairing(a, b) >= 0 for a in S for b in S
             )
@@ -185,14 +188,11 @@ def test_verify_theorem2_small():
 
 
 def test_g2_spherical_ideals_inside_psi0():
-    from liesph.spherical import is_spherical_subspace
-    from conftest import get_algebra
-
     g2 = get_rs("G2")
     L = get_algebra("G2")
-    psi0 = I.ideal_from_generators(g2, [g2.root_from_coords((2, 1))]).members
+    psi0 = I.ideal_from_generators(g2, [g2.root_from_coords((2, 1))])
     for ideal in I.enumerate_ideals(g2):
-        assert is_spherical_subspace(L, ideal.members) == ideal.members.issubset(psi0)
+        assert is_spherical_subspace(L, ideal) == ideal.issubset(psi0)
 
 
 def test_maximal_spherical_ideals():
@@ -214,23 +214,6 @@ def test_ideal_atlas_records():
         }
         assert rec["abelian"] == rec["commutative"]
         assert rec["fc"] == rec["spherical"]  # doubly laced
-
-
-def test_combinatorial_ideal_is_a_frozen_value():
-    a2 = get_rs("A2")
-    top = PosRootSet(0b100, 3)
-    ideal = I.make_ideal(a2, top)
-    assert ideal == I.CombinatorialIdeal(top, (top,)) and ideal.size == 1
-    assert ideal != I.make_ideal(a2, PosRootSet(0b110, 3))
-    assert ideal.__eq__((top, (top,))) is NotImplemented
-    assert hash(ideal) == hash((top, (top,)))
-    assert repr(ideal) == ("CombinatorialIdeal(members=PosRootSet([2], width=3), "
-                           "layers=(PosRootSet([2], width=3),))")
-    assert pickle.loads(pickle.dumps(ideal)) == ideal
-    with pytest.raises(AttributeError):
-        ideal.members = PosRootSet(0, 3)
-    with pytest.raises(AttributeError):
-        del ideal.layers
 
 
 # -- references: the pair scans the up-set masks replaced --------------------
@@ -259,8 +242,7 @@ def _reference_minimal_generators(rs, mask):
 def _reference_layers(rs, mask):
     """Psi^(k) = (Psi^(k-1) + Psi) cap Phi^+, each layer scanned against
     every member of the ideal."""
-    npos = rs.num_positive
-    out = [PosRootSet(mask, npos)]
+    out = [mask]
     cur = mask
     members = list(iter_bits(mask))
     while cur:
@@ -273,9 +255,9 @@ def _reference_layers(rs, mask):
                     nxt |= 1 << s
         if not nxt:
             break
-        out.append(PosRootSet(nxt, npos))
+        out.append(nxt)
         cur = nxt
-    return tuple(out)
+    return out
 
 
 def _check_encodings(rs):
@@ -284,9 +266,10 @@ def _check_encodings(rs):
     it equals the one ``AffineWeylWord`` builds from its word."""
     npos = rs.num_positive
     for ideal in I.enumerate_ideals(rs):
-        assert ideal.layers == _reference_layers(rs, ideal.members.mask), ideal
+        layers = I._layers(rs, ideal.mask)
+        assert layers == _reference_layers(rs, ideal.mask), ideal
         S = I.psi_hat(rs, ideal)
-        keys = [(k, i + npos) for k, layer in enumerate(ideal.layers, start=1) for i in layer]
+        keys = [(k, i + npos) for k, layer in enumerate(layers, start=1) for i in iter_bits(layer)]
         assert S == A.AffineRootSet(rs, keys) and S.keys == frozenset(keys)
         w = A.element_from_biconvex_affine(S)
         want = A.AffineWeylWord(rs, w.word)
@@ -326,7 +309,7 @@ def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
     monkeypatch.setattr(A, "_peel_codes", drop_first_letter)
     monkeypatch.setattr(I, "_peel_codes", drop_first_letter)
     b2 = get_rs("B2")
-    S = I.psi_hat(b2, I.make_ideal(b2, PosRootSet(0b1111, 4)))
+    S = I.psi_hat(b2, PosRootSet(0b1111, 4))
     with pytest.raises(LiesphError, match="peeling failed to reproduce the input set"):
         A.element_from_biconvex_affine(S)
     assert main(["verify", "theorem2", "--type", "B2"]) == 1
@@ -348,29 +331,29 @@ def _check_layer_path(rs, L, records=None):
     coords = [list(r.coords) for r in rs.roots]
     ideals = I.enumerate_ideals(rs)
     for ideal, record in zip(ideals, records or [None] * len(ideals), strict=True):
-        layers = [layer.mask for layer in ideal.layers]
+        layers = I._layers(rs, ideal.mask)
         S = I.psi_hat(rs, ideal)
         codes = I._encoding_codes(rs, layers)
         assert codes == {level * span + packed[f] for level, f in S.keys}
         word, img = A._peel_codes(rs, codes)
         w = A.element_from_biconvex_affine(S)
         assert word == w.word and tuple(A._decode(rs, span, c) for c in img) == w.canonical
-        flags = I._ideal_flags(rs, L, ideal.members, layers)
+        flags = I._ideal_flags(rs, ideal, layers)
         fc, comm = A.is_fc_affine(S), A.is_commutative_affine(S)
-        abelian = not has_summing_pair(rs, ideal.members.indices())
-        assert flags[1:] == (fc, abelian) and comm == abelian, ideal
+        abelian = not has_summing_pair(rs, ideal.indices())
+        assert flags == (fc, abelian) and comm == abelian, ideal
         if record is not None:
-            minimal = _reference_minimal_generators(rs, ideal.members.mask)
+            minimal = _reference_minimal_generators(rs, ideal.mask)
             assert record == {
                 "generators": [coords[i] for i in minimal],
-                "members": [coords[i] for i in ideal.members],
-                "layers": [[coords[i] for i in layer] for layer in ideal.layers],
+                "members": [coords[i] for i in ideal],
+                "layers": [[coords[i] for i in iter_bits(layer)] for layer in layers],
                 "psi_hat": S.to_json_list(),
                 "w_word": list(w.word),
                 "abelian": abelian,
                 "commutative": comm,
                 "fc": fc,
-                "spherical": flags[0],
+                "spherical": is_spherical_subspace(L, ideal),
             }, ideal
 
 

@@ -133,7 +133,7 @@ def test_oracles_agree_exhaustively_small():
         rs = get_rs(name)
         L = get_algebra(name)
         subjects = [e.inv for e in W.enumerate_weyl(rs)]
-        subjects += [i.members for i in I.enumerate_ideals(rs)]
+        subjects += I.enumerate_ideals(rs)
         for ps in subjects:
             det = S.is_spherical_subspace(L, ps)
             rnd = S.generic_height(L, ps, trials=3, seed=1) <= 3
@@ -219,7 +219,7 @@ def test_orthogonal_subsets_of_spherical_sets_classify_none():
         rs = get_rs(name)
         subjects = [e.inv for e in W.enumerate_weyl(rs) if W.pairing_nonneg(rs, e.inv)]
         subjects += [
-            i.members for i in I.enumerate_ideals(rs) if W.pairing_nonneg(rs, i.members)
+            i for i in I.enumerate_ideals(rs) if W.pairing_nonneg(rs, i)
         ]
         for ps in subjects:
             roots = rs.roots_of(ps)
@@ -368,6 +368,20 @@ def test_verify_subspace_theorem_small():
         assert rep["mismatches"] == []
 
 
+@pytest.mark.parametrize("name", ["B3", "G2"])
+def test_verify_subspace_theorem_reads_no_layers(monkeypatch, name):
+    # the ideals are their member sets: the subspace theorem reads only the
+    # members, so a layer computation is never asked for
+    rs = get_rs(name)
+    want = S.verify_subspace_theorem(rs)
+
+    def no_layers(rs, mask):
+        raise AssertionError("verify_subspace_theorem computed layers")
+
+    monkeypatch.setattr(I, "_layers", no_layers)
+    assert S.verify_subspace_theorem(rs) == want
+
+
 def test_verify_theorem1_small():
     for name, fc in [("A2", 5), ("B2", 7), ("G2", 6), ("A3", 14), ("B3", 24)]:
         rep = S.verify_theorem1(get_rs(name))
@@ -396,7 +410,7 @@ def test_generic_height_is_the_fingerprint_height(trials, seed):
     # both draw the same seeded samples, and inspect reports the
     # fingerprint's height as its generic_height
     subjects = [(get_algebra(n), e.inv) for n in ("G2", "B3") for e in W.enumerate_weyl(get_rs(n))]
-    subjects += [(get_algebra("B3"), i.members) for i in I.enumerate_ideals(get_rs("B3"))]
+    subjects += [(get_algebra("B3"), i) for i in I.enumerate_ideals(get_rs("B3"))]
     for L, ps in subjects:
         assert S.generic_height(L, ps, trials, seed) == S.orbit_fingerprint(L, ps, trials, seed)[1]
 
@@ -775,7 +789,7 @@ def test_witness_scan_over_minimal_supports(name, minimal):
     assert len(S.quartic_obstructions(L)) == minimal
     full = _reference_full_table(L)
     subjects = [e.inv for e in W.enumerate_weyl(rs)]
-    subjects += [i.members for i in I.enumerate_ideals(rs)]
+    subjects += I.enumerate_ideals(rs)
     for ps in subjects:
         assert S.spherical_witness(L, ps) == _first_full_table_hit(full, ps)
 
@@ -843,8 +857,8 @@ def _certify_maximal_spherical_ideals(name):
     has height at most 3 at one seeded sample: evidence, independent of the
     quartic list, that it is spherical.  Returns how many there are."""
     rs, L = get_rs(name), get_algebra(name)
-    spherical = [ideal.members.mask for ideal in I.enumerate_ideals(rs)
-                 if S.is_spherical_subspace(L, ideal.members)]
+    spherical = [ideal.mask for ideal in I.enumerate_ideals(rs)
+                 if S.is_spherical_subspace(L, ideal)]
     maximal = [m for m in spherical if not any(o != m and m & ~o == 0 for o in spherical)]
     for mask in maximal:
         where = (name, [rs.roots[g].coords for g in iter_bits(mask)])
