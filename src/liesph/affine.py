@@ -319,10 +319,22 @@ def _peel_codes(rs: RootSystem, left: set[int]) -> tuple[tuple[int, ...], list[i
     return tuple(reversed(rev)), img
 
 
+def _checked_peel(rs: RootSystem, codes: set[int]) -> tuple[tuple[int, ...], list[int]]:
+    """``_peel_codes``, held to the size of the set it consumes: a word
+    shorter than the set raises LiesphError.  The one round-trip check of
+    every reconstruction, affine, finite and theorem 2's; it stays outside
+    the peel, as it is there to catch a faulty one."""
+    size = len(codes)
+    word, img = _peel_codes(rs, codes)
+    if len(word) != size:
+        raise LiesphError("peeling failed to reproduce the input set")
+    return word, img
+
+
 def _peel_word(rs: RootSystem, keys) -> tuple[tuple[int, ...], list[int]]:
-    """``_peel_codes`` on (level, root index) keys."""
+    """``_checked_peel`` on (level, root index) keys."""
     span, packed = _affine_codes(rs)[0], rs.packed
-    return _peel_codes(rs, {level * span + packed[f] for level, f in keys})
+    return _checked_peel(rs, {level * span + packed[f] for level, f in keys})
 
 
 def affine_from_word(rs: RootSystem, word) -> AffineWeylWord:
@@ -365,22 +377,21 @@ def _has_summing_pair(rs: RootSystem, mask: int) -> bool:
 
 def element_from_biconvex_affine(S: AffineRootSet) -> AffineWeylWord:
     """The element whose inversion set is S; the peel rejects a set that is
-    not biconvex, as it sticks exactly there.  Its final images are those of
-    the affine simple roots under the inverse, the canonical form."""
+    not biconvex, as it sticks exactly there, and ``_checked_peel`` holds
+    its word to the size of S.  Its final images are those of the affine
+    simple roots under the inverse, the canonical form."""
     rs = S.system
     word, img = _peel_word(rs, S.keys)
-    if len(word) != len(S.keys):
-        raise LiesphError("peeling failed to reproduce the input set")
     return AffineWeylWord._trusted(rs, word, S.keys, img)
 
 
 def is_biconvex_affine(S: AffineRootSet) -> bool:
     """Whether S is an inversion set, decided by the one peel: it empties S
-    exactly then (``_peel_codes`` proves it), and
-    ``element_from_biconvex_affine`` holds it to the length of S.  Closure
-    of S and of its complement alone is weaker: on A1 no two real roots sum
-    to a root, so closure accepts sets such as {-a + 2 delta} and
-    {a, -a + delta}, which are no inversion set."""
+    exactly then (``_peel_codes`` proves it), and ``_checked_peel`` holds
+    its word to the length of S.  Closure of S and of its complement alone
+    is weaker: on A1 no two real roots sum to a root, so closure accepts
+    sets such as {-a + 2 delta} and {a, -a + delta}, which are no inversion
+    set."""
     try:
         element_from_biconvex_affine(S)
     except LiesphError:

@@ -251,19 +251,6 @@ def bracket(L: ChevalleyAlgebra, x, y) -> dict:
     return acc
 
 
-def ad_root_apply(L: ChevalleyAlgebra, root_index: int, v: dict) -> dict:
-    """ad(e_a) applied to a sparse vector (fast path for chain evaluation)."""
-    acc: dict = {}
-    for j, cj in v.items():
-        for b, n in L.bracket_basis(root_index, j).items():
-            val = acc.get(b, 0) + cj * n
-            if val:
-                acc[b] = val
-            else:
-                acc.pop(b, None)
-    return acc
-
-
 def ad_matrix(L: ChevalleyAlgebra, x) -> list[list]:
     """Dense matrix of ad(x) in the Chevalley basis (rows = output coords)."""
     x = _as_vector(L, x)
@@ -308,7 +295,7 @@ def exp_root_action(L: ChevalleyAlgebra, a: Root, xi, x) -> dict:
     factorial = 1
     out = dict(x)
     while True:
-        term = ad_root_apply(L, a.index, term)
+        term = bracket(L, {a.index: 1}, term)
         if not term:
             return {b: c for b, c in out.items() if c}
         k += 1

@@ -17,10 +17,10 @@ from .affine import (
     AffineRootSet,
     AffineWeylWord,
     _affine_codes,
+    _checked_peel,
     _decode,
     _decompositions,
     _has_summing_pair,
-    _peel_codes,
     element_from_biconvex_affine,
 )
 from .chevalley import ChevalleyAlgebra, build_chevalley
@@ -54,18 +54,19 @@ def is_combinatorial_ideal(rs: RootSystem, ps: PosRootSet) -> bool:
     return all(not up[i] & ~mask for i in iter_bits(mask))
 
 
-def _layers(rs: RootSystem, mask: int) -> list[int]:
-    """The masks of Psi^(k) for k >= 1, in one pass by height; ``[0]`` for
-    the empty ideal.  The layers nest, so the deepest layer of a member,
-    its depth, is 1 plus that of the deeper summand, over its
-    decompositions into two members, and 1 when it has none.  The members
-    of depth k are layer k minus layer k + 1, which is what the encoding's
-    codes come from (``_encoding_codes``); full commutativity reads the
-    layer masks (``_is_fc_by_layers``)."""
+def _layers(rs: RootSystem, mask: int) -> tuple[list[int], set[int]]:
+    """The masks of Psi^(k) for k >= 1, ``[0]`` for the empty ideal, and
+    the codes of the encoding ``psi_hat``, in one pass by height.  The
+    layers nest, so the deepest layer of a member, its depth, is 1 plus
+    that of the deeper summand, over its decompositions into two members,
+    and 1 when it has none; member g of depth d gives the codes of
+    k*delta - g for 1 <= k <= d (``_code_ladders``).  Full commutativity
+    reads the layer masks (``_is_fc_by_layers``)."""
     npos = rs.num_positive
-    pairs = _decompositions(rs)[0]
+    pairs, ladders = _decompositions(rs)[0], _code_ladders(rs)
     depth = [0] * npos
     by_depth = []  # members of deepest layer d + 1
+    codes = set()
     for g in iter_bits(mask):  # root indices increase with height
         d = 0
         for f, h in pairs[g]:
@@ -78,6 +79,7 @@ def _layers(rs: RootSystem, mask: int) -> list[int]:
                 if df > d:
                     d = df
         depth[g] = d + 1
+        codes.update(ladders[g][:d + 1])
         if d == len(by_depth):
             by_depth.append(0)
         by_depth[d] |= 1 << g
@@ -86,7 +88,7 @@ def _layers(rs: RootSystem, mask: int) -> list[int]:
     for bits in reversed(by_depth):
         layer |= bits
         layers.append(layer)
-    return layers[::-1] or [0]
+    return layers[::-1] or [0], codes
 
 
 def make_ideal(rs: RootSystem, ps: PosRootSet) -> PosRootSet:
@@ -170,12 +172,12 @@ def is_abelian(rs: RootSystem, ps: PosRootSet) -> bool:
 
 def psi_hat(rs: RootSystem, ideal: PosRootSet) -> AffineRootSet:
     """Affine encoding of an ideal: union over k of {k*delta - a : a in
-    Psi^(k)}, decoded from the codes ``_encoding_codes`` builds.  Raises
+    Psi^(k)}, decoded from the codes ``_layers`` builds.  Raises
     LiesphError when the set is no ideal.
 
     The set is biconvex (Cellini-Papi); ``element_from_biconvex_affine``
     proves it by peeling the set into its element, the one check."""
-    return _decoded(rs, _encoding_codes(rs, _layers(rs, make_ideal(rs, ideal).mask)))
+    return _decoded(rs, _layers(rs, make_ideal(rs, ideal).mask)[1])
 
 
 def _decoded(rs: RootSystem, codes) -> AffineRootSet:
@@ -193,16 +195,6 @@ def _code_ladders(rs: RootSystem) -> list[tuple[int, ...]]:
     span, packed = _affine_codes(rs)[0], rs.packed
     return [tuple(range(span - packed[g], r.height * span - packed[g] + 1, span))
             for g, r in enumerate(rs.positive_roots)]
-
-
-def _encoding_codes(rs: RootSystem, layers: list[int]) -> set[int]:
-    """The codes of ``psi_hat``, from each member's depth: k*delta - g for
-    1 <= k <= depth(g), where the members of depth k are ``layers[k - 1]``
-    minus ``layers[k]``."""
-    ladders = _code_ladders(rs)
-    depths = [(k, layer & ~deeper)
-              for k, layer, deeper in zip(range(1, len(layers) + 1), layers, layers[1:] + [0])]
-    return {c for k, exact in depths for g in iter_bits(exact) for c in ladders[g][:k]}
 
 
 def _is_fc_by_layers(rs: RootSystem, layers: list[int]) -> bool:
@@ -261,53 +253,33 @@ def w_of_ideal(rs: RootSystem, ideal: PosRootSet) -> AffineWeylWord:
     return element_from_biconvex_affine(psi_hat(rs, ideal))
 
 
-def _encoding_word(rs: RootSystem, codes: set[int]) -> tuple[int, ...]:
-    """The word of w_I from the codes of its encoding (``_encoding_codes``),
-    peeled once (``affine._peel_codes``), which proves them biconvex and
-    consumes them.  A peel that sticks, or a word shorter than the encoding,
-    raises LiesphError naming the check."""
-    size = len(codes)
-    word = _peel_codes(rs, codes)[0]
-    if len(word) != size:
-        raise LiesphError("peeling failed to reproduce the input set")
-    return word
-
-
-def _ideal_flags(rs: RootSystem, members: PosRootSet, layers: list[int]) -> tuple[bool, bool]:
-    """(fc, abelian) of an ideal, from its members and layer masks.  Full
-    commutativity of w_I is read off the layers (``_is_fc_by_layers``).
-    Abelianness is also commutativity of w_I: a sum of real affine roots is
-    real iff their finite parts sum to a root, the encoding's finite parts
-    are the negated members, and a + b is a root iff -a - b is.
-    Sphericality is the algebra's question, asked by each caller once."""
-    return _is_fc_by_layers(rs, layers), is_abelian(rs, members)
-
-
 def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     """Per ideal: spherical iff the affine element is fully commutative
     (commutative in G2); abelian iff a single layer; spherical forces the
-    third layer to vanish.  Commutativity is abelianness
-    (``_ideal_flags``), so the report counts them once.
+    third layer to vanish.  Commutativity of w_I is abelianness, so the
+    report counts them once: a sum of real affine roots is real iff their
+    finite parts sum to a root, the encoding's finite parts are the negated
+    members, and a + b is a root iff -a - b is.
 
-    Each ideal's layer masks are computed once (``_layers``) and read by
-    the per-ideal path the atlas and ``inspect`` share: the encoding's
-    codes are peeled once (``_encoding_word``), and an encoding that fails
-    is a mismatch naming the check; fc and abelianness come from
-    ``_ideal_flags``.  Member coordinates are built only for the
-    mismatches."""
+    Each ideal's layer masks and encoding codes come from one pass
+    (``_layers``), read by the per-ideal path the atlas and ``inspect``
+    share: the codes are peeled once (``affine._checked_peel``), and an
+    encoding that fails is a mismatch naming the check; fc is read off the
+    layers (``_is_fc_by_layers``).  Member coordinates are built only for
+    the mismatches."""
     L = L or build_chevalley(rs)
     is_g2 = rs.cartan_type.name == "G2"
     mismatches = []
     n_spherical = n_abelian = n_fc = 0
     ideal_list = enumerate_ideals(rs)
     for members in ideal_list:
-        layers = _layers(rs, members.mask)
+        layers, codes = _layers(rs, members.mask)
         try:
-            _encoding_word(rs, _encoding_codes(rs, layers))
+            _checked_peel(rs, codes)
         except LiesphError as exc:  # the peel stuck, or its word is short
             mismatches.append({"members": members, "reason": f"affine encoding: {exc}"})
         sph = _spherical.is_spherical_subspace(L, members)
-        fc, abelian = _ideal_flags(rs, members, layers)
+        fc, abelian = _is_fc_by_layers(rs, layers), is_abelian(rs, members)
         n_spherical += sph
         n_abelian += abelian
         n_fc += fc
@@ -344,16 +316,15 @@ def ideal_record(rs: RootSystem, members: PosRootSet) -> dict:
     affine encoding, the word of w_I and the flags but sphericality, by the
     per-ideal path of ``verify_theorem2``: one code set is both the
     ``psi_hat`` field and the peeled encoding.  A failed encoding raises."""
-    layers = _layers(rs, members.mask)
-    codes = _encoding_codes(rs, layers)
+    layers, codes = _layers(rs, members.mask)
     encoding = _decoded(rs, codes).to_json_list()  # before the peel consumes the codes
-    fc, abelian = _ideal_flags(rs, members, layers)
+    fc, abelian = _is_fc_by_layers(rs, layers), is_abelian(rs, members)
     return {
         "generators": [list(rs.roots[i].coords) for i in minimal_generators(rs, members)],
         "members": [list(rs.roots[i].coords) for i in members],
         "layers": [[list(rs.roots[i].coords) for i in iter_bits(layer)] for layer in layers],
         "psi_hat": encoding,
-        "w_word": list(_encoding_word(rs, codes)),
+        "w_word": list(_checked_peel(rs, codes)[0]),
         "abelian": abelian,
         "commutative": abelian,
         "fc": fc,

@@ -17,11 +17,12 @@ from collections import deque
 
 from .affine import (
     _affine_codes,
+    _checked_peel,
     _has_summing_pair,
     _inversion_codes,
-    _peel_word,
     _reflect_images,
     _reflect_key,
+    _word_image,
 )
 from .errors import BudgetExceeded, LiesphError, MismatchedSystems, WordCapExceeded
 from .roots import (
@@ -78,10 +79,7 @@ class WeylElement:
         rs = self.system
         if r.system is not rs:
             raise MismatchedSystems("root from another system")
-        f = r.index
-        for i in reversed(self.word):
-            f = _reflect_key(rs, i, 0, f)[1]
-        return rs.roots[f]
+        return rs.roots[_word_image(rs, self.word, (0, r.index))[1]]
 
     def is_identity(self) -> bool:
         return self.inv_mask == 0
@@ -206,15 +204,14 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 
 def element_from_biconvex(rs: RootSystem, ps: PosRootSet) -> WeylElement:
-    """The unique w with inversion set ps, from the affine peel on level-0
-    keys, which rejects a set that is not biconvex: a peel that empties ps
-    has built a reduced word with inversion set ps, and its final images
-    are those under w^-1."""
+    """The unique w with inversion set ps, from the affine peel
+    (``affine._checked_peel``) on level-0 codes, the packed ints, which
+    rejects a set that is not biconvex: a peel that empties ps has built a
+    reduced word with inversion set ps, and its final images are those
+    under w^-1."""
     if ps.width != rs.num_positive:
         raise MismatchedSystems("bit vector from another system")
-    word, img = _peel_word(rs, {(0, i) for i in ps.indices()})
-    if len(word) != ps.mask.bit_count():
-        raise LiesphError("peeling failed to reproduce the input set")
+    word, img = _checked_peel(rs, {rs.packed[i] for i in ps.indices()})
     return WeylElement(rs, word, ps.mask, tuple(img))
 
 

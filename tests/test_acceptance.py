@@ -169,7 +169,7 @@ def test_criterion_7_affine_encoding_round_trip():
             assert A.affine_inversions(w) == Shat
             assert I.is_abelian(rs, ideal) == A.is_commutative_affine(Shat)
             if S.is_spherical_subspace(L, ideal):
-                assert len(I._layers(rs, ideal.mask)) <= 2  # Psi^(3) is empty
+                assert len(I._layers(rs, ideal.mask)[0]) <= 2  # Psi^(3) is empty
             total += 1
     print(f"\nPASS criterion 7: affine encoding round trip exact on {total} ideals; "
           f"abelian = commutative; spherical ideals have no third layer")

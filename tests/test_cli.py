@@ -433,10 +433,10 @@ def _count_other_biconvexity_proofs(monkeypatch, calls):
 def test_encoding_commands_peel_each_ideal_once(monkeypatch, capsys):
     # atlas ideals and inspect --ideal-gen build each element by the code
     # peel alone, on the per-ideal path of verify theorem2
-    from liesph import ideals
+    from liesph import affine
 
-    peel, calls, other_proofs = ideals._peel_codes, [], []
-    monkeypatch.setattr(ideals, "_peel_codes", lambda rs, c: calls.append(c) or peel(rs, c))
+    peel, calls, other_proofs = affine._peel_codes, [], []
+    monkeypatch.setattr(affine, "_peel_codes", lambda rs, c: calls.append(c) or peel(rs, c))
     _count_other_biconvexity_proofs(monkeypatch, other_proofs)
     code, rep = run_json(capsys, "atlas", "ideals", "--type", "B3")
     assert code == 0 and rep["count"] == len(calls) == 20
@@ -461,19 +461,19 @@ def test_inspect_ideal_decides_sphericality_once(monkeypatch, capsys):
 def test_theorem2_reports_a_failed_encoding_as_a_mismatch(monkeypatch, capsys):
     # an encoding that fails its biconvexity check is a mismatch of that
     # ideal, reported with the other ideals, and checked once, by the peel
-    from liesph import ideals
+    from liesph import affine, ideals
 
-    encode, peel = ideals._encoding_codes, ideals._peel_codes
+    layers_and_codes, peel = ideals._layers, affine._peel_codes
     calls, other_proofs = [], []
 
-    def drop_top_code_of_full_ideal(rs, layers):
-        codes = encode(rs, layers)
-        if layers[0] == (1 << rs.num_positive) - 1:
+    def drop_top_code_of_full_ideal(rs, mask):
+        layers, codes = layers_and_codes(rs, mask)
+        if mask == (1 << rs.num_positive) - 1:
             codes.remove(max(codes))
-        return codes
+        return layers, codes
 
-    monkeypatch.setattr(ideals, "_encoding_codes", drop_top_code_of_full_ideal)
-    monkeypatch.setattr(ideals, "_peel_codes", lambda rs, codes: calls.append(codes) or peel(rs, codes))
+    monkeypatch.setattr(ideals, "_layers", drop_top_code_of_full_ideal)
+    monkeypatch.setattr(affine, "_peel_codes", lambda rs, codes: calls.append(codes) or peel(rs, codes))
     _count_other_biconvexity_proofs(monkeypatch, other_proofs)
     code, rep = run_json(capsys, "verify", "theorem2", "--type", "B3")
     assert code == 1

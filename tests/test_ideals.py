@@ -106,7 +106,7 @@ def test_is_abelian():
 
 def test_layers():
     b2 = get_rs("B2")
-    layers = [sorted(b2.roots[i].coords for i in iter_bits(l)) for l in I._layers(b2, 0b1111)]
+    layers = [sorted(b2.roots[i].coords for i in iter_bits(l)) for l in I._layers(b2, 0b1111)[0]]
     assert layers == [
         [(0, 1), (1, 0), (1, 1), (1, 2)],
         [(1, 1), (1, 2)],
@@ -116,14 +116,14 @@ def test_layers():
     for name in ["B2", "G2", "B3", "C3"]:
         rs = get_rs(name)
         for ideal in I.enumerate_ideals(rs):
-            layers = I._layers(rs, ideal.mask)
+            layers = I._layers(rs, ideal.mask)[0]
             assert layers[0] == ideal.mask
             prev = ideal.mask
             for layer in layers:
                 assert layer & ~prev == 0
                 prev = layer
             assert I.is_abelian(rs, ideal) == (len(layers) <= 1)
-    assert I._layers(b2, 0) == [0]  # the empty ideal: one empty layer
+    assert I._layers(b2, 0) == ([0], set())  # the empty ideal: one empty layer, no codes
 
 
 def test_psi_hat_examples():
@@ -266,7 +266,7 @@ def _check_encodings(rs):
     it equals the one ``AffineWeylWord`` builds from its word."""
     npos = rs.num_positive
     for ideal in I.enumerate_ideals(rs):
-        layers = I._layers(rs, ideal.mask)
+        layers = I._layers(rs, ideal.mask)[0]
         assert layers == _reference_layers(rs, ideal.mask), ideal
         S = I.psi_hat(rs, ideal)
         keys = [(k, i + npos) for k, layer in enumerate(layers, start=1) for i in iter_bits(layer)]
@@ -293,10 +293,12 @@ def test_encodings_match_references_e7():
 
 
 def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
-    # a peel that drops a letter must not pass as the element, and verify
-    # theorem2 reports it as an encoding mismatch
+    # a peel that drops a letter must not pass as the element, finite or
+    # affine, and verify theorem2 reports it as an encoding mismatch: every
+    # reconstruction resolves the code peel in the affine module alone
     import json
 
+    from liesph import weyl as W
     from liesph.cli import main
 
     peel = A._peel_codes
@@ -305,10 +307,10 @@ def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
         word, img = peel(rs, codes)
         return word[1:], img
 
-    # the code peel, where the affine module and verify_theorem2 resolve it
     monkeypatch.setattr(A, "_peel_codes", drop_first_letter)
-    monkeypatch.setattr(I, "_peel_codes", drop_first_letter)
     b2 = get_rs("B2")
+    with pytest.raises(LiesphError, match="peeling failed to reproduce the input set"):
+        W.element_from_biconvex(b2, PosRootSet(0b1111, 4))
     S = I.psi_hat(b2, PosRootSet(0b1111, 4))
     with pytest.raises(LiesphError, match="peeling failed to reproduce the input set"):
         A.element_from_biconvex_affine(S)
@@ -321,24 +323,23 @@ def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
 def _check_layer_path(rs, L, records=None):
     """The per-ideal path against the public deciders on the key set: the
     depth-built codes are psi_hat's keys, the code peel gives
-    element_from_biconvex_affine's word and images, and _ideal_flags' fc
-    and abelian are is_fc_affine and has_summing_pair on the members, the
-    abelian flag also is_commutative_affine.  Each of the atlas records, when
-    given, is the one the key-set route builds: its w_word the word of
-    element_from_biconvex_affine (so _encoding_word's), its generators by
-    the pair scan."""
+    element_from_biconvex_affine's word and images, and the layer-mask fc
+    (_is_fc_by_layers) and is_abelian are is_fc_affine and has_summing_pair
+    on the members, the abelian flag also is_commutative_affine.  Each of
+    the atlas records, when given, is the one the key-set route builds: its
+    w_word the word of element_from_biconvex_affine (so the checked peel's),
+    its generators by the pair scan."""
     span, packed = A._affine_codes(rs)[0], rs.packed
     coords = [list(r.coords) for r in rs.roots]
     ideals = I.enumerate_ideals(rs)
     for ideal, record in zip(ideals, records or [None] * len(ideals), strict=True):
-        layers = I._layers(rs, ideal.mask)
+        layers, codes = I._layers(rs, ideal.mask)
         S = I.psi_hat(rs, ideal)
-        codes = I._encoding_codes(rs, layers)
         assert codes == {level * span + packed[f] for level, f in S.keys}
         word, img = A._peel_codes(rs, codes)
         w = A.element_from_biconvex_affine(S)
         assert word == w.word and tuple(A._decode(rs, span, c) for c in img) == w.canonical
-        flags = I._ideal_flags(rs, ideal, layers)
+        flags = I._is_fc_by_layers(rs, layers), I.is_abelian(rs, ideal)
         fc, comm = A.is_fc_affine(S), A.is_commutative_affine(S)
         abelian = not has_summing_pair(rs, ideal.indices())
         assert flags == (fc, abelian) and comm == abelian, ideal

@@ -34,6 +34,12 @@ INSPECT = [
     ("B3", "--word", "1,2,3,2"),
     ("B3", "--ideal-gen", "0,1,1;1,1,0"),
 ]
+# the theorem 2 encoding path on an exceptional type
+E6_CASES = [
+    "verify theorem2 --type E6",
+    "atlas ideals --type E6 --format csv",
+    "inspect --type E6 --ideal-gen 0,1,1,1,1,1",
+]
 # run twice against one cache directory: the cold run computes with a pool,
 # the warm rerun reads the stored payload
 CACHED = "verify theorem1 --type F4 --workers 2 --cache DIR"
@@ -48,7 +54,7 @@ def _cases() -> list[str]:
     for t in SWAP_TYPES:
         out += [f"{cmd} {what} --type {t} --swap" for cmd, what in COMMANDS]
     out += [f"inspect --type {t} {flag} {value}" for t, flag, value in INSPECT]
-    return out
+    return out + E6_CASES
 
 
 CASES = _cases()

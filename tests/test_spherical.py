@@ -88,7 +88,7 @@ def test_quartic_multiset_decomposition():
     import random
     from fractions import Fraction
 
-    from liesph.chevalley import ad_root_apply, bracket
+    from liesph.chevalley import bracket
 
     rng = random.Random(0)
     for name in ["B2", "G2", "B3"]:
@@ -114,7 +114,7 @@ def test_quartic_multiset_decomposition():
                     for seq in sorted(set(itertools.permutations(M))):
                         w = {b: 1}
                         for g in reversed(seq):
-                            w = ad_root_apply(L, g, w)
+                            w = bracket(L, {g: 1}, w)
                             if not w:
                                 break
                         for k, val in w.items():
@@ -495,13 +495,13 @@ def _reference_starts(L, multiset):
 
 def _reference_image(L, orderings, b):
     """Sum over the orderings of the chain applied to e_b, as a sparse dict."""
-    from liesph.chevalley import ad_root_apply
+    from liesph.chevalley import bracket
 
     acc = {}
     for seq in orderings:
         v = {b: 1}
         for g in reversed(seq):
-            v = ad_root_apply(L, g, v)
+            v = bracket(L, {g: 1}, v)
             if not v:
                 break
         for key, val in v.items():
@@ -515,7 +515,7 @@ def _reference_image(L, orderings, b):
 
 def _reference_vanishes(L, multiset):
     """Chain-dict oracle: every distinct ordering of the multiset applied
-    with ad_root_apply from every start whose weight allows a nonzero end."""
+    with ``bracket`` from every start whose weight allows a nonzero end."""
     orderings = sorted(set(itertools.permutations(multiset)))
     return not any(_reference_image(L, orderings, b) for b in _reference_starts(L, multiset))
 
