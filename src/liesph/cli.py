@@ -8,10 +8,11 @@ Exit codes: 0 success, 1 mismatch found, 2 usage error, 3 budget exceeded,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from . import ideals as I
@@ -25,6 +26,11 @@ DEFAULT_BUDGET = 200_000
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_BUDGET, EXIT_IO, EXIT_INTERNAL = 0, 1, 2, 3, 4, 5
 
 
+class UsageError(Exception):
+    """A command line the CLI cannot read, as (message, prog, usage): main
+    prints the usage line, then ``<prog>: error: <message>``, and exits 2."""
+
+
 def _is_int(text: str) -> bool:
     """ASCII digits after at most one minus: the integers the CLI reads.
     int() would also read "+2", "1_0", surrounding spaces and non-ASCII digits."""
@@ -33,69 +39,134 @@ def _is_int(text: str) -> bool:
 
 
 def _integer(text: str) -> int:
-    """argparse type for --seed."""
+    """Type of --seed."""
     if not _is_int(text):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise UsageError(f"expected an integer, got {text!r}")
     return int(text)
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --budget, --workers, --cap-words and --trials: ASCII digits, >= 1."""
+    """Type of --budget, --workers, --cap-words and --trials: ASCII digits, >= 1."""
     if not _is_int(text) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise UsageError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
-# the optional flags; each command declares the ones it reads (REPORTS, and
-# build_parser for inspect)
+# every flag: a switch takes no value; any other takes one, checked against
+# its choices and read by its type.  Each command reads COMMON and the flags
+# of its REPORTS row.
 OPTIONS = {
-    "--seed": {"type": _integer, "default": 0},
-    "--trials": {"type": _positive_int, "default": 5},
+    "--type": {"required": True, "help": "Cartan type, e.g. B3 or F4"},
+    "--swap": {"switch": True, "default": False,
+               "help": "swap the two simple-root labels (rank-2 types only)"},
+    "--format": {"choices": ("json", "csv", "md"), "default": "json", "help": "report format"},
+    "--out": {"help": "write the report here instead of stdout"},
+    "--seed": {"type": _integer, "default": 0, "help": "echoed by verify; seeds inspect's samples"},
+    "--trials": {"type": _positive_int, "default": 5, "help": "samples behind the generic height"},
     "--budget": {"type": _positive_int, "default": DEFAULT_BUDGET,
                  "help": "largest Weyl group a command may enumerate"},
-    "--workers": {"type": _positive_int, "default": 1},
+    "--workers": {"type": _positive_int, "default": 1, "help": "processes in the fork pool"},
     "--cache": {"help": "directory for cached report payloads"},
-    "--cap-words": {"type": _positive_int, "default": W.DEFAULT_WORD_CAP},
+    "--cap-words": {"type": _positive_int, "default": W.DEFAULT_WORD_CAP,
+                    "help": "cap on the reduced words of --word"},
+    "--word": {"help": "reduced word, e.g. 1,2,1"},
+    "--ideal-gen": {"help": "ideal generators as ;-separated coordinate lists, e.g. 2,1"},
 }
+COMMON = ("--type", "--swap", "--format", "--out")
+COMMANDS = {"verify": "run an exhaustive verifier", "atlas": "emit the ideal or FC-element atlas",
+            "inspect": "drill into one element or ideal"}
+HELP = ("-h, --help", "show this help message and exit")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # starts with '-' but is no flag
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # the four flags every command reads, in a parent parser: a child copies
-    # its actions instead of building them again
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", required=True, help="Cartan type, e.g. B3 or F4")
-    common.add_argument("--swap", action="store_true",
-                        help="swap the two simple-root labels (rank-2 types only)")
-    common.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    common.add_argument("--out", help="write the report here instead of stdout")
+def _is_flag(token: str) -> bool:
+    return token.startswith("-") and token != "-" and not _NEGATIVE_NUMBER.fullmatch(token)
 
-    def command(subparsers, name, flags, **kwargs):
-        p = subparsers.add_parser(name, parents=[common], **kwargs)
-        for flag in flags:
-            p.add_argument(flag, **OPTIONS[flag])
-        p.set_defaults(parser=p)  # the parser that reports a flag the command does not read
-        return p
 
-    parser = argparse.ArgumentParser(
-        prog="liesph",
-        description="Exact verification of commutativity/sphericality "
-        "correspondences for Weyl groups and Borel ideals.",
-    )
-    parser.add_argument("--version", action="version", version=f"liesph {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("verify", "run an exhaustive verifier"),
-                            ("atlas", "emit the ideal or FC-element atlas")):
-        targets = sub.add_parser(name, help=help_text).add_subparsers(dest="what", required=True)
-        for (cmd, what), (_, flags) in REPORTS.items():
-            if cmd == name:
-                command(targets, what, flags)
+def _flag_usage(flag: str) -> str:
+    spec = OPTIONS[flag]
+    choices = spec.get("choices")
+    metavar = f"{{{','.join(choices)}}}" if choices else flag[2:].upper().replace("-", "_")
+    return flag if spec.get("switch") else f"{flag} {metavar}"
 
-    p_inspect = command(sub, "inspect", ("--seed", "--trials", "--cap-words"),
-                        help="drill into one element or ideal")
-    p_inspect.add_argument("--word", help="reduced word, e.g. 1,2,1")
-    p_inspect.add_argument("--ideal-gen", dest="ideal_gen",
-                           help="ideal generators as ;-separated coordinate lists, e.g. 2,1")
-    return parser
+
+def _print_help(usage: str, rows) -> None:
+    print(usage, "", *(f"  {name:<22} {text}".rstrip() for name, text in rows), sep="\n")
+
+
+def _read_value(spec: dict, eq: str, value: str, rest):
+    """A flag's value: after its '=', else the next token of rest."""
+    if spec.get("switch"):
+        if eq:
+            raise UsageError(f"ignored explicit argument {value!r}")
+        return True
+    if not eq:
+        value = next(rest, None)
+        if value is None or _is_flag(value):
+            raise UsageError("expected one argument")
+    if value not in spec.get("choices", (value,)):
+        choices = ", ".join(map(repr, spec["choices"]))
+        raise UsageError(f"invalid choice: {value!r} (choose from {choices})")
+    return spec.get("type", str)(value)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command, its target and its flags, read as the subcommand parsers
+    of argparse would read them, with exact flag names (no prefixes).
+    -h, --help and --version print and return None; anything else the
+    command line cannot mean raises UsageError."""
+    args = SimpleNamespace(command=None, what=None)
+    prog, tokens, extra = "liesph", list(argv), []
+    # the root picks the command, verify and atlas their target: the first
+    # token that is not a flag; a flag before it is not its target's
+    while (args.command, args.what) not in REPORTS:
+        root = args.command is None
+        dest = "command" if root else "what"
+        names = list(COMMANDS) if root else [w for c, w in REPORTS if c == args.command]
+        usage = f"usage: {prog} [-h]{' [--version]' * root} {{{','.join(names)}}} ..."
+        for i, token in enumerate(tokens):
+            if token in ("-h", "--help"):
+                return _print_help(usage, [HELP, *[("--version", "show the version and exit")] * root,
+                                           *((n, COMMANDS.get(n, "")) for n in names)])
+            if token == "--version" and root:
+                print(f"liesph {__version__}")
+                return None
+            if not _is_flag(token):
+                break
+        else:
+            raise UsageError(f"the following arguments are required: {dest}", prog, usage)
+        if token not in names:
+            raise UsageError(f"argument {dest}: invalid choice: {token!r} "
+                             f"(choose from {', '.join(map(repr, names))})", prog, usage)
+        setattr(args, dest, token)
+        extra += tokens[:i]
+        tokens = tokens[i + 1:]
+        prog += f" {token}"
+
+    flags = (*COMMON, *REPORTS[args.command, args.what][1])
+    usage = " ".join([f"usage: {prog} [-h]", *(
+        _flag_usage(f) if OPTIONS[f].get("required") else f"[{_flag_usage(f)}]" for f in flags)])
+    attr = {flag: flag[2:].replace("-", "_") for flag in flags}
+    vars(args).update({attr[f]: OPTIONS[f].get("default") for f in flags})
+    rest = iter(tokens)
+    for token in rest:
+        if token in ("-h", "--help"):
+            return _print_help(usage, [HELP, *((_flag_usage(f), OPTIONS[f]["help"]) for f in flags)])
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            extra.append(token)
+            continue
+        try:
+            value = _read_value(OPTIONS[flag], eq, value, rest)
+        except UsageError as exc:
+            raise UsageError(f"argument {flag}: {exc}", prog, usage) from None
+        setattr(args, attr[flag], value)
+    missing = [f for f in flags if OPTIONS[f].get("required") and getattr(args, attr[f]) is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}", prog, usage)
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}", prog, usage)
+    return args
 
 
 # -- formatting -------------------------------------------------------------------
@@ -314,7 +385,7 @@ def _fc_atlas(rs, args) -> dict:
 
 
 # (command, target) -> (report builder, the flags the command reads besides
-# --type, --swap, --format and --out)
+# COMMON); inspect has no target, and cmd_inspect builds its report
 REPORTS = {
     ("verify", "theorem1"): (lambda rs, a: S.verify_theorem1(rs, budget=a.budget, workers=a.workers),
                              ("--seed", "--budget", "--workers", "--cache")),
@@ -325,6 +396,7 @@ REPORTS = {
     ("verify", "g2"): (lambda rs, a: _g2_report(rs), ("--seed", "--cache")),
     ("atlas", "ideals"): (_ideal_atlas, ("--cache",)),
     ("atlas", "fc"): (_fc_atlas, ("--budget", "--cache")),
+    ("inspect", None): (None, ("--seed", "--trials", "--cap-words", "--word", "--ideal-gen")),
 }
 
 
@@ -419,13 +491,14 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    except SystemExit as exc:  # argparse uses 2 for usage errors already
-        return int(exc.code or 0)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        message, prog, usage = exc.args
+        print(usage, f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        return EXIT_USAGE
+    if args is None:  # help or the version, printed
+        return EXIT_OK
     try:
         return cmd_inspect(args) if args.command == "inspect" else cmd_report(args)
     except BudgetExceeded as exc:

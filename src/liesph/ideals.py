@@ -265,7 +265,8 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     (``_layers``), read by the per-ideal path the atlas and ``inspect``
     share: the codes are peeled once (``affine._checked_peel``), and an
     encoding that fails is a mismatch naming the check; fc is read off the
-    layers (``_is_fc_by_layers``).  Member coordinates are built only for
+    layers (``_is_fc_by_layers``).  Member coordinates, and the witness of a
+    subject the decider passes but that is not spherical, are built only for
     the mismatches."""
     L = L or build_chevalley(rs)
     is_g2 = rs.cartan_type.name == "G2"
@@ -285,7 +286,8 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
         n_fc += fc
         dec = abelian if is_g2 else fc
         if dec != sph:
-            mismatches.append({"members": members, "decider_value": dec, "spherical": sph})
+            mismatches.append({"members": members, "decider_value": dec, "spherical": sph,
+                               **({} if sph else {"witness": _spherical.witness_coords(L, members)})})
         if sph and len(layers) > 2:
             mismatches.append({"members": members, "reason": "spherical ideal with layer 3"})
         if abelian != (len(layers) <= 1):

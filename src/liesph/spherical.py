@@ -295,18 +295,21 @@ def is_spherical_subspace(L: ChevalleyAlgebra, ps: PosRootSet) -> bool:
     return spherical_witness(L, ps) is None
 
 
+def witness_coords(L: ChevalleyAlgebra, ps: PosRootSet) -> list[list[int]] | None:
+    """The spherical_witness of ps as root coordinates, or None when spherical."""
+    witness = spherical_witness(L, ps)
+    return None if witness is None else [list(L.rs.roots[i].coords) for i in witness]
+
+
 def make_report(L: ChevalleyAlgebra, ps: PosRootSet, subject: str) -> SphericalReport:
     rs = L.rs
-    witness = spherical_witness(L, ps)
-    wit_dict = None
-    if witness is not None:
-        wit_dict = {"multiset": [list(rs.roots[i].coords) for i in witness]}
+    multiset = witness_coords(L, ps)
     return SphericalReport(
         type=rs.cartan_type.name,
         subject=subject,
         pairing_ok=_weyl.pairing_nonneg(rs, ps),
-        spherical=witness is None,
-        witness=wit_dict,
+        spherical=multiset is None,
+        witness=None if multiset is None else {"multiset": multiset},
     )
 
 
@@ -571,6 +574,7 @@ def _t1_check(span: range):
                     "decider": "commutative" if is_g2 else "fully_commutative",
                     "decider_value": dec,
                     "spherical": sph,
+                    **({} if sph else {"witness": witness_coords(L, w.inv)}),
                 }
             )
     return n_dec, n_sph, mismatches

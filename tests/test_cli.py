@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -7,7 +6,7 @@ import sys
 import pytest
 
 import liesph
-from liesph.cli import build_parser, main
+from liesph.cli import COMMON, OPTIONS, REPORTS, main
 
 
 def run(capsys, *argv):
@@ -297,25 +296,16 @@ FLAG_VALUES = {"--seed": "4", "--budget": "100", "--workers": "2", "--cache": "D
                "--trials": "2", "--cap-words": "50"}
 
 
-def _leaf_parsers(parser, path=()):
-    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subparsers:
-        yield " ".join(path), parser
-    for action in subparsers:
-        for name, p in action.choices.items():
-            yield from _leaf_parsers(p, (*path, name))
-
-
 def test_each_parser_declares_its_row_of_the_matrix_and_nothing_else():
-    common = {"-h", "--help", "--type", "--swap", "--format", "--out"}
     subject = {"inspect": {"--word", "--ideal-gen"}}
-    leaves = dict(_leaf_parsers(build_parser()))
-    assert set(leaves) == set(TAKES)
-    for command, p in leaves.items():
-        options = {s for a in p._actions for s in a.option_strings}
-        assert options == common | TAKES[command] | subject.get(command, set()), command
-    # every action but the help one sets a value
-    assert sum(len(p._actions) - 1 for p in leaves.values()) == 53
+    rows = {" ".join(filter(None, key)): flags for key, (_, flags) in REPORTS.items()}
+    assert set(rows) == set(TAKES)
+    for command, flags in rows.items():
+        assert len(set(flags)) == len(flags), command
+        assert set(flags) == TAKES[command] | subject.get(command, set()), command
+    # every flag is read by some row; each row sets the common flags and its own
+    assert set(OPTIONS) == set(COMMON).union(*rows.values())
+    assert sum(len(COMMON) + len(flags) for flags in rows.values()) == 53
 
 
 @pytest.mark.parametrize("flag", FLAG_VALUES)
@@ -348,6 +338,57 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv, error):
     assert err.startswith(f"usage: {prog} ")
 
 
+USAGE_ERRORS = [
+    (("verify", "theorem1", "--type", "B2", "--seed"),
+     "liesph verify theorem1: error: argument --seed: expected one argument"),
+    (("verify", "theorem1", "--type", "B2", "--swap=1"),
+     "liesph verify theorem1: error: argument --swap: ignored explicit argument '1'"),
+    (("verify", "lemmas"),
+     "liesph verify lemmas: error: the following arguments are required: --type"),
+    (("atlas", "fc", "--type", "A2", "--format", "xml"),
+     "liesph atlas fc: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'json', 'csv', 'md')"),
+    (("bogus",),
+     "liesph: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'verify', 'atlas', 'inspect')"),
+    ((), "liesph: error: the following arguments are required: command"),
+    (("verify",), "liesph verify: error: the following arguments are required: what"),
+    # a flag before the target is not the target's: its own prog reports it
+    (("verify", "--swap", "theorem2", "--type", "B2"),
+     "liesph verify theorem2: error: unrecognized arguments: --swap"),
+    # a separate value may start with '-' only as a negative number
+    (("verify", "theorem2", "--type", "-B2"),
+     "liesph verify theorem2: error: argument --type: expected one argument"),
+    (("verify", "theorem2", "--type", "B2", "--", "--x"),
+     "liesph verify theorem2: error: unrecognized arguments: -- --x"),
+]
+
+
+@pytest.mark.parametrize("argv, error", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_error_lines(capsys, argv, error):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == error
+    prog = error.split(": error:")[0]
+    assert err.startswith(f"usage: {prog} ")
+
+
+@pytest.mark.parametrize("argv", [(), ("verify",), ("verify", "theorem2")])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_at_every_level(capsys, argv, flag):
+    assert main([*argv, flag]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: {' '.join(('liesph', *argv))} ") and err == ""
+
+
+def test_version_and_last_flag_wins(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (f"liesph {liesph.__version__}\n", "")
+    code, rep = run_json(capsys, "verify", "lemmas", "--type=B2", "--type", "B3")
+    assert code == 0 and rep["type"] == "B3"
+
+
 def test_spaces_around_word_and_coordinate_parts(capsys):
     for plain, spaced in (("--word=1,2", "--word= 1 , 2 "),
                           ("--ideal-gen=1,2", "--ideal-gen= 1 ,2 ")):
@@ -366,14 +407,20 @@ def test_cli_import_loads_no_unused_modules():
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "[]\n"
     # the lemma sweep makes no Fraction, and the structure constants are built
-    # in int arithmetic, so no verdict loads fractions or decimal
-    for argv in (["verify", "lemmas", "--type", "B2"], ["verify", "theorem1", "--type", "B2"],
-                 ["verify", "theorem2", "--type", "B2"]):
+    # in int arithmetic, so no verdict loads fractions or decimal; the command
+    # line is read from the flag tables, so neither a verdict, a usage error
+    # nor help loads argparse (with gettext and locale)
+    unused = {"fractions", "decimal", "argparse", "gettext", "locale"}
+    for argv, exit_code in ((["verify", "lemmas", "--type", "B2"], 0),
+                            (["verify", "theorem1", "--type", "B2"], 0),
+                            (["verify", "theorem2", "--type", "B2"], 0),
+                            (["verify", "theorem2", "--type", "B2", "--workers", "2"], 2),
+                            (["verify", "theorem2", "--help"], 0)):
         code = (f"import sys, liesph.cli; code = liesph.cli.main({argv!r}); "
-                "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)")
+                f"print(code, sorted({unused!r} & set(sys.modules)), file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert proc.stderr == "0 []\n", argv
+        assert proc.stderr.splitlines()[-1] == f"{exit_code} []", argv
 
 
 def test_crash_exits_internal_error_not_mismatch(monkeypatch, capsys):

@@ -389,6 +389,31 @@ def test_verify_theorem1_small():
         assert rep["decider_count"] == fc == rep["spherical_count"]
 
 
+@pytest.mark.parametrize("theorem", ["theorem1", "theorem2"])
+def test_a_mismatch_names_the_witness_of_its_subject(monkeypatch, theorem):
+    # an FC decider that always says yes makes every subject that is not
+    # spherical a mismatch
+    rs, L = get_rs("B2"), get_algebra("B2")
+    if theorem == "theorem1":
+        monkeypatch.setattr(W, "is_fc_inv", lambda w: True)
+        rep = S.verify_theorem1(rs, L)
+        total, spherical = rep["elements"], rep["spherical_count"]
+        subjects = [W.from_word(rs, m["word"]).inv for m in rep["mismatches"]]
+    else:
+        monkeypatch.setattr(I, "_is_fc_by_layers", lambda rs, layers: True)
+        rep = I.verify_theorem2(rs, L)
+        total, spherical = rep["ideals"], rep["spherical"]
+        subjects = [rs.posrootset([rs.root_from_coords(tuple(c)) for c in m["members"]])
+                    for m in rep["mismatches"]]
+    assert len(rep["mismatches"]) == total - spherical > 0
+    for m, ps in zip(rep["mismatches"], subjects):
+        assert m["decider_value"] and not m["spherical"]
+        # the first obstruction, in the table's order, that lies inside the subject
+        first = next(multiset for support, multiset in S.quartic_obstructions(L)
+                     if support & ~ps.mask == 0)
+        assert m["witness"] == [list(rs.roots[i].coords) for i in first]
+
+
 def test_orbit_fingerprints():
     g2 = get_rs("G2")
     L = get_algebra("G2")
