@@ -69,7 +69,6 @@ from .weyl import (
     from_word,
     identity,
     inverse,
-    inversions,
     is_commutative_def,
     is_commutative_inv,
     is_fc_def,

@@ -368,7 +368,7 @@ def _ideal_atlas(rs, args) -> dict:
 def _fc_atlas(rs, args) -> dict:
     L = build_chevalley(rs)
     records = []
-    for e in W.enumerate_weyl(rs, budget=args.budget):
+    for e in W.enumerate_weyl(rs):
         if not W.is_fc_inv(e):
             continue
         records.append(
@@ -387,10 +387,10 @@ def _fc_atlas(rs, args) -> dict:
 # (command, target) -> (report builder, the flags the command reads besides
 # COMMON); inspect has no target, and cmd_inspect builds its report
 REPORTS = {
-    ("verify", "theorem1"): (lambda rs, a: S.verify_theorem1(rs, budget=a.budget, workers=a.workers),
+    ("verify", "theorem1"): (lambda rs, a: S.verify_theorem1(rs, workers=a.workers),
                              ("--seed", "--budget", "--workers", "--cache")),
     ("verify", "theorem2"): (lambda rs, a: I.verify_theorem2(rs), ("--seed", "--cache")),
-    ("verify", "subspaces"): (lambda rs, a: S.verify_subspace_theorem(rs, budget=a.budget),
+    ("verify", "subspaces"): (lambda rs, a: S.verify_subspace_theorem(rs),
                               ("--seed", "--budget", "--cache")),
     ("verify", "lemmas"): (lambda rs, a: S.verify_lemma_quadruples(rs), ("--seed", "--cache")),
     ("verify", "g2"): (lambda rs, a: _g2_report(rs), ("--seed", "--cache")),
@@ -403,14 +403,20 @@ REPORTS = {
 def cmd_report(args) -> int:
     """``verify`` and ``atlas``: the report of the (command, target) pair,
     from the cache when it holds it.  The cache key is the report's command,
-    type and, for verify, seed, with the swap flag."""
+    type and, for verify, seed, with the swap flag.  A command that reads
+    --budget enumerates W, so a miss is refused before anything is built
+    when the closed-form |W| exceeds the budget."""
     ct = CartanType.parse(args.type)
     expect = {"command": f"{args.command}-{args.what}", "type": ct.name}
     if args.command == "verify":
         expect["seed"] = args.seed
     report, cache_path = _cache_fetch(args.cache, {**expect, "swap": args.swap}, expect)
     if report is None:
-        build, _ = REPORTS[args.command, args.what]
+        build, flags = REPORTS[args.command, args.what]
+        if "--budget" in flags and (order := ct.weyl_order()) > args.budget:
+            # str() refuses an int of more than 4300 digits
+            shown = order if order.bit_length() <= 10_000 else f"a {order.bit_length()}-bit number"
+            raise BudgetExceeded(f"|W({ct.name})| = {shown} exceeds budget {args.budget}")
         report = build(build_root_system(ct, swap=args.swap), args)
         report.update(expect)
         _cache_store(cache_path, report)

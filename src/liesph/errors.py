@@ -10,7 +10,8 @@ class MismatchedSystems(LiesphError):
 
 
 class BudgetExceeded(LiesphError):
-    """An enumeration was refused because the group/order is too large."""
+    """A request was refused because the Weyl group it would enumerate is
+    larger than its budget."""
 
 
 class WordCapExceeded(LiesphError):

@@ -8,7 +8,7 @@ root has squared length 2, which keeps every Gram entry an integer.
 from __future__ import annotations
 
 from functools import wraps
-from math import gcd
+from math import factorial, gcd
 from operator import mul
 
 from .errors import LiesphError, MismatchedSystems
@@ -41,13 +41,6 @@ def _memo(build):
         return memo[key]
 
     return table
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 class _Record:
@@ -136,11 +129,11 @@ class CartanType(_FrozenRecord):
     def weyl_order(self) -> int:
         n = self.rank
         if self.family == "A":
-            return _factorial(n + 1)
+            return factorial(n + 1)
         if self.family in ("B", "C"):
-            return (1 << n) * _factorial(n)
+            return (1 << n) * factorial(n)
         if self.family == "D":
-            return (1 << (n - 1)) * _factorial(n)
+            return (1 << (n - 1)) * factorial(n)
         return _WEYL_ORDER_EXC[self.name]
 
 
@@ -265,14 +258,6 @@ class PosRootSet:
     def union(self, other: "PosRootSet") -> "PosRootSet":
         self._check(other)
         return PosRootSet(self.mask | other.mask, self.width)
-
-    def intersection(self, other: "PosRootSet") -> "PosRootSet":
-        self._check(other)
-        return PosRootSet(self.mask & other.mask, self.width)
-
-    def difference(self, other: "PosRootSet") -> "PosRootSet":
-        self._check(other)
-        return PosRootSet(self.mask & ~other.mask, self.width)
 
     def complement(self) -> "PosRootSet":
         return PosRootSet(~self.mask & ((1 << self.width) - 1), self.width)

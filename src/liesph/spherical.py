@@ -316,17 +316,19 @@ def make_report(L: ChevalleyAlgebra, ps: PosRootSet, subject: str) -> SphericalR
 # -- randomized cross-checks ------------------------------------------------------
 
 
-def generic_height(L: ChevalleyAlgebra, ps: PosRootSet, trials: int = 5, seed: int = 0) -> int:
-    """Max height over random coefficient vectors supported on ps."""
+def _samples(ps: PosRootSet, trials: int, seed: int):
+    """The trials seeded random coefficient vectors supported on ps."""
     if trials < 1:
         raise LiesphError("trials must be >= 1")
     rng = random.Random(seed)
     support = sorted(ps.indices())
-    best = 0
     for _ in range(trials):
-        x = {i: rng.randint(1, 1 << 20) for i in support}
-        best = max(best, height(L, x))
-    return best
+        yield {i: rng.randint(1, 1 << 20) for i in support}
+
+
+def generic_height(L: ChevalleyAlgebra, ps: PosRootSet, trials: int = 5, seed: int = 0) -> int:
+    """Max height over random coefficient vectors supported on ps."""
+    return max(height(L, x) for x in _samples(ps, trials, seed))
 
 
 def orbit_fingerprint(L: ChevalleyAlgebra, ps: PosRootSet, trials: int = 5, seed: int = 0):
@@ -334,15 +336,10 @@ def orbit_fingerprint(L: ChevalleyAlgebra, ps: PosRootSet, trials: int = 5, seed
 
     Ranks only drop on proper closed subsets, so the componentwise max over
     trials is the generic value up to sampling failure."""
-    if trials < 1:
-        raise LiesphError("trials must be >= 1")
-    rng = random.Random(seed)
-    support = sorted(ps.indices())
     dim_orbit = 0
     best_height = 0
     ranks: list[int] = []
-    for _ in range(trials):
-        x = {i: rng.randint(1, 1 << 20) for i in support}
+    for x in _samples(ps, trials, seed):
         mat = ad_matrix(L, x)
         power = mat
         seq = []
@@ -515,8 +512,7 @@ def _count_multisets(n: int) -> int:
     return n * (n + 1) * (n + 2) * (n + 3) // 24
 
 
-def verify_subspace_theorem(rs: RootSystem, L: ChevalleyAlgebra | None = None,
-                            budget: int | None = None) -> dict:
+def verify_subspace_theorem(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     """Sphericality of a_Psi iff all pairings >= 0, over every biconvex set
     and every combinatorial ideal (outside G2, where the biconditionals are
     commutativity-based instead)."""
@@ -526,7 +522,7 @@ def verify_subspace_theorem(rs: RootSystem, L: ChevalleyAlgebra | None = None,
     is_g2 = rs.cartan_type.name == "G2"
     mismatches = []
     n_biconvex = 0
-    for w in _weyl.enumerate_weyl(rs, budget):
+    for w in _weyl.enumerate_weyl(rs):
         n_biconvex += 1
         sph = is_spherical_subspace(L, w.inv)
         ref = _weyl.is_commutative_inv(w) if is_g2 else _weyl.pairing_nonneg(rs, w.inv)
@@ -605,15 +601,13 @@ def _split(items, workers: int):
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def verify_theorem1(rs: RootSystem, L: ChevalleyAlgebra | None = None,
-                    budget: int | None = None, workers: int = 1) -> dict:
+def verify_theorem1(rs: RootSystem, L: ChevalleyAlgebra | None = None, workers: int = 1) -> dict:
     """Spherical a_w iff w fully commutative (commutative in G2), per element.
 
     In simply laced types the commutative decider must agree with the fully
     commutative one; disagreements are reported as mismatches too."""
     global _T1_STATE
-    # enumeration enforces the budget: a refused group builds no algebra or table
-    elements = list(_weyl.enumerate_weyl(rs, budget))
+    elements = list(_weyl.enumerate_weyl(rs))
     L = L or build_chevalley(rs)
     quartic_obstructions(L)  # materialize before any worker split
     _T1_STATE = (rs, L, elements)

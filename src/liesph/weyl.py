@@ -24,7 +24,7 @@ from .affine import (
     _reflect_key,
     _word_image,
 )
-from .errors import BudgetExceeded, LiesphError, MismatchedSystems, WordCapExceeded
+from .errors import LiesphError, MismatchedSystems, WordCapExceeded
 from .roots import (
     PosRootSet,
     Root,
@@ -155,17 +155,12 @@ def braid_order(rs: RootSystem, i: int, j: int) -> int:
     return _BRAID[prod]
 
 
-def enumerate_weyl(rs: RootSystem, budget: int | None = None):
+def enumerate_weyl(rs: RootSystem):
     """All group elements exactly once, by nondecreasing length: breadth
     first on the left weak order, prepending letters.  When w^-1 alpha_i > 0,
     N(s_i w) = N(w) + {w^-1 alpha_i}, so a child's mask is known before it
-    is built, and duplicates are dropped by mask.  Refuses upfront when the
-    classical order exceeds the budget."""
-    order = rs.cartan_type.weyl_order()
-    if budget is not None and order > budget:
-        raise BudgetExceeded(
-            f"|W({rs.cartan_type.name})| = {order} exceeds budget {budget}"
-        )
+    is built, and duplicates are dropped by mask.  The count is checked
+    against the classical order at the end."""
     letters = _affine_codes(rs)[1]
     at = rs._packed_index
     e = identity(rs)
@@ -189,12 +184,9 @@ def enumerate_weyl(rs: RootSystem, budget: int | None = None):
                         yield el
         count += len(nxt)
         frontier = nxt
+    order = rs.cartan_type.weyl_order()
     if count != order:
         raise LiesphError(f"enumeration produced {count} elements, expected {order}")
-
-
-def inversions(w: WeylElement) -> PosRootSet:
-    return w.inv
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

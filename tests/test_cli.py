@@ -56,19 +56,28 @@ def test_verify_g2_both_labellings(capsys):
 
 
 def test_budget_exit_code(monkeypatch, capsys):
-    # the budget bounds Weyl enumeration, which comes before the quartic table
-    from liesph import spherical
+    # the budget is checked against |W| from the Cartan type: a refused
+    # group builds no root system, algebra or quartic table
+    from liesph import cli, spherical
+    from liesph.roots import CartanType
 
-    def no_table(L):
-        raise AssertionError("quartic table built for a refused group")
+    def refuse(*args, **kwargs):
+        raise AssertionError("built for a refused group")
 
-    monkeypatch.setattr(spherical, "quartic_obstructions", no_table)
-    for name, order in (("E8", 696729600), ("E7", 2903040)):
-        for argv in (["verify", "theorem1"], ["verify", "subspaces"], ["atlas", "fc"]):
-            assert main([*argv, "--type", name]) == 3
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err == f"budget exceeded: |W({name})| = {order} exceeds budget 200000\n"
+    monkeypatch.setattr(spherical, "quartic_obstructions", refuse)
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    cases = [(argv, name, order, 200000)
+             for name, order in (("E8", 696729600), ("E7", 2903040))
+             for argv in (["verify", "theorem1"], ["verify", "subspaces"], ["atlas", "fc"])]
+    cases.append((["verify", "theorem1", "--budget", "10"], "A80", CartanType("A", 80).weyl_order(), 10))
+    # 2001! has over 5000 digits, more than str() converts
+    bits = CartanType("A", 2000).weyl_order().bit_length()
+    cases.append((["atlas", "fc", "--budget", "1"], "A2000", f"a {bits}-bit number", 1))
+    for argv, name, order, budget in cases:
+        assert main([*argv, "--type", name]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"budget exceeded: |W({name})| = {order} exceeds budget {budget}\n"
 
 
 @pytest.mark.parametrize("name, scanned", [("E7", 720720), ("E8", 9078630)])
@@ -179,6 +188,15 @@ def test_swap_flag(capsys):
 def test_workers_flag(capsys):
     code, rep = run_json(capsys, "verify", "theorem1", "--type", "B3", "--workers", "2")
     assert code == 0 and rep["mismatches"] == []
+
+
+def test_cache_is_read_before_the_budget(tmp_path, capsys):
+    # the cache key holds no budget: a cached report is served, not refused
+    argv = ["verify", "theorem1", "--type", "B3", "--cache", str(tmp_path)]
+    code, out = run(capsys, *argv, "--budget", "48")
+    assert code == 0
+    assert run(capsys, *argv, "--budget", "10") == (0, out)
+    assert main(["verify", "theorem1", "--type", "B3", "--budget", "10"]) == 3
 
 
 def _cache_entry(tmp_path, capsys, content):
