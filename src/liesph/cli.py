@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 mismatch found, 2 usage error, 3 budget exceeded,
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -42,12 +43,15 @@ def _integer(text: str) -> int:
     """Type of --seed."""
     if not _is_int(text):
         raise UsageError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+        raise UsageError(f"integer too long: {len(text.removeprefix('-'))} digits") from None
 
 
 def _positive_int(text: str) -> int:
     """Type of --budget, --workers, --cap-words and --trials: ASCII digits, >= 1."""
-    if not _is_int(text) or int(text) < 1:
+    if not _is_int(text) or _integer(text) < 1:
         raise UsageError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -426,12 +430,12 @@ def cmd_report(args) -> int:
 
 
 def _parse_ints(text: str) -> list[int] | None:
-    """Comma-separated integers, each as ``_is_int`` reads them; spaces
+    """Comma-separated integers, each as ``_integer`` reads them; spaces
     around a part are fine.  None for anything else."""
-    parts = [p.strip() for p in text.split(",")]
-    if all(_is_int(p) for p in parts):
-        return [int(p) for p in parts]
-    return None
+    try:
+        return [_integer(p.strip()) for p in text.split(",")]
+    except UsageError:
+        return None
 
 
 def _parse_coords(text: str, rank: int) -> tuple[int, ...]:
@@ -522,5 +526,18 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """The process entry of ``python -m liesph.cli`` and the ``liesph``
+    script: main() on sys.argv, then exit with its code.  Once the report is
+    written and its file closed, gc.freeze() moves every tracked object to
+    the permanent generation, which the full collections of interpreter
+    shutdown do not walk; atexit handlers, stdio flushing and module
+    teardown still run.  main() itself freezes nothing, so library and test
+    callers keep a normal collector."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

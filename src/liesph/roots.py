@@ -100,9 +100,12 @@ class CartanType(_FrozenRecord):
         name = name.strip()
         digits = name[1:]
         # int() would also read "1_0", "+2", " 2" and non-ASCII digits
-        if name[:1].upper() not in _RANK_CONSTRAINTS or not (digits.isascii() and digits.isdigit()):
-            raise LiesphError(f"cannot parse Cartan type {name!r}")
-        return cls(name[0].upper(), int(digits))
+        if name[:1].upper() in _RANK_CONSTRAINTS and digits.isascii() and digits.isdigit():
+            try:
+                return cls(name[0].upper(), int(digits))
+            except ValueError:  # more digits than int() reads
+                pass
+        raise LiesphError(f"cannot parse Cartan type {name!r}")
 
     @property
     def name(self) -> str:

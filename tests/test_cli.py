@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -99,12 +100,26 @@ def test_theorem2_e7_through_cli(capsys):
     assert rep["abelian"] == rep["spherical"] == rep["fc"] == 128
 
 
+# int() refuses more than 4300 digits (the default of sys.set_int_max_str_digits)
+HUGE = "9" * 5000
+
+
 def test_usage_errors(capsys):
     assert main(["verify", "theorem1", "--type", "H9"]) == 2
     assert main(["verify", "bogus", "--type", "B2"]) == 2
     assert main(["inspect", "--type", "G2"]) == 2
     assert main(["inspect", "--type", "G2", "--word", "1,2", "--ideal-gen", "2,1"]) == 2
     assert main(["inspect", "--type", "G2", "--ideal-gen", "9,9"]) == 2
+    capsys.readouterr()
+    # a subject too long for int() is unreadable, not a crash
+    for argv, line in ((["inspect", "--type", "B2", "--word", f"1,{HUGE}"],
+                        f"error: cannot parse word '1,{HUGE}'"),
+                       (["inspect", "--type", "B2", "--ideal-gen", f"{HUGE},1"],
+                        f"error: cannot parse root coordinates '{HUGE},1' for rank 2"),
+                       (["verify", "theorem2", "--type", f"A{HUGE}"],
+                        f"error: cannot parse Cartan type 'A{HUGE}'")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", line + "\n")
 
 
 def test_atlas_ideals_b2(capsys):
@@ -379,10 +394,24 @@ USAGE_ERRORS = [
      "liesph verify theorem2: error: argument --type: expected one argument"),
     (("verify", "theorem2", "--type", "B2", "--", "--x"),
      "liesph verify theorem2: error: unrecognized arguments: -- --x"),
+    # an integer too long for int() is a usage error, never a traceback
+    (("verify", "theorem1", "--type", "B2", "--budget", HUGE),
+     "liesph verify theorem1: error: argument --budget: integer too long: 5000 digits"),
+    (("verify", "theorem1", "--type", "B2", "--seed", HUGE),
+     "liesph verify theorem1: error: argument --seed: integer too long: 5000 digits"),
+    (("verify", "theorem1", "--type", "B2", "--seed", f"-{HUGE}"),
+     "liesph verify theorem1: error: argument --seed: integer too long: 5000 digits"),
+    (("verify", "theorem1", "--type", "B2", "--workers", HUGE),
+     "liesph verify theorem1: error: argument --workers: integer too long: 5000 digits"),
+    (("inspect", "--type", "B2", "--trials", HUGE),
+     "liesph inspect: error: argument --trials: integer too long: 5000 digits"),
+    (("inspect", "--type", "B2", "--cap-words", HUGE),
+     "liesph inspect: error: argument --cap-words: integer too long: 5000 digits"),
 ]
 
 
-@pytest.mark.parametrize("argv, error", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+@pytest.mark.parametrize("argv, error", USAGE_ERRORS,
+                         ids=[" ".join(a).replace(HUGE, "<5000 nines>") for a, _ in USAGE_ERRORS])
 def test_usage_error_lines(capsys, argv, error):
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
@@ -439,6 +468,33 @@ def test_cli_import_loads_no_unused_modules():
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert proc.stderr.splitlines()[-1] == f"{exit_code} []", argv
+
+
+def test_process_entry_freezes_the_heap_once_the_report_is_out(capsys):
+    # python -m liesph.cli runs the __main__ block; an atexit hook, which runs
+    # after it, sees the frozen heap
+    argv = ["verify", "theorem1", "--type", "B2"]
+    src = os.path.dirname(os.path.dirname(liesph.__file__))
+    code = ("import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
+            f"sys.argv = ['liesph', *{argv!r}]; runpy.run_module('liesph.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, b"True\n")
+    # main itself leaves the collector alone, for library and test callers
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_and_module_share_the_process_entry():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:  # no tomllib before 3.11
+        scripts = fh.read().split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    with open(liesph.cli.__file__) as fh:
+        main_block = fh.read().split('if __name__ == "__main__":\n', 1)[1]
+    assert scripts == 'liesph = "liesph.cli:run"'
+    assert main_block.strip() == "run()"
 
 
 def test_crash_exits_internal_error_not_mismatch(monkeypatch, capsys):
