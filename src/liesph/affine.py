@@ -283,25 +283,30 @@ def _inversion_keys(rs: RootSystem, word) -> tuple[set[tuple[int, int]], tuple]:
     return {_decode(rs, span, c) for c in inv}, tuple(_decode(rs, span, c) for c in img)
 
 
-def _peel_codes(rs: RootSystem, left: set[int]) -> tuple[tuple[int, ...], list[int]]:
+def _peel_codes(rs: RootSystem, left: set[int], start: list[int] | None = None
+                ) -> tuple[tuple[int, ...], list[int]]:
     """Word of the element whose inversion set has the codes in ``left``,
     peeling the lowest affine simple root each step, and the codes of the
     images of the affine simple roots under the inverse of its product; on
-    level-0 codes only finite letters occur.  Consumes ``left``.
+    level-0 codes only finite letters occur.  Consumes ``left``.  With
+    ``start``, the final images of an earlier peel (left as they are), the
+    peel goes on from its element p0: the word is then that of p0^-1 p, and
+    M(p) is M(p0) plus the codes.
 
     After peeling s_r1 .. s_rm the set left is p^-1 of the codes not yet
-    peeled, p = s_r1 .. s_rm, so alpha_i lies in it iff p alpha_i is one of
-    them: the codes stay put, and only the images p alpha_j move.
+    peeled, p = p0 s_r1 .. s_rm, so alpha_i lies in it iff p alpha_i is one
+    of them: the codes stay put, and only the images p alpha_j move.
 
     With M(p) = {b > 0 : p^-1 b < 0}, each peeled p alpha_i is positive, so
     M(p s_i) = M(p) + {p alpha_i}: a peel that empties the codes ends at a p
-    with M(p) = codes, and the word, the product p^-1, has them as its
-    inversion set.  When codes = M(v) for some v, M(p) inside M(v) makes
-    v = p u with lengths adding, and a left descent s_i of u puts p alpha_i
-    among the codes not yet peeled: the peel sticks exactly when the codes
-    are no inversion set, that is, not biconvex."""
+    with M(p) = M(p0) + codes, and from the identity the word, the product
+    p^-1, has the codes as its inversion set.  When M(p0) + codes = M(v)
+    for some v, M(p) inside M(v) makes v = p u with lengths adding, and a
+    left descent s_i of u puts p alpha_i among the codes not yet peeled: the
+    peel sticks exactly when M(p0) + codes is no inversion set, that is,
+    not biconvex."""
     letters = _affine_codes(rs)[1]
-    img = [c for c, _ in letters]
+    img = [c for c, _ in letters] if start is None else list(start)
     rev = []
     for _ in range(len(left)):
         i = 0
@@ -319,13 +324,14 @@ def _peel_codes(rs: RootSystem, left: set[int]) -> tuple[tuple[int, ...], list[i
     return tuple(reversed(rev)), img
 
 
-def _checked_peel(rs: RootSystem, codes: set[int]) -> tuple[tuple[int, ...], list[int]]:
+def _checked_peel(rs: RootSystem, codes: set[int], start: list[int] | None = None
+                  ) -> tuple[tuple[int, ...], list[int]]:
     """``_peel_codes``, held to the size of the set it consumes: a word
     shorter than the set raises LiesphError.  The one round-trip check of
     every reconstruction, affine, finite and theorem 2's; it stays outside
     the peel, as it is there to catch a faulty one."""
     size = len(codes)
-    word, img = _peel_codes(rs, codes)
+    word, img = _peel_codes(rs, codes, start)
     if len(word) != size:
         raise LiesphError("peeling failed to reproduce the input set")
     return word, img
@@ -346,20 +352,14 @@ def affine_inversions(w: AffineWeylWord) -> AffineRootSet:
 
 
 @_memo
-def _decompositions(rs: RootSystem) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Per root g, each unordered pair {f, h} of roots with f + h = g,
-    once, as ``(f, h)`` with f < h, in increasing order of h, so that the
-    pairs of positive roots come first; and per root h, the bit mask of the
-    roots f with f + h a root."""
-    pairs = [[] for _ in rs.roots]
+def _summable(rs: RootSystem) -> list[int]:
+    """Per root h, the bit mask of the roots f with f + h a root."""
     summable = [0] * len(rs.roots)
     for h, row in enumerate(rs.sum_table):
         for f, g in enumerate(row):
             if g is not None:
                 summable[h] |= 1 << f
-                if f < h:
-                    pairs[g].append((f, h))
-    return pairs, summable
+    return summable
 
 
 def _has_summing_pair(rs: RootSystem, mask: int) -> bool:
@@ -368,7 +368,7 @@ def _has_summing_pair(rs: RootSystem, mask: int) -> bool:
     mask meets the mask.  The one decider for abelian ideals, which is
     the commutativity of their affine elements, and finite commutativity;
     ``roots.has_summing_pair`` is its reference."""
-    summable = _decompositions(rs)[1]
+    summable = _summable(rs)
     for f in iter_bits(mask):  # a loop: any() over a generator took 2.5 times as long
         if summable[f] & mask:
             return True
@@ -412,7 +412,7 @@ def is_fc_affine(S: AffineRootSet) -> bool:
     inversion set: no pair in S is a base of an irreducible plane.
 
     The pair scan is public API and the tests' reference; on an ideal's
-    encoding, the per-ideal path of ``liesph.ideals`` decides the same from
+    encoding, ``liesph.ideals`` decides the same from
     the ideal's layer masks (``ideals._is_fc_by_layers``, whose docstring
     proves the two agree)."""
     return not has_irreducible_base_pair(S.system, sorted(S.keys))

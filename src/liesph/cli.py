@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 mismatch found, 2 usage error, 3 budget exceeded,
 from __future__ import annotations
 
 import gc
-import json
 import os
 import re
 import sys
@@ -176,12 +175,65 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
 # -- formatting -------------------------------------------------------------------
 
 
+def _json(value, pretty: bool = False) -> str:
+    """``json.dumps(value, sort_keys=True)``, with ``indent=2`` when pretty,
+    on what reports hold: dicts with str keys, lists, tuples, str, int, bool
+    and None; anything else raises TypeError.  A string that is not plain
+    printable ASCII, or that holds a quote or a backslash, is json's to
+    escape, so json is imported only for such a string (and by the cache)."""
+    out = []
+    _json_parts(value, out, "\n" if pretty else None)
+    return "".join(out)
+
+
+def _json_parts(value, out: list, newline: str | None) -> None:
+    """Append the text of value to out; newline is None when compact, else
+    the line break and indent of value's own line."""
+    if value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, str):
+        out.append(_json_str(value))
+    elif isinstance(value, (list, tuple, dict)):
+        keyed = isinstance(value, dict)
+        if keyed and not all(isinstance(k, str) for k in value):
+            raise TypeError("report keys must be str")
+        items = sorted(value) if keyed else value
+        first, last = "{}" if keyed else "[]"
+        if not items:
+            out.append(first + last)
+            return
+        inner = None if newline is None else newline + "  "
+        out.append(first if inner is None else first + inner)
+        for i, item in enumerate(items):
+            if i:
+                out.append(", " if inner is None else "," + inner)
+            if keyed:
+                out.append(_json_str(item) + ": ")
+                item = value[item]
+            _json_parts(item, out, inner)
+        out.append(last if newline is None else newline + last)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_str(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json  # escapes are json's
+
+    return json.dumps(text)
+
+
 def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json(payload, pretty=True) + "\n"
 
 
 def _csv_escape(value) -> str:
-    text = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+    text = value if isinstance(value, str) else _json(value)
     if any(c in text for c in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
@@ -197,7 +249,7 @@ def _to_csv(report: dict) -> str:
             lines.append(",".join(_csv_escape(r.get(k, "")) for k in header))
         meta = {k: v for k, v in report.items() if k != "records"}
         for k in sorted(meta):
-            lines.append(f"# {k}={json.dumps(meta[k], sort_keys=True)}")
+            lines.append(f"# {k}={_json(meta[k])}")
     else:
         lines.append("key,value")
         for k in sorted(report):
@@ -214,16 +266,16 @@ def _to_md(report: dict) -> str:
         lines.append("|" + "|".join([" --- "] * len(header)) + "|")
         for r in records:
             lines.append(
-                "| " + " | ".join(json.dumps(r.get(k, ""), sort_keys=True) for k in header) + " |"
+                "| " + " | ".join(_json(r.get(k, "")) for k in header) + " |"
             )
         lines.append("")
         for k in sorted(k for k in report if k != "records"):
-            lines.append(f"- **{k}**: {json.dumps(report[k], sort_keys=True)}")
+            lines.append(f"- **{k}**: {_json(report[k])}")
     else:
         lines.append("| key | value |")
         lines.append("| --- | --- |")
         for k in sorted(report):
-            lines.append(f"| {k} | {json.dumps(report[k], sort_keys=True)} |")
+            lines.append(f"| {k} | {_json(report[k])} |")
     return "\n".join(lines) + "\n"
 
 
@@ -252,7 +304,8 @@ def _cache_fetch(cache: str | None, key_fields: dict, expect: dict):
     about and recomputed."""
     if not cache:
         return None, None
-    import hashlib  # only a cached run needs it
+    import hashlib  # only a cached run needs these
+    import json
 
     key = json.dumps({"version": __version__, **key_fields}, sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
@@ -409,7 +462,9 @@ def cmd_report(args) -> int:
     from the cache when it holds it.  The cache key is the report's command,
     type and, for verify, seed, with the swap flag.  A command that reads
     --budget enumerates W, so a miss is refused before anything is built
-    when the closed-form |W| exceeds the budget."""
+    when the closed-form |W| exceeds the budget.  Every |W| is at least
+    2^rank, so past the 10 000 bits a refusal shows, a rank the budget is
+    too small for is refused on that bound, before |W| is computed."""
     ct = CartanType.parse(args.type)
     expect = {"command": f"{args.command}-{args.what}", "type": ct.name}
     if args.command == "verify":
@@ -417,10 +472,13 @@ def cmd_report(args) -> int:
     report, cache_path = _cache_fetch(args.cache, {**expect, "swap": args.swap}, expect)
     if report is None:
         build, flags = REPORTS[args.command, args.what]
-        if "--budget" in flags and (order := ct.weyl_order()) > args.budget:
-            # str() refuses an int of more than 4300 digits
-            shown = order if order.bit_length() <= 10_000 else f"a {order.bit_length()}-bit number"
-            raise BudgetExceeded(f"|W({ct.name})| = {shown} exceeds budget {args.budget}")
+        if "--budget" in flags:
+            if ct.rank > 10_000 and ct.rank >= args.budget.bit_length():
+                raise BudgetExceeded(f"|W({ct.name})| >= 2^{ct.rank} exceeds budget {args.budget}")
+            if (order := ct.weyl_order()) > args.budget:
+                # str() refuses an int of more than 4300 digits
+                shown = order if order.bit_length() <= 10_000 else f"a {order.bit_length()}-bit number"
+                raise BudgetExceeded(f"|W({ct.name})| = {shown} exceeds budget {args.budget}")
         report = build(build_root_system(ct, swap=args.swap), args)
         report.update(expect)
         _cache_store(cache_path, report)

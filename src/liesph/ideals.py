@@ -19,8 +19,8 @@ from .affine import (
     _affine_codes,
     _checked_peel,
     _decode,
-    _decompositions,
     _has_summing_pair,
+    _summable,
     element_from_biconvex_affine,
 )
 from .chevalley import ChevalleyAlgebra, build_chevalley
@@ -56,39 +56,56 @@ def is_combinatorial_ideal(rs: RootSystem, ps: PosRootSet) -> bool:
 
 def _layers(rs: RootSystem, mask: int) -> tuple[list[int], set[int]]:
     """The masks of Psi^(k) for k >= 1, ``[0]`` for the empty ideal, and
-    the codes of the encoding ``psi_hat``, in one pass by height.  The
-    layers nest, so the deepest layer of a member, its depth, is 1 plus
-    that of the deeper summand, over its decompositions into two members,
-    and 1 when it has none; member g of depth d gives the codes of
-    k*delta - g for 1 <= k <= d (``_code_ladders``).  Full commutativity
-    reads the layer masks (``_is_fc_by_layers``)."""
-    npos = rs.num_positive
-    pairs, ladders = _decompositions(rs)[0], _code_ladders(rs)
-    depth = [0] * npos
-    by_depth = []  # members of deepest layer d + 1
-    codes = set()
-    for g in iter_bits(mask):  # root indices increase with height
-        d = 0
-        for f, h in pairs[g]:
-            if h >= npos:  # the pairs of positive roots come first
-                break
-            df, dh = depth[f], depth[h]
-            if df and dh:
-                if df < dh:
-                    df = dh
-                if df > d:
-                    d = df
-        depth[g] = d + 1
-        codes.update(ladders[g][:d + 1])
-        if d == len(by_depth):
-            by_depth.append(0)
-        by_depth[d] |= 1 << g
+    the codes of the encoding ``psi_hat``: ``_deepen`` from zero depths on
+    every member.  Full commutativity reads the layer masks
+    (``_is_fc_by_layers``)."""
     layers = []
-    layer = 0
-    for bits in reversed(by_depth):
-        layer |= bits
-        layers.append(layer)
-    return layers[::-1] or [0], codes
+    codes = _deepen(rs, mask, [0] * rs.num_positive, layers, mask)
+    return layers or [0], codes
+
+
+def _deepen(rs: RootSystem, mask: int, depth: list[int], layers: list[int], todo: int) -> set[int]:
+    """Raise ``depth`` to the depths in the ideal ``mask``, from the members
+    in ``todo`` up, and set each raised member's bit in ``layers`` (I^k is
+    ``layers[k - 1]``) up to its new depth; returns the codes the raises
+    add to the encoding.  ``depth`` holds 0 off the ideal and, on it, the
+    depths in a smaller ideal, or 0.
+
+    The layers nest, so the deepest layer of a member, its depth, is 1 plus
+    that of the deeper summand, over its decompositions into two members,
+    and 1 when it has none.  A member whose depth rose, or that joined the
+    ideal, offers each sum with a member its new bound; a sum lies above
+    its summands, and root indices increase with height, so the members
+    are taken lowest index first, each once its bound is final.  No other
+    member can deepen.  Member g of depth d gives the codes of k*delta - g
+    for 1 <= k <= d (``_code_ladders``)."""
+    sums, summable, ladders = rs.sum_table, _summable(rs), _code_ladders(rs)
+    bound = [1] * rs.num_positive
+    codes = set()
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        g = low.bit_length() - 1
+        old, d = depth[g], bound[g]
+        if d <= old:
+            continue
+        depth[g] = d
+        codes.update(ladders[g][old:d])
+        for k in range(old, d):
+            if k == len(layers):
+                layers.append(0)
+            layers[k] |= low
+        row, others = sums[g], summable[g] & mask
+        while others:
+            bit = others & -others
+            others ^= bit
+            h = bit.bit_length() - 1
+            s, dh = row[h], depth[h]
+            up = (d if d > dh else dh) + 1
+            if up > bound[s] and up > depth[s]:
+                bound[s] = up
+                todo |= 1 << s
+    return codes
 
 
 def make_ideal(rs: RootSystem, ps: PosRootSet) -> PosRootSet:
@@ -253,6 +270,51 @@ def w_of_ideal(rs: RootSystem, ideal: PosRootSet) -> AffineWeylWord:
     return element_from_biconvex_affine(psi_hat(rs, ideal))
 
 
+def _ideal_tree(rs: RootSystem, ideal_list: list[PosRootSet]):
+    """Per ideal J of ``ideal_list``, in ``enumerate_ideals`` order:
+    ``(J, depth, layers, img, error)``, its depth list, its layer masks, and
+    the final images of the checked peel of its encoding, or None and the
+    LiesphError the peel raised.
+
+    J's parent is I = J minus b, b the member ``enumerate_ideals`` adds
+    last: the highest-index member of least height, so I is an ideal of the
+    size before J's.  b's summands lie below J, so b has depth 1, and
+    ``_deepen`` carries I's depths and layers from b.  The codes the raises
+    add are peeled from w_I's final images (``affine._peel_codes``): by
+    induction M(w_I) = psi_hat(I), so a checked peel of the new codes ends
+    at an element with M = psi_hat(J), and sticks or falls short exactly
+    when psi_hat(J) is no inversion set.  An ideal whose parent's peel
+    failed, and the empty one, peel every code from the identity.  The
+    states of the last two sizes are kept."""
+    npos = rs.num_positive
+    ladders = _code_ladders(rs)
+    by_height = {}
+    for i, r in enumerate(rs.positive_roots):
+        by_height[r.height] = by_height.get(r.height, 0) | 1 << i
+    level = [by_height[r.height] for r in rs.positive_roots]  # the roots of each root's height
+    size, parents, states = 0, {}, {}
+    for members in ideal_list:
+        mask = members.mask
+        if mask.bit_count() > size:  # the sizes step by one
+            size, parents, states = size + 1, states, {}
+        if mask:
+            low = (mask & -mask).bit_length() - 1  # a member of least height
+            b = (mask & level[low]).bit_length() - 1
+            depth, layers, img = parents[mask ^ 1 << b]
+            depth, layers = depth.copy(), layers.copy()
+            codes = _deepen(rs, mask, depth, layers, 1 << b)
+        else:
+            depth, layers, img = [0] * npos, [0], None
+        if img is None:  # no parent, or its peel failed
+            codes = {c for g in iter_bits(mask) for c in ladders[g][:depth[g]]}
+        try:
+            img, error = _checked_peel(rs, codes, img)[1], None
+        except LiesphError as exc:  # the peel stuck, or its word is short
+            img, error = None, exc
+        states[mask] = depth, layers, img
+        yield members, depth, layers, img, error
+
+
 def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     """Per ideal: spherical iff the affine element is fully commutative
     (commutative in G2); abelian iff a single layer; spherical forces the
@@ -261,24 +323,20 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     finite parts sum to a root, the encoding's finite parts are the negated
     members, and a + b is a root iff -a - b is.
 
-    Each ideal's layer masks and encoding codes come from one pass
-    (``_layers``), read by the per-ideal path the atlas and ``inspect``
-    share: the codes are peeled once (``affine._checked_peel``), and an
-    encoding that fails is a mismatch naming the check; fc is read off the
-    layers (``_is_fc_by_layers``).  Member coordinates, and the witness of a
-    subject the decider passes but that is not spherical, are built only for
-    the mismatches."""
+    Each ideal's layer masks come from its parent's along the ideal tree,
+    and its encoding is checked by a peel from its parent's element
+    (``_ideal_tree``); an encoding that fails is a mismatch naming the
+    check, and fc is read off the layers (``_is_fc_by_layers``).  Member
+    coordinates, and the witness of a subject the decider passes but that
+    is not spherical, are built only for the mismatches."""
     L = L or build_chevalley(rs)
     is_g2 = rs.cartan_type.name == "G2"
     mismatches = []
     n_spherical = n_abelian = n_fc = 0
     ideal_list = enumerate_ideals(rs)
-    for members in ideal_list:
-        layers, codes = _layers(rs, members.mask)
-        try:
-            _checked_peel(rs, codes)
-        except LiesphError as exc:  # the peel stuck, or its word is short
-            mismatches.append({"members": members, "reason": f"affine encoding: {exc}"})
+    for members, _, layers, _, error in _ideal_tree(rs, ideal_list):
+        if error is not None:
+            mismatches.append({"members": members, "reason": f"affine encoding: {error}"})
         sph = _spherical.is_spherical_subspace(L, members)
         fc, abelian = _is_fc_by_layers(rs, layers), is_abelian(rs, members)
         n_spherical += sph
@@ -315,9 +373,10 @@ def maximal_spherical_ideals(records: list[dict]) -> list[list[list[int]]]:
 
 def ideal_record(rs: RootSystem, members: PosRootSet) -> dict:
     """One JSON-ready record of an ideal: generators, members, layers,
-    affine encoding, the word of w_I and the flags but sphericality, by the
-    per-ideal path of ``verify_theorem2``: one code set is both the
-    ``psi_hat`` field and the peeled encoding.  A failed encoding raises."""
+    affine encoding, the word of w_I and the flags but sphericality, from
+    the ideal alone: ``_layers`` and a checked peel from the identity, whose
+    word is printed.  One code set is both the ``psi_hat`` field and the
+    peeled encoding.  A failed encoding raises."""
     layers, codes = _layers(rs, members.mask)
     encoding = _decoded(rs, codes).to_json_list()  # before the peel consumes the codes
     fc, abelian = _is_fc_by_layers(rs, layers), is_abelian(rs, members)

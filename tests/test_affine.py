@@ -98,7 +98,11 @@ def _levelsplit_reference_is_biconvex_affine(S):
     # a sum landing inside S with both summands positive and outside S
     # violates closure of the complement
     npos = rs.num_positive
-    dec, _ = A._decompositions(rs)
+    dec = [[] for _ in rs.roots]  # per root g, its pairs f < h with f + h = g
+    for h, row in enumerate(rs.sum_table):
+        for f, g in enumerate(row[:h]):
+            if g is not None:
+                dec[g].append((f, h))
     for lg, g in pairs:
         for f, h in dec[g]:
             for m in range(f >= npos, lg + (h < npos)):

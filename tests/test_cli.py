@@ -79,6 +79,15 @@ def test_budget_exit_code(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"budget exceeded: |W({name})| = {order} exceeds budget {budget}\n"
+    # past 10 000 bits, a rank the budget is too small for is refused on the
+    # bound |W| >= 2^rank, without computing |W|
+    monkeypatch.setattr(CartanType, "weyl_order", refuse)
+    for argv, name, budget in ((["verify", "theorem1"], "A1000000", "1"),
+                               (["atlas", "fc"], "D10001", str(2**10000))):
+        assert main([*argv, "--type", name, "--budget", budget]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"budget exceeded: |W({name})| >= 2^{name[1:]} exceeds budget {budget}\n"
 
 
 @pytest.mark.parametrize("name, scanned", [("E7", 720720), ("E8", 9078630)])
@@ -446,21 +455,24 @@ def test_spaces_around_word_and_coordinate_parts(capsys):
 
 def test_cli_import_loads_no_unused_modules():
     # a CLI process imports only what its commands run: no dataclasses (and
-    # with it inspect, ast, dis), no hashlib outside the cache, no typing
+    # with it inspect, ast, dis), no hashlib or json outside the cache, no typing
     src = os.path.dirname(os.path.dirname(liesph.__file__))
     code = ("import sys, liesph.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'hashlib', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'hashlib', 'json', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "[]\n"
     # the lemma sweep makes no Fraction, and the structure constants are built
     # in int arithmetic, so no verdict loads fractions or decimal; the command
     # line is read from the flag tables, so neither a verdict, a usage error
-    # nor help loads argparse (with gettext and locale)
-    unused = {"fractions", "decimal", "argparse", "gettext", "locale"}
+    # nor help loads argparse (with gettext and locale); reports are written
+    # without json, in every format
+    unused = {"fractions", "decimal", "argparse", "gettext", "locale", "json"}
     for argv, exit_code in ((["verify", "lemmas", "--type", "B2"], 0),
                             (["verify", "theorem1", "--type", "B2"], 0),
                             (["verify", "theorem2", "--type", "B2"], 0),
+                            (["verify", "theorem2", "--type", "B2", "--format", "csv"], 0),
+                            (["atlas", "ideals", "--type", "B2", "--format", "md"], 0),
                             (["verify", "theorem2", "--type", "B2", "--workers", "2"], 2),
                             (["verify", "theorem2", "--help"], 0)):
         code = (f"import sys, liesph.cli; code = liesph.cli.main({argv!r}); "
@@ -468,6 +480,33 @@ def test_cli_import_loads_no_unused_modules():
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert proc.stderr.splitlines()[-1] == f"{exit_code} []", argv
+
+
+JSON_VALUES = [
+    {}, [], (), "", 0, -7, 10**40, True, False, None,
+    {"b": [1, (2, 3)], "a": {"y": [], "x": {}}, "c": [[[]], [{}], {"k": [None, True]}]},
+    ["plain text, with: punctuation! ~", "tab\there", "new\nline", "nul\x00", "del\x7f",
+     'quote"s', "back\\slash", "caf\u00e9", "\u2264 \U0001d54a", "\ud800"],
+    {"caf\u00e9": "\u00e9", "\x01": "", 'q"': "x", "\\": "\\"},
+    [{"members": [[1, 0], [1, 1]], "reason": "abelian != single layer"}, {"w": (0, 2, 1)}],
+]
+
+
+@pytest.mark.parametrize("value", JSON_VALUES, ids=range(len(JSON_VALUES)))
+def test_report_writer_is_json_dumps(value):
+    from liesph.cli import _json
+
+    assert _json(value) == json.dumps(value, sort_keys=True)
+    assert _json(value, pretty=True) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "int key"}, object(), [b"bytes"], {"k": 1j}])
+def test_report_writer_refuses_what_reports_do_not_hold(value):
+    from liesph.cli import _json
+
+    for pretty in (False, True):
+        with pytest.raises(TypeError):
+            _json(value, pretty)
 
 
 def test_process_entry_freezes_the_heap_once_the_report_is_out(capsys):
@@ -553,17 +592,18 @@ def _count_other_biconvexity_proofs(monkeypatch, calls):
 
 def test_encoding_commands_peel_each_ideal_once(monkeypatch, capsys):
     # atlas ideals and inspect --ideal-gen build each element by the code
-    # peel alone, on the per-ideal path of verify theorem2
+    # peel alone, each from the identity, as its printed word is the peel's
     from liesph import affine
 
     peel, calls, other_proofs = affine._peel_codes, [], []
-    monkeypatch.setattr(affine, "_peel_codes", lambda rs, c: calls.append(c) or peel(rs, c))
+    monkeypatch.setattr(affine, "_peel_codes",
+                        lambda rs, c, start: calls.append(start) or peel(rs, c, start))
     _count_other_biconvexity_proofs(monkeypatch, other_proofs)
     code, rep = run_json(capsys, "atlas", "ideals", "--type", "B3")
     assert code == 0 and rep["count"] == len(calls) == 20
     code, rep = run_json(capsys, "inspect", "--type", "B3", "--ideal-gen", "0,1,1")
     assert code == 0 and rep["w_word"] and len(calls) == 21
-    assert other_proofs == []
+    assert calls == [None] * 21 and other_proofs == []
 
 
 def test_inspect_ideal_decides_sphericality_once(monkeypatch, capsys):
@@ -584,17 +624,18 @@ def test_theorem2_reports_a_failed_encoding_as_a_mismatch(monkeypatch, capsys):
     # ideal, reported with the other ideals, and checked once, by the peel
     from liesph import affine, ideals
 
-    layers_and_codes, peel = ideals._layers, affine._peel_codes
+    deepen, peel = ideals._deepen, affine._peel_codes
     calls, other_proofs = [], []
 
-    def drop_top_code_of_full_ideal(rs, mask):
-        layers, codes = layers_and_codes(rs, mask)
+    def drop_top_code_of_full_ideal(rs, mask, *state):
+        codes = deepen(rs, mask, *state)
         if mask == (1 << rs.num_positive) - 1:
             codes.remove(max(codes))
-        return layers, codes
+        return codes
 
-    monkeypatch.setattr(ideals, "_layers", drop_top_code_of_full_ideal)
-    monkeypatch.setattr(affine, "_peel_codes", lambda rs, codes: calls.append(codes) or peel(rs, codes))
+    monkeypatch.setattr(ideals, "_deepen", drop_top_code_of_full_ideal)
+    monkeypatch.setattr(affine, "_peel_codes",
+                        lambda rs, codes, start: calls.append(codes) or peel(rs, codes, start))
     _count_other_biconvexity_proofs(monkeypatch, other_proofs)
     code, rep = run_json(capsys, "verify", "theorem2", "--type", "B3")
     assert code == 1

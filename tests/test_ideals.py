@@ -303,8 +303,8 @@ def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
 
     peel = A._peel_codes
 
-    def drop_first_letter(rs, codes):
-        word, img = peel(rs, codes)
+    def drop_first_letter(rs, codes, start):
+        word, img = peel(rs, codes, start)
         return word[1:], img
 
     monkeypatch.setattr(A, "_peel_codes", drop_first_letter)
@@ -376,6 +376,109 @@ def test_layer_path_matches_the_key_set_deciders(name, swap):
 def test_layer_path_matches_the_key_set_deciders_e8():
     # no atlas: as a list it would hold all 25 080 encodings at once
     _check_layer_path(get_rs("E8"), get_algebra("E8"))
+
+
+# -- the ideal tree against the per-ideal path --------------------------------
+
+
+def _per_ideal_states(rs, ideal_list):
+    """``_ideal_tree``'s tuples by the per-ideal path: each ideal layered
+    from scratch and its whole encoding peeled from the identity."""
+    for members in ideal_list:
+        layers, codes = I._layers(rs, members.mask)
+        try:
+            img, error = A._checked_peel(rs, codes)[1], None
+        except LiesphError as exc:
+            img, error = None, exc
+        yield members, None, layers, img, error
+
+
+def _tree_parent(rs, mask):
+    """The parent of a nonempty ideal: less its highest-index member of
+    least height, the one enumerate_ideals adds last."""
+    heights = [r.height for r in rs.positive_roots]
+    low = min(heights[i] for i in iter_bits(mask))
+    return mask ^ 1 << max(i for i in iter_bits(mask) if heights[i] == low)
+
+
+def _check_tree(rs, L, monkeypatch):
+    """The carried depths give _layers' masks and codes, the carried layers
+    are those masks, the carried final images are the full peel's from the
+    identity, and the theorem 2 report is the per-ideal path's."""
+    ladders, masks = I._code_ladders(rs), set()
+    for members, depth, layers, img, error in I._ideal_tree(rs, I.enumerate_ideals(rs)):
+        mask = members.mask
+        assert not mask or _tree_parent(rs, mask) in masks
+        masks.add(mask)
+        want_layers, codes = I._layers(rs, mask)
+        by_depth = [sum(1 << g for g in iter_bits(mask) if depth[g] >= k)
+                    for k in range(1, max(depth) + 1)]
+        assert (by_depth or [0], layers) == (want_layers, want_layers), members
+        assert {c for g in iter_bits(mask) for c in ladders[g][:depth[g]]} == codes, members
+        assert error is None and img == A._peel_codes(rs, codes)[1], members
+    want = I.verify_theorem2(rs, L)
+    monkeypatch.setattr(I, "_ideal_tree", _per_ideal_states)
+    assert I.verify_theorem2(rs, L) == want
+
+
+TREE_CASES = ["G2", "B4", "C4", "F4", "E6", "E7"]
+
+
+@pytest.mark.parametrize("name", TREE_CASES)
+def test_ideal_tree_matches_the_per_ideal_path(monkeypatch, name):
+    _check_tree(get_rs(name), get_algebra(name), monkeypatch)
+
+
+@pytest.mark.slow
+def test_ideal_tree_matches_the_per_ideal_path_e8(monkeypatch):
+    _check_tree(get_rs("E8"), get_algebra("E8"), monkeypatch)
+
+
+def test_a_failed_parent_leaves_its_children_checked_from_the_identity(monkeypatch):
+    # a bad code in one mid-size ideal's encoding is that ideal's mismatch
+    # alone: its children peel their whole encodings from the identity, and
+    # their own children carry from them again
+    rs, L = get_rs("B3"), get_algebra("B3")
+    ideal_list = I.enumerate_ideals(rs)
+    parent = {J.mask: _tree_parent(rs, J.mask) for J in ideal_list if J.mask}
+    below = {}
+    for child, p in parent.items():
+        below.setdefault(p, set()).add(child)
+    bad = next(J.mask for J in ideal_list if J.mask.bit_count() >= 3
+               and any(c in below for c in below.get(J.mask, ())))
+    children = below[bad]
+    grandchildren = set().union(*(below.get(c, set()) for c in children))
+    deepen, peel, peels = I._deepen, A._peel_codes, []
+
+    def add_a_code_of_the_parent(rs, mask, *state):
+        codes = deepen(rs, mask, *state)
+        if mask == bad:  # already inverted by the element the peel starts from
+            codes.add(min(I._layers(rs, parent[bad])[1]))
+        return codes
+
+    def record(rs, codes, start):
+        peels.append((set(codes), start))
+        return peel(rs, codes, start)
+
+    monkeypatch.setattr(I, "_deepen", add_a_code_of_the_parent)
+    monkeypatch.setattr(A, "_peel_codes", record)
+    states = {J.mask: (img, error) for J, _, _, img, error in I._ideal_tree(rs, ideal_list)}
+    assert len(peels) == len(ideal_list)
+    assert states[bad][0] is None and isinstance(states[bad][1], LiesphError)
+    for mask, (img, error) in states.items():
+        codes = I._layers(rs, mask)[1]
+        if mask != bad:
+            assert error is None and img == peel(rs, set(codes))[1], mask
+        if mask in children:
+            assert (codes, None) in peels, mask
+    # the grandchildren carry: no peel from the identity holds their encodings
+    for mask in grandchildren:
+        assert (I._layers(rs, mask)[1], None) not in peels, mask
+    rep = I.verify_theorem2(rs, L)
+    bad_coords = [list(rs.roots[i].coords) for i in iter_bits(bad)]
+    assert rep["mismatches"] == [{
+        "members": bad_coords,
+        "reason": "affine encoding: input set is not biconvex in the affine positive system"}]
 
 
 def _bucket_coords(rs, buckets):

@@ -111,7 +111,7 @@ def test_element_from_biconvex_checks_its_round_trip(monkeypatch):
     # a peel that returns a wrong word must not pass as the element
     b2 = get_rs("B2")
     s1 = b2.posrootset([b2.simple_root(1)])
-    monkeypatch.setattr(A, "_peel_codes", lambda rs, codes: ((2, 1), []))
+    monkeypatch.setattr(A, "_peel_codes", lambda rs, codes, start: ((2, 1), []))
     with pytest.raises(LiesphError, match="failed to reproduce"):
         W.element_from_biconvex(b2, s1)
 
