@@ -2,13 +2,12 @@
 inspection, with JSON/CSV/markdown reports and an optional result cache.
 
 Exit codes: 0 success, 1 mismatch found, 2 usage error, 3 budget exceeded,
-4 I/O error (reading or writing a report or cache file), 5 internal error
-(an unexpected exception; never reported as a mismatch).
+4 I/O error (reading or writing a report or cache file, or writing stdout),
+5 internal error (an unexpected exception; never reported as a mismatch).
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import re
 import sys
@@ -561,14 +560,16 @@ def cmd_inspect(args) -> int:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:  # help or the version, printed
+            code = EXIT_OK
+        else:
+            code = cmd_inspect(args) if args.command == "inspect" else cmd_report(args)
+        sys.stdout.flush()  # output that cannot be written out is an I/O error
+        return code
     except UsageError as exc:
         message, prog, usage = exc.args
         print(usage, f"{prog}: error: {message}", sep="\n", file=sys.stderr)
         return EXIT_USAGE
-    if args is None:  # help or the version, printed
-        return EXIT_OK
-    try:
-        return cmd_inspect(args) if args.command == "inspect" else cmd_report(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -586,15 +587,20 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry of ``python -m liesph.cli`` and the ``liesph``
-    script: main() on sys.argv, then exit with its code.  Once the report is
-    written and its file closed, gc.freeze() moves every tracked object to
-    the permanent generation, which the full collections of interpreter
-    shutdown do not walk; atexit handlers, stdio flushing and module
-    teardown still run.  main() itself freezes nothing, so library and test
-    callers keep a normal collector."""
+    script: main() on sys.argv, then ``os._exit`` with its code once stdout
+    and stderr are flushed.  By then main has written and flushed the
+    report, and closed every file and worker pool it opened, so interpreter
+    teardown would only free memory; no atexit work is registered on any
+    path.  A flush that fails here (output main could not write) exits 4,
+    never 0 or 1.  main() itself exits nothing, so library and test callers
+    keep their interpreter."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = EXIT_IO if code in (EXIT_OK, EXIT_MISMATCH) else code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -486,12 +486,25 @@ def root_string_p(rs: RootSystem, a: Root, b: Root) -> int:
 _RANK2_TAGS = {4: "A1xA1", 6: "A2", 8: "B2", 12: "G2"}
 
 
+def _plane_key(a: tuple[int, ...], b: tuple[int, ...], minor_kl: list) -> tuple[int, ...]:
+    """The plane of two non-proportional coordinate vectors, as their 2x2
+    coordinate minors (k, l) in ``minor_kl`` divided by their gcd, signed
+    positive at the first nonzero one: two pairs span the same plane
+    exactly when their keys are equal."""
+    minors = [a[k] * b[l] - a[l] * b[k] for k, l in minor_kl]
+    d = gcd(*minors)
+    for m in minors:
+        if m:
+            break
+    if m < 0:
+        d = -d
+    return tuple([m // d for m in minors])
+
+
 @_memo
 def _plane_table(rs: RootSystem) -> dict[tuple[int, int], tuple]:
-    """Every finite plane, in one pass over the pairs of positive roots.
-    Two pairs span the same plane exactly when their 2x2 coordinate minors
-    are proportional, so each pair is bucketed by its minors divided by
-    their gcd, signed positive at the first nonzero one.
+    """Every finite plane, in one pass over the pairs of positive roots,
+    bucketed by ``_plane_key``.
 
     Maps each sorted pair of non-opposite roots of a plane to ``(the roots
     of the plane in index order, k, l)``, where the minor (k, l) is nonzero
@@ -502,15 +515,7 @@ def _plane_table(rs: RootSystem) -> dict[tuple[int, int], tuple]:
     buckets: dict[tuple[int, ...], set[int]] = {}
     for i, a in enumerate(coords):
         for j in range(i + 1, npos):
-            b = coords[j]
-            minors = [a[k] * b[l] - a[l] * b[k] for k, l in minor_kl]
-            d = gcd(*minors)
-            for m in minors:
-                if m:
-                    break
-            if m < 0:
-                d = -d
-            key = tuple([m // d for m in minors])
+            key = _plane_key(a, coords[j], minor_kl)
             plane = buckets.get(key)
             if plane is None:
                 buckets[key] = {i, j}
@@ -533,18 +538,30 @@ def _plane_table(rs: RootSystem) -> dict[tuple[int, int], tuple]:
 @_memo
 def _irreducible_planes(rs: RootSystem) -> list[list[tuple[int, ...]]]:
     """Per positive root t, the irreducible planes P = Phi cap span whose
-    highest positive root is t, read from ``_plane_table``.  Each plane is
-    its positive roots bucketed by height in P's own base {f, h}:
-    ``buckets[k - 1]`` is the mask of the q = x*f + y*h in P+ with
-    x + y = k.  Any other q in P+ has x, y >= 1, so it is higher than f
-    and h: the base is the first two positive roots of the plane.
+    highest positive root is t.  Each plane is its positive roots bucketed
+    by height in P's own base {f, h}: ``buckets[k - 1]`` is the mask of the
+    q = x*f + y*h in P+ with x + y = k.  Any other q in P+ has x, y >= 1, so
+    it is higher than f and h: the base is the first two positive roots of
+    the plane.
+
+    The planes are built from the positive summing pairs alone, keyed by
+    ``_plane_key``: an irreducible plane holds such a pair (its base sums to
+    a root), its positive roots are exactly the f, h and f + h of its pairs,
+    and an A1xA1 plane holds none.
     """
     npos = rs.num_positive
+    minor_kl = [(k, l) for k in range(rs.rank) for l in range(k + 1, rs.rank)]
     coords = [r.coords for r in rs.roots]
+    planes: dict[tuple[int, ...], set[int]] = {}
+    for i in range(npos):
+        a, row = coords[i], rs.sum_table[i]
+        for j in range(i + 1, npos):
+            s = row[j]
+            if s is not None:
+                planes.setdefault(_plane_key(a, coords[j], minor_kl), set()).update((i, j, s))
     by_top = [[] for _ in range(npos)]
-    planes = {hit for hit in _plane_table(rs).values() if len(hit[0]) > 4}
-    for plane, k, l in sorted(planes):
-        positive = [q for q in plane if q < npos]
+    for positive, minors in sorted((sorted(p), m) for m, p in planes.items()):
+        k, l = next(kl for kl, m in zip(minor_kl, minors) if m)
         f, h = coords[positive[0]], coords[positive[1]]
         det = f[k] * h[l] - f[l] * h[k]
         buckets = [0] * len(positive)

@@ -27,7 +27,9 @@ depend only on the algebra and are computed once per algebra:
   inclusion-minimal, so only the first multiset of each minimal support is
   built, by a walk over the supports that never generates one containing a
   support already found (56 predicate calls for 37 entries on B4, where
-  706 multisets do not vanish; 255 calls for 255 entries on E6).
+  706 multisets do not vanish; 255 calls for 255 entries on E6).  A lookup
+  reads only the supports whose lowest member lies in the set, indexed by
+  that member (``_by_lowest_member``).
 """
 from __future__ import annotations
 
@@ -134,17 +136,16 @@ class _ChainTables:
         self.cartan_row = [tuple(-rs.pairing_table[g][a] for a in simple) for g in range(npos)]
 
 
-def _chain_starts(rs: RootSystem) -> dict[int, list]:
-    """The chain starts (state, value) of each indexed weight sigma: the rank
-    Cartan units first when sigma is a root (some mu + sigma = 0), then
-    (mu, 1) for each of its decompositions."""
+def _starts(rs: RootSystem, decomps: list[tuple[int, int]]) -> list:
+    """The chain starts (state, value) of a weight sigma with these
+    decompositions in the weight index: the rank Cartan units first when
+    sigma is a root (some mu + sigma = 0), then (mu, 1) for each
+    decomposition."""
     zero = len(rs.roots)  # also the Cartan state of _ChainTables
-    units = [(zero, tuple(int(k == j) for j in range(rs.rank))) for k in range(rs.rank)]
-    starts_of = {}
-    for sigma, decomps in _weight_index(rs).items():
-        is_root = any(end == zero for _, end in decomps)
-        starts_of[sigma] = (units if is_root else []) + [(mu, 1) for mu, _ in decomps]
-    return starts_of
+    starts = [(mu, 1) for mu, _ in decomps]
+    if any(end == zero for _, end in decomps):
+        return [(zero, tuple(int(k == j) for j in range(rs.rank))) for k in range(rs.rank)] + starts
+    return starts
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,28 +227,31 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
     those whose weight has chain starts reach _p_multiset_vanishes."""
     rs = L.rs
     T = _ChainTables(L)
-    starts_of = _chain_starts(rs)
+    index = _weight_index(rs)
+    starts_of: dict[int, list] = {}  # the chain starts of each weight reached
     packed, npos = rs.packed, rs.num_positive
     above = [((1 << npos) - 1) & -(2 << x) for x in range(npos)]  # the roots y > x
     partners = [0] * npos  # found pairs a < b: bit b of partners[a]
     thirds: dict[int, int] = {}  # found triples a < b < c: bit c of thirds[a * npos + b]
     minimal = []
 
-    def first_nonvanishing(candidates) -> bool:
-        # candidates: the (multiset, sigma) pairs of one support, in order
-        for multiset, sigma in candidates:
-            starts = starts_of.get(sigma)
-            if starts and not _p_multiset_vanishes(T, multiset, starts):
-                minimal.append((sum(1 << g for g in set(multiset)), multiset))
-                return True
-        return False
+    def nonvanishing(multiset, sigma) -> bool:
+        # sigma is an indexed weight; a nonvanishing multiset is recorded
+        starts = starts_of.get(sigma)
+        if starts is None:
+            starts = starts_of[sigma] = _starts(rs, index[sigma])
+        if _p_multiset_vanishes(T, multiset, starts):
+            return False
+        minimal.append((sum(1 << g for g in set(multiset)), multiset))
+        return True
 
     for a in range(npos):
         wa = packed[a]
         for b in iter_bits(above[a]):
             wb = packed[b]
-            if first_nonvanishing((((a, a, a, b), 3 * wa + wb), ((a, a, b, b), 2 * (wa + wb)),
-                                   ((a, b, b, b), wa + 3 * wb))):
+            if ((3 * wa + wb in index and nonvanishing((a, a, a, b), 3 * wa + wb))
+                    or (2 * (wa + wb) in index and nonvanishing((a, a, b, b), 2 * (wa + wb)))
+                    or (wa + 3 * wb in index and nonvanishing((a, b, b, b), wa + 3 * wb))):
                 partners[a] |= 1 << b
     for a in range(npos):
         ma = above[a] & ~partners[a]
@@ -257,8 +261,9 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
             for c in iter_bits(ma & above[b] & ~partners[b]):
                 wc = packed[c]
                 w = wa + wb + wc
-                if first_nonvanishing((((a, a, b, c), w + wa), ((a, b, b, c), w + wb),
-                                       ((a, b, c, c), w + wc))):
+                if ((w + wa in index and nonvanishing((a, a, b, c), w + wa))
+                        or (w + wb in index and nonvanishing((a, b, b, c), w + wb))
+                        or (w + wc in index and nonvanishing((a, b, c, c), w + wc))):
                     thirds[a * npos + b] = thirds.get(a * npos + b, 0) | 1 << c
     for a in range(npos):
         ma = above[a] & ~partners[a]
@@ -271,28 +276,63 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
                 wc = wb + packed[c]
                 for d in iter_bits(mc):
                     sigma = wc + packed[d]
-                    if sigma in starts_of:
-                        first_nonvanishing((((a, b, c, d), sigma),))
+                    if sigma in index:
+                        nonvanishing((a, b, c, d), sigma)
     minimal.sort(key=lambda entry: (entry[0].bit_count(), entry[1]))
     return minimal
+
+
+_BY_LOWEST = "liesph.spherical._by_lowest_member"
+
+
+def _by_lowest_member(L: ChevalleyAlgebra, minimal: list) -> list[list[tuple]]:
+    """The entries of ``minimal``, L's obstruction list, as (position,
+    support mask, multiset) in ascending position, bucketed by the lowest
+    member of their support; kept on L beside the list, like a ``_memo``
+    table.  It is built from the list a lookup already holds, so that a
+    lookup asks for the list once."""
+    buckets = L.__dict__.get(_BY_LOWEST)
+    if buckets is None:
+        buckets = L.__dict__[_BY_LOWEST] = [[] for _ in range(L.rs.num_positive)]
+        for pos, (mask, multiset) in enumerate(minimal):
+            buckets[(mask & -mask).bit_length() - 1].append((pos, mask, multiset))
+    return buckets
+
+
+def _support_inside(L: ChevalleyAlgebra, ps: PosRootSet, first: bool) -> tuple[int, ...] | None:
+    """The multiset of an obstruction list entry whose support lies in ps, or
+    None: the entry first in list order when ``first``, else any.  A support
+    inside ps has its lowest member in ps, so only the buckets of ps's
+    members are read, each up to its first hit."""
+    if ps.width != L.rs.num_positive:
+        raise MismatchedSystems("bit vector from another system")
+    minimal = quartic_obstructions(L)
+    buckets = _by_lowest_member(L, minimal)
+    inv = ps.mask
+    outside = ~inv
+    best, witness = len(minimal), None
+    for m in iter_bits(inv):
+        for pos, mask, multiset in buckets[m]:
+            if pos >= best:
+                break
+            if not mask & outside:
+                if not first:
+                    return multiset
+                best, witness = pos, multiset
+                break
+    return witness
 
 
 def spherical_witness(L: ChevalleyAlgebra, ps: PosRootSet) -> tuple[int, ...] | None:
     """A nonvanishing multiset supported in ps, or None when spherical: the
     first minimal-list entry inside ps, which is also the first nonvanishing
     multiset in ps in (support size, multiset) order."""
-    if ps.width != L.rs.num_positive:
-        raise MismatchedSystems("bit vector from another system")
-    inv = ps.mask
-    for mask, multiset in quartic_obstructions(L):
-        if mask & ~inv == 0:
-            return multiset
-    return None
+    return _support_inside(L, ps, first=True)
 
 
 def is_spherical_subspace(L: ChevalleyAlgebra, ps: PosRootSet) -> bool:
     """True iff ad(x)^4 = 0 for every x supported on ps."""
-    return spherical_witness(L, ps) is None
+    return _support_inside(L, ps, first=False) is None
 
 
 def witness_coords(L: ChevalleyAlgebra, ps: PosRootSet) -> list[list[int]] | None:
@@ -609,7 +649,7 @@ def verify_theorem1(rs: RootSystem, L: ChevalleyAlgebra | None = None, workers: 
     global _T1_STATE
     elements = list(_weyl.enumerate_weyl(rs))
     L = L or build_chevalley(rs)
-    quartic_obstructions(L)  # materialize before any worker split
+    _by_lowest_member(L, quartic_obstructions(L))  # materialize before any worker split
     _T1_STATE = (rs, L, elements)
     try:
         results = _parallel_chunks(_t1_check, _split(range(len(elements)), workers), workers)

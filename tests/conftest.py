@@ -202,3 +202,31 @@ def is_fc_by_positive_systems(rs, keys) -> bool:
             if irreducible and any(p & ~mask == 0 for p in plane_positive_systems(rs, members)):
                 return False
     return True
+
+
+# -- reference: irreducible planes from the table of every plane -------------
+
+
+def reference_irreducible_planes(rs: RootSystem) -> list:
+    """``_irreducible_planes`` read off ``_plane_table``, which buckets every
+    pair of positive roots by plane: the planes with more than four roots,
+    each as its positive roots bucketed by height in its own base, per
+    highest positive root."""
+    from liesph.roots import _plane_table
+
+    npos = rs.num_positive
+    coords = [r.coords for r in rs.roots]
+    by_top = [[] for _ in range(npos)]
+    planes = {hit for hit in _plane_table(rs).values() if len(hit[0]) > 4}
+    for plane, k, l in sorted(planes):
+        positive = [q for q in plane if q < npos]
+        f, h = coords[positive[0]], coords[positive[1]]
+        det = f[k] * h[l] - f[l] * h[k]
+        buckets = [0] * len(positive)
+        for q in positive:
+            c = coords[q]
+            buckets[(c[k] * (h[l] - f[l]) - c[l] * (h[k] - f[k])) // det - 1] |= 1 << q
+        while not buckets[-1]:
+            buckets.pop()
+        by_top[buckets[-1].bit_length() - 1].append(tuple(buckets))
+    return by_top

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import get_algebra, get_rs, reference_is_biconvex_affine
+from conftest import get_algebra, get_rs, reference_irreducible_planes, reference_is_biconvex_affine
 from liesph import affine as A
 from liesph import ideals as I
 from liesph.chevalley import build_chevalley
@@ -509,3 +509,28 @@ def test_plane_height_buckets_by_hand():
         [[(0, 1, 1), (1, 0, 0)], [(1, 1, 1)], [(1, 2, 2)]],  # e2, e1 - e2; e1
         [[(0, 1, 2), (1, 1, 0)], [(1, 2, 2)]],  # e2 + e3, e1 - e3
     ]
+
+
+# every type up to rank 8 but E8, which runs in the slow tests, and the
+# swapped rank-2 labellings
+PLANE_CASES = [(f"{f}{n}", False) for f, least in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+               for n in range(least, 9)]
+PLANE_CASES += [(n, False) for n in ("E6", "E7", "F4", "G2")]
+PLANE_CASES += [(n, True) for n in ("B2", "C2", "G2")]
+
+
+@pytest.mark.parametrize("name, swap", PLANE_CASES,
+                         ids=[f"{n}{'-swap' if w else ''}" for n, w in PLANE_CASES])
+def test_planes_from_summing_pairs_match_the_plane_table(name, swap):
+    # the planes built from the positive summing pairs are the table's
+    # irreducible planes, bucket for bucket and in the same order
+    rs = get_rs(name, swap)
+    assert I._irreducible_planes(rs) == reference_irreducible_planes(rs)
+
+
+@pytest.mark.slow
+def test_planes_from_summing_pairs_match_the_plane_table_e8():
+    rs = get_rs("E8")
+    planes = I._irreducible_planes(rs)
+    assert sum(map(len, planes)) == 1120
+    assert planes == reference_irreducible_planes(rs)

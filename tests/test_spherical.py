@@ -584,12 +584,17 @@ def _four_root_multisets(rs, support=None):
                         yield (a, b, c, d), sigma
 
 
+def _chain_starts(rs):
+    """The chain starts of every weight in the weight index."""
+    return {sigma: S._starts(rs, decomps) for sigma, decomps in S._weight_index(rs).items()}
+
+
 def _reference_full_table(L):
     """Every nonvanishing multiset from the weight-filtered scan and the
     library's predicate, as (support mask, multiset) pairs sorted by
     (support size, multiset)."""
     T = S._ChainTables(L)
-    starts_of = S._chain_starts(L.rs)
+    starts_of = _chain_starts(L.rs)
     bad = []
     for multiset, sigma in _four_root_multisets(L.rs):
         if not S._p_multiset_vanishes(T, multiset, starts_of[sigma]):
@@ -617,7 +622,7 @@ def _reference_per_size_build(L):
     multiset of each support size, smallest first, skipping one whose support
     contains or equals a support already found."""
     T = S._ChainTables(L)
-    starts_of = S._chain_starts(L.rs)
+    starts_of = _chain_starts(L.rs)
     found = set()
     minimal = []
     for size in range(1, 5):
@@ -688,7 +693,7 @@ def test_chain_starts_and_values_match_reference_per_start(name, sign):
     L = _fresh_algebra(name, sign=sign)
     T = S._ChainTables(L)
     packed = L.rs.packed
-    starts_of = S._chain_starts(L.rs)
+    starts_of = _chain_starts(L.rs)
     nonzero_on_cartan = 0
     for multiset in itertools.combinations_with_replacement(range(L.rs.num_positive), 4):
         ref = _reference_starts(L, multiset)
@@ -801,6 +806,8 @@ def test_walk_matches_per_size_scan_for_any_predicate(monkeypatch, name, modulus
 
 
 def _first_full_table_hit(table, ps):
+    """The list scan: the multiset of the first entry of the table whose
+    support lies in ps, or None."""
     for mask, multiset in table:
         if mask & ~ps.mask == 0:
             return multiset
@@ -838,6 +845,60 @@ def test_witness_scan_over_minimal_supports_e6_random_masks():
         assert witness == _first_full_table_hit(full, ps)
         hits += witness is not None
     assert 0 < hits < 2000
+
+
+def _assert_lookups_match_the_list_scan(L, subjects):
+    """spherical_witness and is_spherical_subspace on each subject agree
+    with the list scan over L's obstruction list; returns how many are
+    spherical."""
+    minimal = S.quartic_obstructions(L)
+    spherical = 0
+    for ps in subjects:
+        want = _first_full_table_hit(minimal, ps)
+        assert S.spherical_witness(L, ps) == want, ps
+        assert S.is_spherical_subspace(L, ps) == (want is None), ps
+        spherical += want is None
+    return spherical
+
+
+@pytest.mark.parametrize("name", ["B4", "C4", "F4", "D5"])
+def test_member_index_matches_the_list_scan_on_elements(name):
+    subjects = [e.inv for e in W.enumerate_weyl(get_rs(name))]
+    spherical = _assert_lookups_match_the_list_scan(get_algebra(name), subjects)
+    assert 0 < spherical < len(subjects)
+
+
+# every type up to rank 7 and E7; E8 runs in the slow tests
+IDEAL_LOOKUP_TYPES = [f"{f}{n}" for f, least in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                      for n in range(least, 8)] + ["E6", "E7", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", IDEAL_LOOKUP_TYPES)
+def test_member_index_matches_the_list_scan_on_ideals(name):
+    _assert_lookups_match_the_list_scan(get_algebra(name), I.enumerate_ideals(get_rs(name)))
+
+
+@pytest.mark.slow
+def test_member_index_matches_the_list_scan_on_ideals_e8():
+    ideals = I.enumerate_ideals(get_rs("E8"))
+    assert len(ideals) == 25080
+    assert _assert_lookups_match_the_list_scan(get_algebra("E8"), ideals) == 256
+
+
+def test_member_index_is_kept_beside_the_list_it_indexes():
+    # the first lookup builds the index from the list it read, keeps it on
+    # the algebra, and later lookups read it
+    L = _fresh_algebra("B3")
+    before = set(vars(L))
+    minimal = S.quartic_obstructions(L)
+    full = L.rs.posrootset(range(L.rs.num_positive))
+    assert S.spherical_witness(L, full) == minimal[0][1]
+    (key,) = set(vars(L)) - before - {"liesph.spherical.quartic_obstructions"}
+    index = vars(L)[key]
+    assert sorted((pos, mask, multiset) for bucket in index for pos, mask, multiset in bucket) \
+        == [(pos, mask, multiset) for pos, (mask, multiset) in enumerate(minimal)]
+    assert not S.is_spherical_subspace(L, full)
+    assert vars(L)[key] is index
 
 
 def _certify_obstructions(name, supports, minimality):
