@@ -49,7 +49,6 @@ from .roots import (
     root_sum,
 )
 from .spherical import (
-    SphericalReport,
     classify_nonspherical_orthogonal,
     generic_height,
     is_spherical_subspace,

@@ -2,12 +2,15 @@
 inspection, with JSON/CSV/markdown reports and an optional result cache.
 
 Exit codes: 0 success, 1 mismatch found, 2 usage error, 3 budget exceeded,
-4 I/O error (reading or writing a report or cache file, or writing stdout),
-5 internal error (an unexpected exception; never reported as a mismatch).
+4 I/O error (reading or writing a report or cache file, or writing stdout,
+closed or full), 5 internal error (an unexpected exception; never reported
+as a mismatch).  A line a closed or full stderr cannot take is lost, and the
+run keeps its code.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
@@ -93,7 +96,8 @@ def _flag_usage(flag: str) -> str:
 
 
 def _print_help(usage: str, rows) -> None:
-    print(usage, "", *(f"  {name:<22} {text}".rstrip() for name, text in rows), sep="\n")
+    print(usage, "", *(f"  {name:<22} {text}".rstrip() for name, text in rows), sep="\n",
+          file=_stdout())
 
 
 def _read_value(spec: dict, eq: str, value: str, rest):
@@ -131,7 +135,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
                 return _print_help(usage, [HELP, *[("--version", "show the version and exit")] * root,
                                            *((n, COMMANDS.get(n, "")) for n in names)])
             if token == "--version" and root:
-                print(f"liesph {__version__}")
+                print(f"liesph {__version__}", file=_stdout())
                 return None
             if not _is_flag(token):
                 break
@@ -227,10 +231,6 @@ def _json_str(text: str) -> str:
     return json.dumps(text)
 
 
-def _canonical_json(payload) -> str:
-    return _json(payload, pretty=True) + "\n"
-
-
 def _csv_escape(value) -> str:
     text = value if isinstance(value, str) else _json(value)
     if any(c in text for c in ",\"\n"):
@@ -238,58 +238,58 @@ def _csv_escape(value) -> str:
     return text
 
 
-def _to_csv(report: dict) -> str:
+def _to_table(report: dict, fmt: str) -> str:
+    """csv or md: a report whose records are dicts as a table of its
+    records, its other keys below it; any other report as a key/value
+    table.  csv writes a string cell as itself (quoted when it holds a
+    comma, a quote or a newline) and any other cell as json; md writes
+    every cell as json but the keys of a key/value table."""
+    csv = fmt == "csv"
+    cell = _csv_escape if csv else _json
     records = report.get("records")
-    lines = []
-    if isinstance(records, list) and records and isinstance(records[0], dict):
+    tabular = isinstance(records, list) and bool(records) and isinstance(records[0], dict)
+    if tabular:
         header = sorted({k for r in records for k in r})
-        lines.append(",".join(header))
-        for r in records:
-            lines.append(",".join(_csv_escape(r.get(k, "")) for k in header))
-        meta = {k: v for k, v in report.items() if k != "records"}
-        for k in sorted(meta):
-            lines.append(f"# {k}={_json(meta[k])}")
+        rows = [[cell(r.get(k, "")) for k in header] for r in records]
+        meta = [k for k in sorted(report) if k != "records"]
     else:
-        lines.append("key,value")
-        for k in sorted(report):
-            lines.append(f"{_csv_escape(k)},{_csv_escape(report[k])}")
+        header, meta = ["key", "value"], []
+        rows = [[cell(k) if csv else k, cell(report[k])] for k in sorted(report)]
+    if csv:
+        lines = [",".join(row) for row in (header, *rows)]
+        lines += [f"# {k}={_json(report[k])}" for k in meta]
+    else:
+        lines = [f"| {' | '.join(row)} |" for row in (header, ["---"] * len(header), *rows)]
+        lines += [""] * tabular + [f"- **{k}**: {_json(report[k])}" for k in meta]
     return "\n".join(lines) + "\n"
 
 
-def _to_md(report: dict) -> str:
-    records = report.get("records")
-    lines = []
-    if isinstance(records, list) and records and isinstance(records[0], dict):
-        header = sorted({k for r in records for k in r})
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "|".join([" --- "] * len(header)) + "|")
-        for r in records:
-            lines.append(
-                "| " + " | ".join(_json(r.get(k, "")) for k in header) + " |"
-            )
-        lines.append("")
-        for k in sorted(k for k in report if k != "records"):
-            lines.append(f"- **{k}**: {_json(report[k])}")
-    else:
-        lines.append("| key | value |")
-        lines.append("| --- | --- |")
-        for k in sorted(report):
-            lines.append(f"| {k} | {_json(report[k])} |")
-    return "\n".join(lines) + "\n"
+def _stdout():
+    """sys.stdout, to write to: None when the process started with it
+    closed, which is an I/O error only for a command that writes to it."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
+def _stderr(text: str) -> None:
+    """Write a line to stderr.  A closed or full stderr loses the line,
+    never the exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text + "\n")
+            sys.stderr.flush()
+        except (OSError, ValueError):
+            pass
 
 
 def _emit(report: dict, fmt: str, out: str | None):
-    if fmt == "json":
-        text = _canonical_json(report)
-    elif fmt == "csv":
-        text = _to_csv(report)
-    else:
-        text = _to_md(report)
+    text = _json(report, pretty=True) + "\n" if fmt == "json" else _to_table(report, fmt)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _stdout().write(text)
 
 
 # -- cache ------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def _cache_fetch(cache: str | None, key_fields: dict, expect: dict):
     except (OSError, ValueError):
         report = None
     if not isinstance(report, dict) or any(report.get(k) != v for k, v in expect.items()):
-        print(f"warning: unreadable cache entry {path}; recomputing", file=sys.stderr)
+        _stderr(f"warning: unreadable cache entry {path}; recomputing")
         return None, path
     return report, path
 
@@ -330,7 +330,7 @@ def _cache_store(path: str | None, report: dict):
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(_canonical_json(report))
+            fh.write(_json(report, pretty=True) + "\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -440,52 +440,6 @@ def _fc_atlas(rs, args) -> dict:
     return {"count": len(records), "records": records}
 
 
-# (command, target) -> (report builder, the flags the command reads besides
-# COMMON); inspect has no target, and cmd_inspect builds its report
-REPORTS = {
-    ("verify", "theorem1"): (lambda rs, a: S.verify_theorem1(rs, workers=a.workers),
-                             ("--seed", "--budget", "--workers", "--cache")),
-    ("verify", "theorem2"): (lambda rs, a: I.verify_theorem2(rs), ("--seed", "--cache")),
-    ("verify", "subspaces"): (lambda rs, a: S.verify_subspace_theorem(rs),
-                              ("--seed", "--budget", "--cache")),
-    ("verify", "lemmas"): (lambda rs, a: S.verify_lemma_quadruples(rs), ("--seed", "--cache")),
-    ("verify", "g2"): (lambda rs, a: _g2_report(rs), ("--seed", "--cache")),
-    ("atlas", "ideals"): (_ideal_atlas, ("--cache",)),
-    ("atlas", "fc"): (_fc_atlas, ("--budget", "--cache")),
-    ("inspect", None): (None, ("--seed", "--trials", "--cap-words", "--word", "--ideal-gen")),
-}
-
-
-def cmd_report(args) -> int:
-    """``verify`` and ``atlas``: the report of the (command, target) pair,
-    from the cache when it holds it.  The cache key is the report's command,
-    type and, for verify, seed, with the swap flag.  A command that reads
-    --budget enumerates W, so a miss is refused before anything is built
-    when the closed-form |W| exceeds the budget.  Every |W| is at least
-    2^rank, so past the 10 000 bits a refusal shows, a rank the budget is
-    too small for is refused on that bound, before |W| is computed."""
-    ct = CartanType.parse(args.type)
-    expect = {"command": f"{args.command}-{args.what}", "type": ct.name}
-    if args.command == "verify":
-        expect["seed"] = args.seed
-    report, cache_path = _cache_fetch(args.cache, {**expect, "swap": args.swap}, expect)
-    if report is None:
-        build, flags = REPORTS[args.command, args.what]
-        if "--budget" in flags:
-            if ct.rank > 10_000 and ct.rank >= args.budget.bit_length():
-                raise BudgetExceeded(f"|W({ct.name})| >= 2^{ct.rank} exceeds budget {args.budget}")
-            if (order := ct.weyl_order()) > args.budget:
-                # str() refuses an int of more than 4300 digits
-                shown = order if order.bit_length() <= 10_000 else f"a {order.bit_length()}-bit number"
-                raise BudgetExceeded(f"|W({ct.name})| = {shown} exceeds budget {args.budget}")
-        report = build(build_root_system(ct, swap=args.swap), args)
-        report.update(expect)
-        _cache_store(cache_path, report)
-    _emit(report, args.format, args.out)
-    bad = report.get("mismatches", report.get("violations", []))
-    return EXIT_MISMATCH if bad else EXIT_OK
-
-
 def _parse_ints(text: str) -> list[int] | None:
     """Comma-separated integers, each as ``_integer`` reads them; spaces
     around a part are fine.  None for anything else."""
@@ -502,13 +456,9 @@ def _parse_coords(text: str, rank: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def cmd_inspect(args) -> int:
-    ct = CartanType.parse(args.type)
-    if bool(args.word) == bool(args.ideal_gen):
-        raise LiesphError("inspect needs exactly one of --word / --ideal-gen")
-    rs = build_root_system(ct, swap=args.swap)
-    L = build_chevalley(rs)
-
+def _inspect(rs, args) -> dict:
+    """One element (--word) or ideal (--ideal-gen): its criteria, its
+    sphericality and the orbit fingerprint of its seeded samples."""
     if args.word:
         letters = _parse_ints(args.word)
         if letters is None:
@@ -541,64 +491,111 @@ def cmd_inspect(args) -> int:
         subject = I.ideal_record(rs, ps)  # its sphericality is make_report's, below
         subject["fully_commutative"] = subject.pop("fc")
         subject["subject"] = "ideal"
-
-    base = S.make_report(L, ps, subject["subject"]).to_json_dict()
+    L = build_chevalley(rs)
     dim_orbit, h, ranks = S.orbit_fingerprint(L, ps, trials=args.trials, seed=args.seed)
-    report = {
-        **base,
+    return {
+        **S.make_report(L, ps, subject["subject"]),
         **subject,
         "generic_height": h,  # generic_height draws the fingerprint's samples
         "orbit_fingerprint": {"orbit_dim": dim_orbit, "height": h, "ranks": list(ranks)},
-        "command": "inspect",
-        "seed": args.seed,
         "trials": args.trials,
     }
+
+
+# (command, target) -> (report builder, the flags the command reads besides
+# COMMON); inspect has no target
+REPORTS = {
+    ("verify", "theorem1"): (lambda rs, a: S.verify_theorem1(rs, workers=a.workers),
+                             ("--seed", "--budget", "--workers", "--cache")),
+    ("verify", "theorem2"): (lambda rs, a: I.verify_theorem2(rs), ("--seed", "--cache")),
+    ("verify", "subspaces"): (lambda rs, a: S.verify_subspace_theorem(rs),
+                              ("--seed", "--budget", "--cache")),
+    ("verify", "lemmas"): (lambda rs, a: S.verify_lemma_quadruples(rs), ("--seed", "--cache")),
+    ("verify", "g2"): (lambda rs, a: _g2_report(rs), ("--seed", "--cache")),
+    ("atlas", "ideals"): (_ideal_atlas, ("--cache",)),
+    ("atlas", "fc"): (_fc_atlas, ("--budget", "--cache")),
+    ("inspect", None): (_inspect, ("--seed", "--trials", "--cap-words", "--word", "--ideal-gen")),
+}
+
+
+def cmd_report(args) -> int:
+    """The report of the command line's REPORTS row, stamped with
+    ``command`` (``command-target`` for a row with a target), the type and,
+    when the row reads --seed, the seed.  A row that reads --cache looks
+    the stamp and the swap flag up in the cache first.  Before anything is
+    built, a row that reads --word is refused unless it has exactly one
+    subject, and a row that reads --budget, as it enumerates W, is refused
+    when the closed-form |W| exceeds the budget.  Every |W| is at least
+    2^rank, so past the 10 000 bits a refusal shows, a rank the budget is
+    too small for is refused on that bound, before |W| is computed."""
+    ct = CartanType.parse(args.type)
+    build, flags = REPORTS[args.command, args.what]
+    expect = {"command": "-".join(filter(None, (args.command, args.what))), "type": ct.name}
+    if "--seed" in flags:
+        expect["seed"] = args.seed
+    cache = args.cache if "--cache" in flags else None
+    report, cache_path = _cache_fetch(cache, {**expect, "swap": args.swap}, expect)
+    if report is None:
+        if "--word" in flags and bool(args.word) == bool(args.ideal_gen):
+            raise LiesphError("inspect needs exactly one of --word / --ideal-gen")
+        if "--budget" in flags:
+            if ct.rank > 10_000 and ct.rank >= args.budget.bit_length():
+                raise BudgetExceeded(f"|W({ct.name})| >= 2^{ct.rank} exceeds budget {args.budget}")
+            if (order := ct.weyl_order()) > args.budget:
+                # str() refuses an int of more than 4300 digits
+                shown = order if order.bit_length() <= 10_000 else f"a {order.bit_length()}-bit number"
+                raise BudgetExceeded(f"|W({ct.name})| = {shown} exceeds budget {args.budget}")
+        report = build(build_root_system(ct, swap=args.swap), args)
+        report.update(expect)
+        _cache_store(cache_path, report)
     _emit(report, args.format, args.out)
-    return EXIT_OK
+    bad = report.get("mismatches", report.get("violations", []))
+    return EXIT_MISMATCH if bad else EXIT_OK
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and the stderr message of a failure.  A crash is no
+    verdict: it exits 5, never 1."""
+    if isinstance(exc, UsageError):
+        message, prog, usage = exc.args
+        return EXIT_USAGE, f"{usage}\n{prog}: error: {message}"
+    if isinstance(exc, BudgetExceeded):
+        return EXIT_BUDGET, f"budget exceeded: {exc}"
+    if isinstance(exc, LiesphError):
+        return EXIT_USAGE, f"error: {exc}"
+    if isinstance(exc, OSError):
+        return EXIT_IO, f"error: {exc}"
+    message = " ".join(str(exc).splitlines())
+    return EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {message}"
 
 
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        if args is None:  # help or the version, printed
-            code = EXIT_OK
-        else:
-            code = cmd_inspect(args) if args.command == "inspect" else cmd_report(args)
-        sys.stdout.flush()  # output that cannot be written out is an I/O error
+        code = EXIT_OK if args is None else cmd_report(args)  # None: help or the version, printed
+        if sys.stdout is not None:
+            sys.stdout.flush()  # output that cannot be written out is an I/O error
         return code
-    except UsageError as exc:
-        message, prog, usage = exc.args
-        print(usage, f"{prog}: error: {message}", sep="\n", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except LiesphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except Exception as exc:  # a crash is not a verdict: keep it off exit code 1
-        message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        code, message = _failure(exc)
+        _stderr(message)
+        return code
 
 
 def run() -> None:
     """The process entry of ``python -m liesph.cli`` and the ``liesph``
     script: main() on sys.argv, then ``os._exit`` with its code once stdout
-    and stderr are flushed.  By then main has written and flushed the
-    report, and closed every file and worker pool it opened, so interpreter
-    teardown would only free memory; no atexit work is registered on any
-    path.  A flush that fails here (output main could not write) exits 4,
-    never 0 or 1.  main() itself exits nothing, so library and test callers
-    keep their interpreter."""
+    is flushed.  By then main has written and flushed the report and every
+    stderr line, and closed every file and worker pool it opened, so
+    interpreter teardown would only free memory; no atexit work is
+    registered on any path.  A flush that fails here (output main could
+    not write) exits 4, never 0 or 1; run() raises nothing.  main() itself
+    exits nothing, so library and test callers keep their interpreter."""
     code = main()
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except (OSError, ValueError):
         code = EXIT_IO if code in (EXIT_OK, EXIT_MISMATCH) else code
     os._exit(code)
 

@@ -68,17 +68,38 @@ def _deepen(rs: RootSystem, mask: int, depth: list[int], layers: list[int], todo
     """Raise ``depth`` to the depths in the ideal ``mask``, from the members
     in ``todo`` up, and set each raised member's bit in ``layers`` (I^k is
     ``layers[k - 1]``) up to its new depth; returns the codes the raises
-    add to the encoding.  ``depth`` holds 0 off the ideal and, on it, the
-    depths in a smaller ideal, or 0.
+    add to the encoding.  Either ``depth`` is 0 everywhere and ``todo`` is
+    ``mask`` (``_layers``), or ``todo`` is the member b of least height of
+    J = ``mask`` and ``depth`` holds the depths in I = J - b, 0 off I
+    (``_ideal_tree``).
 
     The layers nest, so the deepest layer of a member, its depth, is 1 plus
     that of the deeper summand, over its decompositions into two members,
     and 1 when it has none.  A member whose depth rose, or that joined the
-    ideal, offers each sum with a member its new bound; a sum lies above
-    its summands, and root indices increase with height, so the members
-    are taken lowest index first, each once its bound is final.  No other
-    member can deepen.  Member g of depth d gives the codes of k*delta - g
-    for 1 <= k <= d (``_code_ladders``)."""
+    ideal, offers each sum with a member its new depth plus 1; a sum lies
+    above its summands, and root indices increase with height, so the
+    members are taken lowest index first, each once its bound is final.
+    No other member can deepen.  Member g of depth d gives the codes of
+    k*delta - g for 1 <= k <= d (``_code_ladders``).
+
+    The offer need not take the other summand's depth.  From zero depths
+    every member is raised and offers its own.  Along the tree: if
+    positive roots sum to a root s, (s, s) > 0 is the sum of the (s, a),
+    so some s - a is a root or 0, and the sum can be ordered with each
+    partial sum a root; the depth of s is the most members it is a sum of.
+    Take s of depth m in J above its depth in I, every lower member's
+    depth right, and an m-term sum for s with such an a: w = s - a has
+    depth m - 1 or more.  A raised w offered m; else a in I would give s
+    depth m in I.  So a = b, w is in I and not raised, and
+    s = b + a_1 + ... + a_(m-1) with each a_i in I; it is enough that some
+    s - a_i be a root.  If none is, every (s, a_i) <= 0, so (s, b) >=
+    (s, s): s is short and b long.  In B_n and C_n that makes
+    (s, b) = (s, s) and every (s, a_i) 0.  In B_n, s = e_p and
+    b = e_p - e_q, and some a_i is short (sums of long roots have even
+    coordinate sums, e_q has not), so it is e_r and s - a_i = e_p - e_r.
+    In C_n, s = e_i + e_j and b = 2e_j, and the a_i sum to e_i - e_j, so
+    one of them is e_i - e_j and s - a_i = 2e_j.  The tree tests check
+    every ideal of F4 and G2."""
     sums, summable, ladders = rs.sum_table, _summable(rs), _code_ladders(rs)
     bound = [1] * rs.num_positive
     codes = set()
@@ -99,11 +120,9 @@ def _deepen(rs: RootSystem, mask: int, depth: list[int], layers: list[int], todo
         while others:
             bit = others & -others
             others ^= bit
-            h = bit.bit_length() - 1
-            s, dh = row[h], depth[h]
-            up = (d if d > dh else dh) + 1
-            if up > bound[s] and up > depth[s]:
-                bound[s] = up
+            s = row[bit.bit_length() - 1]
+            if d >= bound[s] and d >= depth[s]:
+                bound[s] = d + 1
                 todo |= 1 << s
     return codes
 

@@ -43,11 +43,15 @@ def _memo(build):
     return table
 
 
-class _Record:
-    """A plain record over its ``__slots__``, compared, printed and pickled
-    field by field; unhashable, like any mutable value."""
+class _FrozenRecord:
+    """A plain record over its ``__slots__``, set once, in ``__init__``,
+    and compared, hashed, printed and pickled field by field."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for f, v in zip(self.__slots__, values):
+            object.__setattr__(self, f, v)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -57,25 +61,15 @@ class _Record:
             return self._values() == other._values()
         return NotImplemented
 
+    def __hash__(self):
+        return hash(self._values())
+
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-class _FrozenRecord(_Record):
-    """A record whose fields are set once, in ``__init__``, and hashed."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for f, v in zip(self.__slots__, values):
-            object.__setattr__(self, f, v)
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -41,29 +41,8 @@ import sys
 from .chevalley import ChevalleyAlgebra, ad_matrix, build_chevalley, height
 from .errors import LiesphError, MismatchedSystems
 from .linalg import mat_is_zero, mat_mul, matrix_rank
-from .roots import PosRootSet, Root, RootSystem, _memo, _poset_tables, _Record, iter_bits
+from .roots import PosRootSet, Root, RootSystem, _memo, _poset_tables, iter_bits
 from . import weyl as _weyl
-
-
-class SphericalReport(_Record):
-    __slots__ = ("type", "subject", "pairing_ok", "spherical", "witness")
-
-    def __init__(self, type: str, subject: str, pairing_ok: bool, spherical: bool,
-                 witness: dict | None = None):
-        self.type = type
-        self.subject = subject
-        self.pairing_ok = pairing_ok
-        self.spherical = spherical
-        self.witness = witness
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": self.type,
-            "subject": self.subject,
-            "pairing_ok": self.pairing_ok,
-            "spherical": self.spherical,
-            "witness": self.witness,
-        }
 
 
 # -- deterministic quartic oracle ------------------------------------------------
@@ -341,16 +320,19 @@ def witness_coords(L: ChevalleyAlgebra, ps: PosRootSet) -> list[list[int]] | Non
     return None if witness is None else [list(L.rs.roots[i].coords) for i in witness]
 
 
-def make_report(L: ChevalleyAlgebra, ps: PosRootSet, subject: str) -> SphericalReport:
+def make_report(L: ChevalleyAlgebra, ps: PosRootSet, subject: str) -> dict:
+    """The part of ``inspect``'s report the span of ps decides: its type,
+    the subject kind, the pairing test, and sphericality with the witness
+    multiset when there is one."""
     rs = L.rs
     multiset = witness_coords(L, ps)
-    return SphericalReport(
-        type=rs.cartan_type.name,
-        subject=subject,
-        pairing_ok=_weyl.pairing_nonneg(rs, ps),
-        spherical=multiset is None,
-        witness=None if multiset is None else {"multiset": multiset},
-    )
+    return {
+        "type": rs.cartan_type.name,
+        "subject": subject,
+        "pairing_ok": _weyl.pairing_nonneg(rs, ps),
+        "spherical": multiset is None,
+        "witness": None if multiset is None else {"multiset": multiset},
+    }
 
 
 # -- randomized cross-checks ------------------------------------------------------

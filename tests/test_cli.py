@@ -509,12 +509,15 @@ def test_report_writer_refuses_what_reports_do_not_hold(value):
             _json(value, pretty)
 
 
-def _process_entry(argv, **kwargs):
-    """``python -m liesph.cli`` on argv, buffered as from a shell."""
+def _process_entry(argv, redirect="", **kwargs):
+    """``python -m liesph.cli`` on argv, buffered as from a shell, under the
+    shell redirections in redirect."""
     src = os.path.dirname(os.path.dirname(liesph.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, "-m", "liesph.cli", *argv],
-                          env={**env, "PYTHONPATH": src}, **kwargs)
+    command = [sys.executable, "-m", "liesph.cli", *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    return subprocess.run(command, env={**env, "PYTHONPATH": src}, **kwargs)
 
 
 def test_process_entry_writes_what_main_writes(tmp_path, capsys):
@@ -555,6 +558,37 @@ def test_a_report_stdout_cannot_take_exits_io_error():
         with open("/dev/full", "w") as full:
             proc = _process_entry(argv, stdout=full, stderr=subprocess.PIPE, text=True)
         assert (proc.returncode, proc.stderr) == (4, "error: [Errno 28] No space left on device\n")
+
+
+# (command line, shell redirections, exit code): a closed or full stream
+# keeps the code of the run, and a stdout that cannot take the output the
+# command writes to it exits 4; none of them writes a traceback
+STREAM_FAILURES = [
+    ("verify theorem1", "2>/dev/full", 2),
+    ("verify theorem1", "2>&-", 2),
+    ("verify theorem1 --type E7", "2>/dev/full", 3),
+    ("inspect --type B2 --word 9", "2>/dev/full", 2),
+    ("verify theorem1 --type B2 --format csv", ">/dev/full 2>/dev/full", 4),
+    ("verify theorem1 --type B4 --out DIR/missing/x.json", "2>/dev/full", 4),
+    ("verify theorem1 --type B2", ">&-", 4),
+    ("--version", ">&-", 4),
+    ("verify theorem1 --help", ">&-", 4),
+    # a report written to --out needs no stdout
+    ("verify theorem1 --type B2 --out DIR/r.json", ">&-", 0),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("line, redirect, code", STREAM_FAILURES,
+                         ids=[f"{line} {redirect}" for line, redirect, _ in STREAM_FAILURES])
+def test_stream_failures_keep_their_exit_code(tmp_path, line, redirect, code):
+    argv = line.replace("DIR", str(tmp_path)).split()
+    proc = _process_entry(argv, redirect, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    closed = redirect == ">&-" and code == 4
+    assert proc.stderr == ("error: [Errno 9] stdout is closed\n" if closed else "")
+    if code == 0:
+        assert json.loads((tmp_path / "r.json").read_text())["mismatches"] == []
 
 
 def test_console_script_and_module_share_the_process_entry():

@@ -104,6 +104,22 @@ def test_is_abelian():
     assert not I.is_abelian(b2, PosRootSet((1 << 4) - 1, 4))
 
 
+# the long simple roots of each type (all simple roots when simply laced)
+LONG_SIMPLE = {"G2": 1, "B3": 2, "C3": 1, "B4": 3, "C4": 1, "B5": 4, "C5": 1,
+               "D4": 4, "D5": 5, "F4": 2, "A5": 5, "E6": 6}
+
+
+@pytest.mark.parametrize("name", LONG_SIMPLE)
+def test_maximal_abelian_ideals_are_as_many_as_long_simple_roots(name):
+    # Panyushev, "Abelian ideals of a Borel subalgebra and long positive
+    # roots" (IMRN 2003)
+    rs = get_rs(name)
+    abelian = [J.mask for J in I.enumerate_ideals(rs) if I.is_abelian(rs, J)]
+    maximal = [m for m in abelian if not any(m != o and m & o == m for o in abelian)]
+    long_simple = [i for i in range(1, rs.rank + 1) if rs.simple_root(i).is_long]
+    assert len(maximal) == len(long_simple) == LONG_SIMPLE[name]
+
+
 def test_layers():
     b2 = get_rs("B2")
     layers = [sorted(b2.roots[i].coords for i in iter_bits(l)) for l in I._layers(b2, 0b1111)[0]]

@@ -456,9 +456,15 @@ def test_spherical_report():
     g2 = get_rs("G2")
     L = get_algebra("G2")
     rep = S.make_report(L, g2_psi0(), "ideal")
-    assert rep.spherical and rep.witness is None and rep.pairing_ok
+    assert rep == {"type": "G2", "subject": "ideal", "pairing_ok": True, "spherical": True,
+                   "witness": None}
     bad = S.make_report(L, W.from_word(g2, [1, 2, 1]).inv, "biconvex")
-    assert not bad.spherical and bad.witness is not None
+    assert not bad["spherical"] and bad["witness"] is not None
+    b2 = get_algebra("B2")
+    full = b2.rs.posrootset(range(b2.rs.num_positive))
+    assert S.make_report(b2, full, "biconvex") == {
+        "type": "B2", "subject": "biconvex", "pairing_ok": False, "spherical": False,
+        "witness": {"multiset": [[1, 0], [1, 0], [0, 1], [0, 1]]}}
 
 
 _PARENT_PID = os.getpid()
@@ -974,20 +980,3 @@ def test_one_table_lookup_per_witness(monkeypatch):
     for e in W.enumerate_weyl(get_rs("A3")):
         S.spherical_witness(L, e.inv)
     assert len(calls) == 24
-
-
-def test_spherical_report_is_a_mutable_record():
-    L = get_algebra("B2")
-    rs = L.rs
-    report = S.make_report(L, rs.posrootset(range(rs.num_positive)), "biconvex")
-    witness = {"multiset": [[1, 0], [1, 0], [0, 1], [0, 1]]}
-    assert report == S.SphericalReport("B2", "biconvex", False, False, witness)
-    assert report != S.SphericalReport("B2", "ideal", False, False, witness)
-    assert report.__eq__(report.to_json_dict()) is NotImplemented
-    assert repr(report) == ("SphericalReport(type='B2', subject='biconvex', pairing_ok=False, "
-                            f"spherical=False, witness={witness!r})")
-    assert S.SphericalReport("B2", "ideal", True, True).witness is None
-    with pytest.raises(TypeError):
-        hash(report)
-    report.spherical = True
-    assert report.to_json_dict()["spherical"] is True
