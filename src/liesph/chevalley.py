@@ -6,10 +6,17 @@ with int or Fraction values; no floating point anywhere.
 
 Structure constants N_{a,b} are fixed by choosing the sign of every
 extraspecial pair (the minimal decomposition of each non-simple positive
-root in the canonical root order) and propagating all remaining constants
-through Jacobi and the rotation identity
-N_{u,v}/(w,w) = N_{v,w}/(u,u) = N_{w,u}/(v,v) for u+v+w = 0.  The tables
-are built in int arithmetic: every division is exact, or the build raises.
+root in the canonical root order) and filled forward, one positive root g
+at a time in height order.  Each of g's other pairs a + b = g comes from
+Jacobi on (e_{-x}, e_a, e_b), x the extraspecial first component, which
+reads g's extraspecial triple and triples of lower height only.  One
+constant N_{a,b} fixes the twelve of its triple a + b - g = 0: the
+rotation identity N_{u,v}/(w,w) = N_{v,w}/(u,u) = N_{w,u}/(v,v) for
+u+v+w = 0 gives the other two of the triple, antisymmetry their partners
+and N_{-u,-v} = -N_{u,v} the negated triple.  The tables are built in int
+arithmetic: every division is exact, or the build raises.  The tests'
+Fraction reference keeps the lazy, recursive rotation lookup, so it is an
+independent check of this fill.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ class ChevalleyAlgebra:
         self.ntab = _structure_constants(rs, extraspecial_sign)
         self.coroot = _coroot_table(rs)
         self._simple_idx = [rs.simple_root(i + 1).index for i in range(rs.rank)]
-        self._bracket_cache: dict[tuple[int, int], dict] = {}
 
     def e(self, a) -> dict:
         idx = a.index if isinstance(a, Root) else int(a)
@@ -74,15 +80,6 @@ class ChevalleyAlgebra:
         return NilpotentElement(self.rs, coeffs)
 
     def bracket_basis(self, i: int, j: int) -> dict:
-        key = (i, j)
-        hit = self._bracket_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._bracket_basis_raw(i, j)
-        self._bracket_cache[key] = out
-        return out
-
-    def _bracket_basis_raw(self, i: int, j: int) -> dict:
         rs = self.rs
         nr = self.num_roots
         if i < nr and j < nr:
@@ -152,72 +149,41 @@ def _structure_constants(rs: RootSystem, es_sign: int) -> dict:
     neg = rs.neg_index
     norm2 = rs.norm2
     sum_table = rs.sum_table
-    full: dict = {}  # (i, j) -> int
+    ntab: dict[tuple[int, int], int] = {}
 
-    def lookup(i: int, j: int) -> int:
-        val = full.get((i, j))
-        if val is not None:
-            return val
-        s = sum_table[i][j]
-        if s is None:
-            return 0
-        if i < m and j < m:
-            raise LiesphError("positive pair requested before it was computed")
-        if i >= m and j >= m:
-            val = -lookup(neg(i), neg(j))
-        elif i >= m:
-            val = -lookup(j, i)
-        elif s < m:
-            # rotation through u + v + w = 0 with u = i, v = j, w = -s
-            val = _exact(-lookup(neg(j), s) * norm2[s], norm2[i])
-        else:
-            val = -lookup(neg(i), neg(j))
-        full[(i, j)] = val
-        return val
+    def store(a: int, b: int, g: int, n: int):
+        """N_{a,b} = n for a + b = g, with the other eleven constants of
+        the triple a + b - g = 0: rotation, antisymmetry, negation."""
+        mg = neg(g)
+        rotated = (
+            (a, b, n),
+            (b, mg, _exact(n * norm2[a], norm2[g])),
+            (mg, a, _exact(n * norm2[b], norm2[g])),
+        )
+        for u, v, val in rotated:
+            ntab[u, v] = ntab[neg(v), neg(u)] = val
+            ntab[v, u] = ntab[neg(u), neg(v)] = -val
 
-    def store(i: int, j: int, val: int):
-        full[(i, j)] = val
-        full[(j, i)] = -val
-
-    for g in range(m):
-        gamma = rs.roots[g]
-        if gamma.height == 1:
-            continue
-        pairs = []
-        for a in range(m):
-            b = sum_table[g][neg(a)]
-            if b is not None and b < m and a <= b:
-                pairs.append((a, b))
-        pairs.sort()
+    for g in range(m):  # index order is height order
+        pairs = [(a, b) for a in range(m) if (b := sum_table[g][neg(a)]) is not None and a < b < m]
+        if not pairs:
+            continue  # a simple root
         x, y = pairs[0]  # extraspecial: minimal first component
-        store(x, y, es_sign * (root_string_p(rs, rs.roots[x], rs.roots[y]) + 1))
-        if len(pairs) == 1:
-            continue
-        denom = lookup(g, neg(x))
+        store(x, y, g, es_sign * (root_string_p(rs, rs.roots[x], rs.roots[y]) + 1))
+        mx = neg(x)
         for a, b in pairs[1:]:
-            # Jacobi on (e_{-x}, e_a, e_b), total weight gamma - x = y:
-            # N_{a,b} N_{gamma,-x} + N_{-x,a} N_{a-x,b} + N_{b,-x} N_{b-x,a} = 0
-            t1 = 0
-            ax = sum_table[a][neg(x)]
-            if ax is not None:
-                t1 = lookup(neg(x), a) * lookup(ax, b)
-            t3 = 0
-            bx = sum_table[b][neg(x)]
-            if bx is not None:
-                t3 = lookup(b, neg(x)) * lookup(bx, a)
-            store(a, b, _exact(-(t1 + t3), denom))
-
-    # materialize every remaining pair
-    size = len(rs.roots)
-    out: dict[tuple[int, int], int] = {}
-    for i in range(size):
-        for j in range(size):
-            if sum_table[i][j] is not None:
-                val = lookup(i, j)
-                if val == 0:
-                    raise LiesphError("invalid structure constant")
-                out[(i, j)] = val
-    return out
+            # Jacobi on (e_{-x}, e_a, e_b), total weight g - x = y:
+            # N_{a,b} N_{g,-x} + N_{-x,a} N_{a-x,b} + N_{b,-x} N_{b-x,a} = 0;
+            # N_{g,-x} is extraspecial, the rest come from lower heights
+            t = 0
+            if (ax := sum_table[a][mx]) is not None:
+                t += ntab[mx, a] * ntab[ax, b]
+            if (bx := sum_table[b][mx]) is not None:
+                t += ntab[b, mx] * ntab[bx, a]
+            store(a, b, g, _exact(-t, ntab[g, mx]))
+    if 0 in ntab.values() or len(ntab) != sum(len(row) - row.count(None) for row in sum_table):
+        raise LiesphError("invalid structure constant")
+    return ntab
 
 
 # -- element arithmetic ---------------------------------------------------------

@@ -21,7 +21,7 @@ from . import ideals as I
 from . import spherical as S
 from . import weyl as W
 from .chevalley import build_chevalley, exp_root_action, height
-from .errors import BudgetExceeded, LiesphError
+from .errors import BudgetExceeded, LiesphError, write_stderr
 from .roots import CartanType, build_root_system
 
 DEFAULT_BUDGET = 200_000
@@ -272,17 +272,6 @@ def _stdout():
     return sys.stdout
 
 
-def _stderr(text: str) -> None:
-    """Write a line to stderr.  A closed or full stderr loses the line,
-    never the exit code."""
-    if sys.stderr is not None:
-        try:
-            sys.stderr.write(text + "\n")
-            sys.stderr.flush()
-        except (OSError, ValueError):
-            pass
-
-
 def _emit(report: dict, fmt: str, out: str | None):
     text = _json(report, pretty=True) + "\n" if fmt == "json" else _to_table(report, fmt)
     if out:
@@ -317,7 +306,7 @@ def _cache_fetch(cache: str | None, key_fields: dict, expect: dict):
     except (OSError, ValueError):
         report = None
     if not isinstance(report, dict) or any(report.get(k) != v for k, v in expect.items()):
-        _stderr(f"warning: unreadable cache entry {path}; recomputing")
+        write_stderr(f"warning: unreadable cache entry {path}; recomputing")
         return None, path
     return report, path
 
@@ -578,7 +567,7 @@ def main(argv=None) -> int:
         return code
     except Exception as exc:
         code, message = _failure(exc)
-        _stderr(message)
+        write_stderr(message)
         return code
 
 

@@ -1,4 +1,17 @@
-"""Shared exception types."""
+"""Shared exception types, and the one writer of lines to stderr."""
+
+import sys
+
+
+def write_stderr(text: str) -> None:
+    """Write a line to stderr.  A closed or full stderr loses the line,
+    never the exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text + "\n")
+            sys.stderr.flush()
+        except (OSError, ValueError):
+            pass
 
 
 class LiesphError(Exception):

@@ -36,10 +36,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-import sys
 
 from .chevalley import ChevalleyAlgebra, ad_matrix, build_chevalley, height
-from .errors import LiesphError, MismatchedSystems
+from .errors import LiesphError, MismatchedSystems, write_stderr
 from .linalg import mat_is_zero, mat_mul, matrix_rank
 from .roots import PosRootSet, Root, RootSystem, _memo, _poset_tables, iter_bits
 from . import weyl as _weyl
@@ -611,7 +610,7 @@ def _parallel_chunks(fn, chunks, workers: int):
 
         pool = mp.get_context("fork").Pool(workers)
     except (ImportError, OSError, ValueError) as exc:
-        print(f"warning: no worker pool ({exc}); running serially", file=sys.stderr)
+        write_stderr(f"warning: no worker pool ({exc}); running serially")
         return [fn(c) for c in chunks]
     with pool:
         return pool.map(fn, chunks)

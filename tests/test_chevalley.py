@@ -301,8 +301,9 @@ def _reference_structure_constants(rs, es_sign):
     return out
 
 
-CONSTANT_CASES = [(n, False) for n in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
-                                        "D4", "D5", "E6", "E7", "E8", "F4", "G2"]]
+CONSTANT_CASES = [(n, False) for n in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                                        "D4", "D5", "E6", "E7", "E8", "F4", "G2",
+                                        "A8", "B8", "C8", "D8"]]
 CONSTANT_CASES += [(n, True) for n in ["B2", "C2", "G2"]]
 
 
@@ -329,3 +330,15 @@ def test_doctored_norms_trip_the_exactness_guard(name):
         C.build_chevalley(rs)
     with pytest.raises(LiesphError, match="non-integral coroot coefficient"):
         C._coroot_table(rs)
+
+
+def test_a_summing_pair_without_a_constant_trips_the_completeness_guard():
+    # (1, 0) + (1, 2) is no root of B2; a sum table that says it is leaves
+    # the pair without a constant, as no root triple holds it
+    from liesph.roots import build_root_system
+
+    rs = build_root_system("B2")
+    i, j = rs.root_from_coords((1, 0)).index, rs.root_from_coords((1, 2)).index
+    rs.sum_table[i][j] = rs.theta.index
+    with pytest.raises(LiesphError, match="invalid structure constant"):
+        C.build_chevalley(rs)

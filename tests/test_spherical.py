@@ -1,6 +1,8 @@
+import errno
 import itertools
 import multiprocessing
 import os
+import sys
 from operator import sub
 
 import pytest
@@ -9,6 +11,7 @@ from conftest import get_algebra, get_rs
 from liesph import ideals as I
 from liesph import spherical as S
 from liesph import weyl as W
+from liesph.cli import main
 from liesph.errors import LiesphError
 from liesph.roots import PosRootSet, iter_bits
 
@@ -489,6 +492,36 @@ def test_pool_failure_runs_serially_and_says_so(monkeypatch, capsys):
     assert S._parallel_chunks(abs, [-1, -2, -3], 2) == [1, 2, 3]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: no worker pool (cannot find context")
+
+
+POOLED_B3 = ["verify", "theorem1", "--type", "B3", "--workers", "2", "--format", "csv"]
+
+
+class _FullStream:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def _no_fork(method):
+    raise ValueError(f"cannot find context for {method!r}")
+
+
+def test_pool_warning_with_stderr_closed_leaves_stdout_the_serial_report(monkeypatch, capsys):
+    assert main(POOLED_B3[:4] + POOLED_B3[6:]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(POOLED_B3) == 0
+    assert capsys.readouterr().out == serial
+
+
+def test_pool_warning_on_a_full_stderr_keeps_exit_zero(monkeypatch, capsys):
+    monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert main(POOLED_B3) == 0
 
 
 def test_theorem1_pool_matches_serial():
