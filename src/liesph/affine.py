@@ -12,7 +12,7 @@ Weyl element as the same images, read at level 0.
 from __future__ import annotations
 
 from .errors import LiesphError, MismatchedSystems
-from .roots import RootSystem, _memo, has_irreducible_base_pair, has_summing_pair, iter_bits
+from .roots import RootSystem, _memo, has_irreducible_base_pair, has_summing_pair
 
 
 class AffineRoot:
@@ -353,26 +353,15 @@ def affine_inversions(w: AffineWeylWord) -> AffineRootSet:
 
 @_memo
 def _summable(rs: RootSystem) -> list[int]:
-    """Per root h, the bit mask of the roots f with f + h a root."""
+    """Per root h, the bit mask of the roots f with f + h a root: the
+    summing-pair table of ``roots._has_pair``, over masks of root indices,
+    positive or negative."""
     summable = [0] * len(rs.roots)
     for h, row in enumerate(rs.sum_table):
         for f, g in enumerate(row):
             if g is not None:
                 summable[h] |= 1 << f
     return summable
-
-
-def _has_summing_pair(rs: RootSystem, mask: int) -> bool:
-    """Whether two (not necessarily distinct) roots in a mask of root
-    indices, positive or negative, sum to a root: some member's summable
-    mask meets the mask.  The one decider for abelian ideals, which is
-    the commutativity of their affine elements, and finite commutativity;
-    ``roots.has_summing_pair`` is its reference."""
-    summable = _summable(rs)
-    for f in iter_bits(mask):  # a loop: any() over a generator took 2.5 times as long
-        if summable[f] & mask:
-            return True
-    return False
 
 
 def element_from_biconvex_affine(S: AffineRootSet) -> AffineWeylWord:
@@ -412,7 +401,7 @@ def is_fc_affine(S: AffineRootSet) -> bool:
     inversion set: no pair in S is a base of an irreducible plane.
 
     The pair scan is public API and the tests' reference; on an ideal's
-    encoding, ``liesph.ideals`` decides the same from
-    the ideal's layer masks (``ideals._is_fc_by_layers``, whose docstring
-    proves the two agree)."""
+    encoding, ``liesph.ideals`` decides the same on the ideal's members, by
+    whether they hold the base of an irreducible plane (the lemma in
+    ``roots._has_pair``)."""
     return not has_irreducible_base_pair(S.system, sorted(S.keys))

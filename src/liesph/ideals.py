@@ -19,7 +19,6 @@ from .affine import (
     _affine_codes,
     _checked_peel,
     _decode,
-    _has_summing_pair,
     _summable,
     element_from_biconvex_affine,
 )
@@ -29,6 +28,7 @@ from .roots import (
     PosRootSet,
     Root,
     RootSystem,
+    _has_pair,
     _irreducible_planes,
     _memo,
     _poset_tables,
@@ -57,20 +57,19 @@ def is_combinatorial_ideal(rs: RootSystem, ps: PosRootSet) -> bool:
 def _layers(rs: RootSystem, mask: int) -> tuple[list[int], set[int]]:
     """The masks of Psi^(k) for k >= 1, ``[0]`` for the empty ideal, and
     the codes of the encoding ``psi_hat``: ``_deepen`` from zero depths on
-    every member.  Full commutativity reads the layer masks
-    (``_is_fc_by_layers``)."""
-    layers = []
-    codes = _deepen(rs, mask, [0] * rs.num_positive, layers, mask)
+    every member; I^k holds the members of depth k or more."""
+    depth = [0] * rs.num_positive
+    codes = _deepen(rs, mask, depth, mask)
+    layers = [sum(1 << g for g in iter_bits(mask) if depth[g] >= k) for k in range(1, max(depth) + 1)]
     return layers or [0], codes
 
 
-def _deepen(rs: RootSystem, mask: int, depth: list[int], layers: list[int], todo: int) -> set[int]:
+def _deepen(rs: RootSystem, mask: int, depth: list[int], todo: int) -> set[int]:
     """Raise ``depth`` to the depths in the ideal ``mask``, from the members
-    in ``todo`` up, and set each raised member's bit in ``layers`` (I^k is
-    ``layers[k - 1]``) up to its new depth; returns the codes the raises
-    add to the encoding.  Either ``depth`` is 0 everywhere and ``todo`` is
-    ``mask`` (``_layers``), or ``todo`` is the member b of least height of
-    J = ``mask`` and ``depth`` holds the depths in I = J - b, 0 off I
+    in ``todo`` up; returns the codes the raises add to the encoding.
+    Either ``depth`` is 0 everywhere and ``todo`` is ``mask``
+    (``_layers``), or ``todo`` is the member b of least height of J =
+    ``mask`` and ``depth`` holds the depths in I = J - b, 0 off I
     (``_ideal_tree``).
 
     The layers nest, so the deepest layer of a member, its depth, is 1 plus
@@ -112,10 +111,6 @@ def _deepen(rs: RootSystem, mask: int, depth: list[int], layers: list[int], todo
             continue
         depth[g] = d
         codes.update(ladders[g][old:d])
-        for k in range(old, d):
-            if k == len(layers):
-                layers.append(0)
-            layers[k] |= low
         row, others = sums[g], summable[g] & mask
         while others:
             bit = others & -others
@@ -203,7 +198,7 @@ def is_abelian(rs: RootSystem, ps: PosRootSet) -> bool:
     """No two members (with repetition) sum to a root."""
     if ps.width != rs.num_positive:
         raise MismatchedSystems("bit vector from another system")
-    return not _has_summing_pair(rs, ps.mask)
+    return not _has_pair(_summable(rs), ps.mask)
 
 
 def psi_hat(rs: RootSystem, ideal: PosRootSet) -> AffineRootSet:
@@ -233,72 +228,20 @@ def _code_ladders(rs: RootSystem) -> list[tuple[int, ...]]:
             for g, r in enumerate(rs.positive_roots)]
 
 
-def _is_fc_by_layers(rs: RootSystem, layers: list[int]) -> bool:
-    """Whether w_I is fully commutative, from the layer masks of I
-    (``layers[k - 1]`` is I^k).
-
-    Lemma: w_I is fully commutative iff no irreducible plane P = Phi cap
-    span has every q in P+ in I^ht_P(q), where ht_P is the height in P's
-    own base (``roots._irreducible_planes``).
-
-    Proof.  N(w_I) = {k delta - b : b in I^k}, and w_I is not fully
-    commutative iff some pair in N(w_I) is a base of an irreducible plane
-    parabolic (``is_fc_affine``); N(w_I) is closed, so it then holds the
-    positive system that base spans.
-
-    If: let {f, h} be the base of P+.  Each root of P is x f + y h with
-    integers x, y of one sign, so the affine roots in span{delta - f,
-    delta - h} are the (x + y) delta - (x f + y h), one for each root of P:
-    an irreducible system with base (delta - f, delta - h), a pair in
-    N(w_I) as f and h lie in I^1.
-
-    Only if: let (k1 delta - f, k2 delta - h) in N(w_I) be a base of the
-    irreducible system A of the affine roots in its span, and P the plane
-    of f and h.  If A projects onto P, then {f, h} is a base of P whose
-    positive system consists of positive roots, so it is the base of P+.
-    Each q = x f + y h in P+ gives the positive root (x k1 + y k2) delta - q
-    of A, which lies in N(w_I): q is in I^(x k1 + y k2), inside I^(x + y)
-    as the layers nest.  Otherwise A is an irreducible rank-2 system with
-    fewer roots than P.  Only a G2 plane holds one, an A2, and it is the
-    long-root one, as the short roots generate all of P.  So P is G2 with
-    base alpha, beta (beta long), and A has base f = beta, h = 3 alpha +
-    beta.  A simple root is no sum of two positive roots, so k1 = 1; alpha
-    = (h - f) / 3 would have the level (k2 - 1) / 3, which is no integer
-    as alpha is not in A, so k2 >= 2.  The only decomposition of h into two positive roots is
-    alpha + (2 alpha + beta), so alpha lies in I, and then I = Phi+, whose
-    layers are the roots by height: the G2 plane itself is the witness.
-
-    An irreducible plane's highest root has ht_P >= 2, so only the planes
-    whose highest root lies in I^2 are read."""
-    if len(layers) < 2:
-        return True
-    planes = _irreducible_planes(rs)
-    for top in iter_bits(layers[1]):
-        for buckets in planes[top]:
-            if len(buckets) > len(layers):
-                continue
-            for bucket, layer in zip(buckets, layers):
-                if bucket & ~layer:
-                    break
-            else:
-                return False
-    return True
-
-
 def w_of_ideal(rs: RootSystem, ideal: PosRootSet) -> AffineWeylWord:
     return element_from_biconvex_affine(psi_hat(rs, ideal))
 
 
 def _ideal_tree(rs: RootSystem, ideal_list: list[PosRootSet]):
     """Per ideal J of ``ideal_list``, in ``enumerate_ideals`` order:
-    ``(J, depth, layers, img, error)``, its depth list, its layer masks, and
-    the final images of the checked peel of its encoding, or None and the
-    LiesphError the peel raised.
+    ``(J, depth, img, error)``, its depth list and the final images of the
+    checked peel of its encoding, or None and the LiesphError the peel
+    raised.
 
     J's parent is I = J minus b, b the member ``enumerate_ideals`` adds
     last: the highest-index member of least height, so I is an ideal of the
     size before J's.  b's summands lie below J, so b has depth 1, and
-    ``_deepen`` carries I's depths and layers from b.  The codes the raises
+    ``_deepen`` carries I's depths from b.  The codes the raises
     add are peeled from w_I's final images (``affine._peel_codes``): by
     induction M(w_I) = psi_hat(I), so a checked peel of the new codes ends
     at an element with M = psi_hat(J), and sticks or falls short exactly
@@ -319,19 +262,19 @@ def _ideal_tree(rs: RootSystem, ideal_list: list[PosRootSet]):
         if mask:
             low = (mask & -mask).bit_length() - 1  # a member of least height
             b = (mask & level[low]).bit_length() - 1
-            depth, layers, img = parents[mask ^ 1 << b]
-            depth, layers = depth.copy(), layers.copy()
-            codes = _deepen(rs, mask, depth, layers, 1 << b)
+            depth, img = parents[mask ^ 1 << b]
+            depth = depth.copy()
+            codes = _deepen(rs, mask, depth, 1 << b)
         else:
-            depth, layers, img = [0] * npos, [0], None
+            depth, img = [0] * npos, None
         if img is None:  # no parent, or its peel failed
             codes = {c for g in iter_bits(mask) for c in ladders[g][:depth[g]]}
         try:
             img, error = _checked_peel(rs, codes, img)[1], None
         except LiesphError as exc:  # the peel stuck, or its word is short
             img, error = None, exc
-        states[mask] = depth, layers, img
-        yield members, depth, layers, img, error
+        states[mask] = depth, img
+        yield members, depth, img, error
 
 
 def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
@@ -342,10 +285,11 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     finite parts sum to a root, the encoding's finite parts are the negated
     members, and a + b is a root iff -a - b is.
 
-    Each ideal's layer masks come from its parent's along the ideal tree,
-    and its encoding is checked by a peel from its parent's element
+    Each ideal's depths come from its parent's along the ideal tree, and
+    its encoding is checked by a peel from its parent's element
     (``_ideal_tree``); an encoding that fails is a mismatch naming the
-    check, and fc is read off the layers (``_is_fc_by_layers``).  Member
+    check.  fc is the base-pair scan of the members (the lemma in
+    ``roots._has_pair``), and the layer count is the largest depth.  Member
     coordinates, and the witness of a subject the decider passes but that
     is not spherical, are built only for the mismatches."""
     L = L or build_chevalley(rs)
@@ -353,11 +297,11 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
     mismatches = []
     n_spherical = n_abelian = n_fc = 0
     ideal_list = enumerate_ideals(rs)
-    for members, _, layers, _, error in _ideal_tree(rs, ideal_list):
+    for members, depth, _, error in _ideal_tree(rs, ideal_list):
         if error is not None:
             mismatches.append({"members": members, "reason": f"affine encoding: {error}"})
         sph = _spherical.is_spherical_subspace(L, members)
-        fc, abelian = _is_fc_by_layers(rs, layers), is_abelian(rs, members)
+        fc, abelian = not _has_pair(_irreducible_planes(rs), members.mask), is_abelian(rs, members)
         n_spherical += sph
         n_abelian += abelian
         n_fc += fc
@@ -365,9 +309,10 @@ def verify_theorem2(rs: RootSystem, L: ChevalleyAlgebra | None = None) -> dict:
         if dec != sph:
             mismatches.append({"members": members, "decider_value": dec, "spherical": sph,
                                **({} if sph else {"witness": _spherical.witness_coords(L, members)})})
-        if sph and len(layers) > 2:
+        deepest = max(depth)
+        if sph and deepest > 2:
             mismatches.append({"members": members, "reason": "spherical ideal with layer 3"})
-        if abelian != (len(layers) <= 1):
+        if abelian != (deepest <= 1):
             mismatches.append({"members": members, "reason": "abelian != single layer"})
     for m in mismatches:
         m["members"] = [list(rs.roots[i].coords) for i in m["members"]]
@@ -395,10 +340,11 @@ def ideal_record(rs: RootSystem, members: PosRootSet) -> dict:
     affine encoding, the word of w_I and the flags but sphericality, from
     the ideal alone: ``_layers`` and a checked peel from the identity, whose
     word is printed.  One code set is both the ``psi_hat`` field and the
-    peeled encoding.  A failed encoding raises."""
+    peeled encoding.  fc is the base-pair scan of the members, as in
+    ``verify_theorem2``.  A failed encoding raises."""
     layers, codes = _layers(rs, members.mask)
     encoding = _decoded(rs, codes).to_json_list()  # before the peel consumes the codes
-    fc, abelian = _is_fc_by_layers(rs, layers), is_abelian(rs, members)
+    fc, abelian = not _has_pair(_irreducible_planes(rs), members.mask), is_abelian(rs, members)
     return {
         "generators": [list(rs.roots[i].coords) for i in minimal_generators(rs, members)],
         "members": [list(rs.roots[i].coords) for i in members],

@@ -530,42 +530,32 @@ def _plane_table(rs: RootSystem) -> dict[tuple[int, int], tuple]:
 
 
 @_memo
-def _irreducible_planes(rs: RootSystem) -> list[list[tuple[int, ...]]]:
-    """Per positive root t, the irreducible planes P = Phi cap span whose
-    highest positive root is t.  Each plane is its positive roots bucketed
-    by height in P's own base {f, h}: ``buckets[k - 1]`` is the mask of the
-    q = x*f + y*h in P+ with x + y = k.  Any other q in P+ has x, y >= 1, so
-    it is higher than f and h: the base is the first two positive roots of
-    the plane.
+def _irreducible_planes(rs: RootSystem) -> list[int]:
+    """The irreducible planes P = Phi cap span, each by the base {f, h} of
+    its positive roots, as a partner table for ``_has_pair``: per positive
+    root, the mask of the positive roots it is a base with.
 
-    The planes are built from the positive summing pairs alone, keyed by
-    ``_plane_key``: an irreducible plane holds such a pair (its base sums to
-    a root), its positive roots are exactly the f, h and f + h of its pairs,
-    and an A1xA1 plane holds none.
+    The planes are found from the positive summing pairs alone, keyed by
+    ``_plane_key``: an irreducible plane's base sums to a root, and an
+    A1xA1 plane holds no summing pair.  Any other q in P+ is x*f + y*h with
+    x, y >= 1, higher than f and h, so f and h are the two lowest positive
+    roots of P.  The pairs come in index order, so the first pair found in
+    a plane is those two: its base.
     """
     npos = rs.num_positive
     minor_kl = [(k, l) for k in range(rs.rank) for l in range(k + 1, rs.rank)]
-    coords = [r.coords for r in rs.roots]
-    planes: dict[tuple[int, ...], set[int]] = {}
-    for i in range(npos):
-        a, row = coords[i], rs.sum_table[i]
+    coords = [r.coords for r in rs.positive_roots]
+    bases: dict[tuple[int, ...], tuple[int, int]] = {}
+    for i, a in enumerate(coords):
+        row = rs.sum_table[i]
         for j in range(i + 1, npos):
-            s = row[j]
-            if s is not None:
-                planes.setdefault(_plane_key(a, coords[j], minor_kl), set()).update((i, j, s))
-    by_top = [[] for _ in range(npos)]
-    for positive, minors in sorted((sorted(p), m) for m, p in planes.items()):
-        k, l = next(kl for kl, m in zip(minor_kl, minors) if m)
-        f, h = coords[positive[0]], coords[positive[1]]
-        det = f[k] * h[l] - f[l] * h[k]
-        buckets = [0] * len(positive)
-        for q in positive:
-            c = coords[q]
-            buckets[(c[k] * (h[l] - f[l]) - c[l] * (h[k] - f[k])) // det - 1] |= 1 << q
-        while not buckets[-1]:
-            buckets.pop()
-        by_top[buckets[-1].bit_length() - 1].append(tuple(buckets))
-    return by_top
+            if row[j] is not None:
+                bases.setdefault(_plane_key(a, coords[j], minor_kl), (i, j))
+    partners = [0] * npos
+    for f, h in bases.values():
+        partners[f] |= 1 << h
+        partners[h] |= 1 << f
+    return partners
 
 
 @_memo
@@ -681,6 +671,65 @@ def has_summing_pair(rs: RootSystem, indices) -> bool:
         for b in idxs[x:]:
             if row[b] is not None:
                 return True
+    return False
+
+
+def _has_pair(partners: list[int], mask: int) -> bool:
+    """Whether two members of ``mask`` are partners: some member f has
+    ``partners[f] & mask``.  The one decider of every flag that a pair of
+    members settles, over three symmetric partner tables:
+
+    - ``affine._summable``, the roots each root sums to a root with: a
+      Weyl element is not commutative (``weyl.is_commutative_inv``), an
+      ideal not abelian (``ideals.is_abelian``), which is also the
+      commutativity of its affine element.  ``has_summing_pair`` is the
+      reference.
+    - ``weyl._negative_pairings``, the positive roots of negative pairing:
+      ``weyl.pairing_nonneg``.
+    - ``_irreducible_planes``, the positive roots f is the base of an
+      irreducible plane with: full commutativity, of a Weyl element on its
+      inversion set (``weyl.is_fc_inv``) and of w_I on the ideal I.
+
+    A Weyl element w is fully commutative iff no pair in N(w) is a base of
+    an irreducible plane parabolic (``is_fc_inv_base_pair``, the
+    reference): N(w) is closed, so it then holds the positive system the
+    base spans.  Two positive roots that are a base of a positive system of
+    their plane P are the base of P+: the system's roots are their
+    nonnegative combinations, |P|/2 positive roots.
+
+    Lemma: w_I is fully commutative iff no irreducible plane has its base
+    in I.
+
+    Proof.  N(w_I) = {k delta - b : b in I^k}, and w_I is not fully
+    commutative iff some pair in N(w_I) is a base of an irreducible plane
+    parabolic (``affine.is_fc_affine``).
+
+    If: let {f, h} in I be the base of P+.  Each root of P is x f + y h
+    with integers x, y of one sign, so the affine roots in span{delta - f,
+    delta - h} are the (x + y) delta - (x f + y h), one for each root of P:
+    an irreducible system with base (delta - f, delta - h), a pair in
+    N(w_I) as I^1 = I.  (Its positive roots all lie in N(w_I): a q in P+
+    of P-height x + y >= 2 is p + f or p + h with p in P+ of P-height
+    x + y - 1, both in I as I is an upper set, and a sum of two members
+    lies one layer deeper than the deeper summand, so by induction q is in
+    I^(x + y).)
+
+    Only if: let (k1 delta - f, k2 delta - h) in N(w_I) be a base of the
+    irreducible system A of the affine roots in its span, and P the plane
+    of f and h; f is in I^k1 and h in I^k2, both inside I.  If A projects
+    onto P, then {f, h} is a base of P whose positive system consists of
+    positive roots, so it is the base of P+, in I.  Otherwise A is an
+    irreducible rank-2 system with fewer roots than P.  Only a G2 plane
+    holds one, an A2, and it is the long-root one, as the short roots
+    generate all of P.  So P is G2 with base alpha, beta (beta long), and A
+    has base f = beta, h = 3 alpha + beta.  A simple root is no sum of two
+    positive roots, so k1 = 1; alpha = (h - f) / 3 would have the level
+    (k2 - 1) / 3, which is no integer as alpha is not in A, so k2 >= 2.
+    The only decomposition of h into two positive roots is alpha + (2 alpha
+    + beta), so alpha lies in I with beta: the base of the G2 plane."""
+    for f in iter_bits(mask):  # a loop: any() over a generator took 2.5 times as long
+        if partners[f] & mask:
+            return True
     return False
 
 

@@ -7,8 +7,9 @@ w^-1 alpha_j for the affine simple roots alpha_0 .. alpha_rank (see
 ``affine._affine_codes``; a level-0 code is the root's packed int).  Two
 families of deciders are provided for (full) commutativity:
 definition-based ones that scan all reduced words, and inversion-set
-criteria (no summing pair of inversions; no rank-2 parabolic positive
-subsystem inside the inversion set).
+criteria (no summing pair of inversions; no base of an irreducible plane
+among them), each a scan of the inversion mask against a per-root partner
+table (``roots._has_pair``), as is ``pairing_nonneg``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from collections import deque
 from .affine import (
     _affine_codes,
     _checked_peel,
-    _has_summing_pair,
     _inversion_codes,
     _reflect_images,
     _reflect_key,
+    _summable,
     _word_image,
 )
 from .errors import LiesphError, MismatchedSystems, WordCapExceeded
@@ -29,6 +30,7 @@ from .roots import (
     PosRootSet,
     Root,
     RootSystem,
+    _has_pair,
     _irreducible_planes,
     _memo,
     has_irreducible_base_pair,
@@ -335,47 +337,31 @@ def is_fc_def(w: WeylElement, cap: int = DEFAULT_WORD_CAP) -> bool:
 # -- inversion-set criteria ------------------------------------------------------
 
 
-def pairing_nonneg(rs: RootSystem, ps: PosRootSet) -> bool:
-    idxs = list(ps.indices())
-    pt = rs.pairing_table
-    for x, a in enumerate(idxs):
-        row = pt[a]
-        for b in idxs[x + 1 :]:
-            if row[b] < 0:
-                return False
-    return True
-
-
 @_memo
-def _irreducible_plane_masks(rs: RootSystem) -> list[int]:
-    """The masks of the positive roots of each irreducible plane, the union
-    of its height buckets in ``_irreducible_planes`` (which theorem 2 reads
-    bucket by bucket)."""
-    return sorted(sum(buckets) for planes in _irreducible_planes(rs) for buckets in planes)
+def _negative_pairings(rs: RootSystem) -> list[int]:
+    """Per positive root a, the mask of the positive roots b with
+    <a, b> < 0: the partner table of ``pairing_nonneg``."""
+    npos = rs.num_positive
+    return [sum(1 << b for b, p in enumerate(row[:npos]) if p < 0) for row in rs.pairing_table[:npos]]
+
+
+def pairing_nonneg(rs: RootSystem, ps: PosRootSet) -> bool:
+    """No two members pair negatively (``roots._has_pair``)."""
+    return not _has_pair(_negative_pairings(rs), ps.mask)
 
 
 def is_commutative_inv(w: WeylElement) -> bool:
-    """No two (not necessarily distinct) inversions sum to a root, decided
-    on the inversion mask through the per-root summable masks
-    (``affine._has_summing_pair``): the same decision as has_summing_pair."""
-    return not _has_summing_pair(w.system, w.inv_mask)
+    """No two (not necessarily distinct) inversions sum to a root: the
+    summing-pair scan of the inversion mask (``roots._has_pair``), the same
+    decision as has_summing_pair."""
+    return not _has_pair(_summable(w.system), w.inv_mask)
 
 
 def is_fc_inv(w: WeylElement) -> bool:
-    """Inversion set contains no irreducible rank-2 parabolic positive system.
-
-    A closed set N holds a base pair of an irreducible plane P exactly when
-    N contains all of P's positive roots: a base made of positive roots
-    spans a positive system of |P|/2 positive roots, which must be all of
-    them, and closure puts each into N; conversely, P's positive roots hold
-    their own base.  An inversion set is closed, so this tests each
-    irreducible plane's positive mask for containment in it, and decides
-    what is_fc_inv_base_pair decides."""
-    inv = w.inv_mask
-    for mask in _irreducible_plane_masks(w.system):
-        if mask & inv == mask:
-            return False
-    return True
+    """No two inversions are the base of an irreducible plane: the base-pair
+    scan of the inversion mask (``roots._has_pair``, which proves it decides
+    what is_fc_inv_base_pair decides)."""
+    return not _has_pair(_irreducible_planes(w.system), w.inv_mask)
 
 
 def is_fc_inv_base_pair(w: WeylElement) -> bool:

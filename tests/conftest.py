@@ -209,24 +209,33 @@ def is_fc_by_positive_systems(rs, keys) -> bool:
 
 def reference_irreducible_planes(rs: RootSystem) -> list:
     """``_irreducible_planes`` read off ``_plane_table``, which buckets every
-    pair of positive roots by plane: the planes with more than four roots,
-    each as its positive roots bucketed by height in its own base, per
-    highest positive root."""
-    from liesph.roots import _plane_table
+    pair of positive roots by plane: per positive root, the positive roots
+    it is a base with, in the planes with more than four roots, each pair
+    tested for a base by ``plane_parabolic``."""
+    from liesph.roots import _plane_table, plane_parabolic
 
     npos = rs.num_positive
-    coords = [r.coords for r in rs.roots]
-    by_top = [[] for _ in range(npos)]
-    planes = {hit for hit in _plane_table(rs).values() if len(hit[0]) > 4}
-    for plane, k, l in sorted(planes):
+    partners = [0] * npos
+    for plane, _, _ in {hit for hit in _plane_table(rs).values() if len(hit[0]) > 4}:
         positive = [q for q in plane if q < npos]
-        f, h = coords[positive[0]], coords[positive[1]]
-        det = f[k] * h[l] - f[l] * h[k]
-        buckets = [0] * len(positive)
-        for q in positive:
-            c = coords[q]
-            buckets[(c[k] * (h[l] - f[l]) - c[l] * (h[k] - f[k])) // det - 1] |= 1 << q
-        while not buckets[-1]:
-            buckets.pop()
-        by_top[buckets[-1].bit_length() - 1].append(tuple(buckets))
-    return by_top
+        for x, f in enumerate(positive):
+            for h in positive[x + 1 :]:
+                if plane_parabolic(rs, (0, f), (0, h))[2]:
+                    partners[f] |= 1 << h
+                    partners[h] |= 1 << f
+    return partners
+
+
+# -- reference: nonnegative pairings by a scan of every pair -----------------
+
+
+def reference_pairing_nonneg(rs: RootSystem, ps: PosRootSet) -> bool:
+    """No two members pair negatively, over every pair of members."""
+    idxs = list(ps.indices())
+    pt = rs.pairing_table
+    for x, a in enumerate(idxs):
+        row = pt[a]
+        for b in idxs[x + 1 :]:
+            if row[b] < 0:
+                return False
+    return True

@@ -6,6 +6,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import get_algebra, get_rs
 from liesph import affine as A
 from liesph import chevalley as C
@@ -79,6 +81,21 @@ def test_criterion_3_decider_equivalences():
     print(f"\nPASS criterion 3: def = criterion deciders on {checked} elements "
           f"({overflowed} cap fallbacks), pairing criterion exact outside G2, "
           f"G2 gap 9 vs 11 reproduced")
+
+
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_criterion_3_word_oracle_on_random_words(name):
+    # criterion 3's definition-based oracle where it does not enumerate W:
+    # seeded random words of up to 30 letters, under the default word cap
+    rs = get_rs(name)
+    rng = random.Random(f"word-oracle-{name}")
+    fc = 0
+    for _ in range(300):
+        e = W.from_word(rs, [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 30))])
+        assert W.is_fc_def(e) == W.is_fc_inv(e), e.word
+        assert W.is_commutative_def(e) == W.is_commutative_inv(e), e.word
+        fc += W.is_fc_inv(e)
+    assert 0 < fc < 300
 
 
 def test_criterion_4_negative_pair_quartic():

@@ -7,7 +7,7 @@ from liesph import affine as A
 from liesph import ideals as I
 from liesph.chevalley import build_chevalley
 from liesph.errors import LiesphError
-from liesph.roots import PosRootSet, has_summing_pair, iter_bits
+from liesph.roots import PosRootSet, _has_pair, has_summing_pair, iter_bits
 from liesph.spherical import is_spherical_subspace
 
 IDEAL_COUNTS = {
@@ -339,9 +339,9 @@ def test_round_trip_check_catches_a_wrong_peel(monkeypatch, capsys):
 def _check_layer_path(rs, L, records=None):
     """The per-ideal path against the public deciders on the key set: the
     depth-built codes are psi_hat's keys, the code peel gives
-    element_from_biconvex_affine's word and images, and the layer-mask fc
-    (_is_fc_by_layers) and is_abelian are is_fc_affine and has_summing_pair
-    on the members, the abelian flag also is_commutative_affine.  Each of
+    element_from_biconvex_affine's word and images, and the base-pair fc
+    on the members and is_abelian are is_fc_affine and has_summing_pair,
+    the abelian flag also is_commutative_affine.  Each of
     the atlas records, when given, is the one the key-set route builds: its
     w_word the word of element_from_biconvex_affine (so the checked peel's),
     its generators by the pair scan."""
@@ -355,7 +355,7 @@ def _check_layer_path(rs, L, records=None):
         word, img = A._peel_codes(rs, codes)
         w = A.element_from_biconvex_affine(S)
         assert word == w.word and tuple(A._decode(rs, span, c) for c in img) == w.canonical
-        flags = I._is_fc_by_layers(rs, layers), I.is_abelian(rs, ideal)
+        flags = not _has_pair(I._irreducible_planes(rs), ideal.mask), I.is_abelian(rs, ideal)
         fc, comm = A.is_fc_affine(S), A.is_commutative_affine(S)
         abelian = not has_summing_pair(rs, ideal.indices())
         assert flags == (fc, abelian) and comm == abelian, ideal
@@ -399,14 +399,16 @@ def test_layer_path_matches_the_key_set_deciders_e8():
 
 def _per_ideal_states(rs, ideal_list):
     """``_ideal_tree``'s tuples by the per-ideal path: each ideal layered
-    from scratch and its whole encoding peeled from the identity."""
+    from scratch, its depths counted off the layers, and its whole encoding
+    peeled from the identity."""
     for members in ideal_list:
         layers, codes = I._layers(rs, members.mask)
+        depth = [sum(layer >> g & 1 for layer in layers) for g in range(rs.num_positive)]
         try:
             img, error = A._checked_peel(rs, codes)[1], None
         except LiesphError as exc:
             img, error = None, exc
-        yield members, None, layers, img, error
+        yield members, depth, img, error
 
 
 def _tree_parent(rs, mask):
@@ -418,18 +420,18 @@ def _tree_parent(rs, mask):
 
 
 def _check_tree(rs, L, monkeypatch):
-    """The carried depths give _layers' masks and codes, the carried layers
-    are those masks, the carried final images are the full peel's from the
-    identity, and the theorem 2 report is the per-ideal path's."""
+    """The carried depths give _layers' masks and codes, the carried final
+    images are the full peel's from the identity, and the theorem 2 report
+    is the per-ideal path's."""
     ladders, masks = I._code_ladders(rs), set()
-    for members, depth, layers, img, error in I._ideal_tree(rs, I.enumerate_ideals(rs)):
+    for members, depth, img, error in I._ideal_tree(rs, I.enumerate_ideals(rs)):
         mask = members.mask
         assert not mask or _tree_parent(rs, mask) in masks
         masks.add(mask)
         want_layers, codes = I._layers(rs, mask)
         by_depth = [sum(1 << g for g in iter_bits(mask) if depth[g] >= k)
                     for k in range(1, max(depth) + 1)]
-        assert (by_depth or [0], layers) == (want_layers, want_layers), members
+        assert (by_depth or [0]) == want_layers, members
         assert {c for g in iter_bits(mask) for c in ladders[g][:depth[g]]} == codes, members
         assert error is None and img == A._peel_codes(rs, codes)[1], members
     want = I.verify_theorem2(rs, L)
@@ -478,7 +480,7 @@ def test_a_failed_parent_leaves_its_children_checked_from_the_identity(monkeypat
 
     monkeypatch.setattr(I, "_deepen", add_a_code_of_the_parent)
     monkeypatch.setattr(A, "_peel_codes", record)
-    states = {J.mask: (img, error) for J, _, _, img, error in I._ideal_tree(rs, ideal_list)}
+    states = {J.mask: (img, error) for J, _, img, error in I._ideal_tree(rs, ideal_list)}
     assert len(peels) == len(ideal_list)
     assert states[bad][0] is None and isinstance(states[bad][1], LiesphError)
     for mask, (img, error) in states.items():
@@ -497,34 +499,30 @@ def test_a_failed_parent_leaves_its_children_checked_from_the_identity(monkeypat
         "reason": "affine encoding: input set is not biconvex in the affine positive system"}]
 
 
-def _bucket_coords(rs, buckets):
-    return [sorted(rs.roots[q].coords for q in iter_bits(b)) for b in buckets]
+def _base_coords(rs, partners):
+    """The base pairs of a partner table, as sets of root coordinates."""
+    return {frozenset((rs.roots[f].coords, rs.roots[h].coords))
+            for f, mask in enumerate(partners) for h in iter_bits(mask)}
 
 
-def test_plane_height_buckets_by_hand():
-    # a rank-2 type is one irreducible plane; its buckets are the positive
-    # roots by height, and the highest root keys it
-    for name, swap, want in [
-        ("A2", False, [[(0, 1), (1, 0)], [(1, 1)]]),
-        ("B2", False, [[(0, 1), (1, 0)], [(1, 1)], [(1, 2)]]),
-        ("G2", False, [[(0, 1), (1, 0)], [(1, 1)], [(2, 1)], [(3, 1)], [(3, 2)]]),
-        ("G2", True, [[(0, 1), (1, 0)], [(1, 1)], [(1, 2)], [(1, 3)], [(2, 3)]]),
-    ]:
+def test_plane_bases_by_hand():
+    # a rank-2 type is one irreducible plane, whose base is the simple roots
+    for name, swap in [("A2", False), ("B2", False), ("G2", False), ("G2", True)]:
         rs = get_rs(name, swap)
-        planes = I._irreducible_planes(rs)
-        assert [len(p) for p in planes] == [0] * (rs.num_positive - 1) + [1]
-        assert _bucket_coords(rs, planes[rs.theta.index][0]) == [sorted(b) for b in want]
-    # inside B3 (e1 - e2, e2 - e3, e3), the planes topped by e1 + e2: the B2
-    # plane span{e1, e2}, whose base e1 - e2, e2 is not made of simple roots
-    # of B3, and two A2 planes
+        assert _base_coords(rs, I._irreducible_planes(rs)) == {frozenset([(1, 0), (0, 1)])}
+    # B3 (e1 - e2, e2 - e3, e3): the B2 planes span{e_i, e_j}, with base
+    # e_i - e_j, e_j, which need not be simple roots of B3, and the four
+    # A2 planes of the long roots
     b3 = get_rs("B3")
-    top = b3.root_from_coords((1, 2, 2)).index
-    got = [_bucket_coords(b3, buckets) for buckets in I._irreducible_planes(b3)[top]]
-    assert sorted(got) == [
-        [[(0, 1, 0), (1, 1, 2)], [(1, 2, 2)]],  # e2 - e3, e1 + e3
-        [[(0, 1, 1), (1, 0, 0)], [(1, 1, 1)], [(1, 2, 2)]],  # e2, e1 - e2; e1
-        [[(0, 1, 2), (1, 1, 0)], [(1, 2, 2)]],  # e2 + e3, e1 - e3
-    ]
+    assert _base_coords(b3, I._irreducible_planes(b3)) == {frozenset(pair) for pair in [
+        [(1, 0, 0), (0, 1, 1)],  # e1 - e2, e2
+        [(1, 1, 0), (0, 0, 1)],  # e1 - e3, e3
+        [(0, 1, 0), (0, 0, 1)],  # e2 - e3, e3
+        [(1, 0, 0), (0, 1, 0)],  # e1 - e2, e2 - e3
+        [(1, 0, 0), (0, 1, 2)],  # e1 - e2, e2 + e3
+        [(1, 1, 0), (0, 1, 2)],  # e1 - e3, e2 + e3
+        [(0, 1, 0), (1, 1, 2)],  # e2 - e3, e1 + e3
+    ]}
 
 
 # every type up to rank 8 but E8, which runs in the slow tests, and the
@@ -538,8 +536,8 @@ PLANE_CASES += [(n, True) for n in ("B2", "C2", "G2")]
 @pytest.mark.parametrize("name, swap", PLANE_CASES,
                          ids=[f"{n}{'-swap' if w else ''}" for n, w in PLANE_CASES])
 def test_planes_from_summing_pairs_match_the_plane_table(name, swap):
-    # the planes built from the positive summing pairs are the table's
-    # irreducible planes, bucket for bucket and in the same order
+    # the bases found from the positive summing pairs are those of the
+    # table's irreducible planes, pair for pair
     rs = get_rs(name, swap)
     assert I._irreducible_planes(rs) == reference_irreducible_planes(rs)
 
@@ -548,5 +546,5 @@ def test_planes_from_summing_pairs_match_the_plane_table(name, swap):
 def test_planes_from_summing_pairs_match_the_plane_table_e8():
     rs = get_rs("E8")
     planes = I._irreducible_planes(rs)
-    assert sum(map(len, planes)) == 1120
+    assert sum(mask.bit_count() for mask in planes) == 2 * 1120
     assert planes == reference_irreducible_planes(rs)

@@ -22,6 +22,7 @@ import test_chevalley as chevalley_tests
 import test_cli as cli_tests
 import test_e6_slow as e6_tests
 import test_ideals as ideals_tests
+import test_weyl as weyl_tests
 
 
 @contextlib.contextmanager
@@ -61,9 +62,12 @@ MUTANTS = [
      "ntab[u, v] = ntab[neg(v), neg(u)] = val\n            ntab[v, u] = ntab[neg(u), neg(v)] = -val",
      "ntab[u, v] = val\n            ntab[v, u] = -val",
      lambda mp: chevalley_tests.test_integer_constants_match_fraction_reference("B3", False, 1)),
-    ("fc-by-layers-drops-the-last-layer", "liesph.ideals", "_is_fc_by_layers",
-     "    if len(layers) < 2:", "    layers = layers[:-1]\n    if len(layers) < 2:",
+    ("base-table-keeps-the-last-summing-pair", "liesph.roots", "_irreducible_planes",
+     "bases.setdefault(_plane_key(a, coords[j], minor_kl), (i, j))",
+     "bases[_plane_key(a, coords[j], minor_kl)] = (i, j)",
      lambda mp: ideals_tests.test_layer_path_matches_the_key_set_deciders("B4", False)),
+    ("negative-pairings-take-zero", "liesph.weyl", "_negative_pairings", "if p < 0", "if p <= 0",
+     lambda mp: weyl_tests.test_pairing_nonneg_matches_the_double_loop("B3")),
     ("quartic-list-drops-a-support-on-e6", "liesph.spherical", "quartic_obstructions",
      "    return minimal", "    return minimal[1:] if rs.cartan_type.name == 'E6' else minimal",
      lambda mp: e6_tests.test_e6_theorem1_exhaustive()),
@@ -79,22 +83,6 @@ MUTANTS = [
          next(v for v in cli_tests.JSON_VALUES if isinstance(v, list) and 'quote"s' in v))),
 ]
 
-# Mutants the checks cannot kill, each with its proof of equivalence.
-EQUIVALENT = [
-    # _is_fc_by_layers comparing a plane's buckets with every layer but the
-    # last.  A plane is read only when len(layers) >= 2, so the skipped
-    # comparison is bucket k <= layer k for some k >= 1, and it follows from
-    # bucket 0 <= layer 0.  That bucket is the base {f, h} of P+.  With f and
-    # h in the ideal I, all of P+ is in I, as I is an upper set.  Each q in
-    # P+ of P-height k >= 2 is p + s with p in P+ of P-height k - 1 and s in
-    # {f, h}, both in I, and a sum of two members of I is one deeper than
-    # either summand (ideals._deepen).  By induction q has depth >= k, so q
-    # is in I^k, which is layer k - 1.
-    ("fc-by-layers-skips-the-last-layer", "liesph.ideals", "_is_fc_by_layers",
-     "zip(buckets, layers)", "zip(buckets, layers[:-1])",
-     lambda mp: ideals_tests.test_layer_path_matches_the_key_set_deciders("B4", False)),
-]
-
 
 @pytest.mark.slow
 @pytest.mark.parametrize("module_name, name, old, new, check", [m[1:] for m in MUTANTS],
@@ -107,10 +95,3 @@ def test_mutant_is_killed(module_name, name, old, new, check):
             check(mp)
     assert not isinstance(killed.value, (NameError, SyntaxError)), killed.value
 
-
-@pytest.mark.slow
-@pytest.mark.parametrize("module_name, name, old, new, check", [m[1:] for m in EQUIVALENT],
-                         ids=[m[0] for m in EQUIVALENT])
-def test_equivalent_mutant_passes(module_name, name, old, new, check):
-    with _mutated(module_name, name, old, new) as mp:
-        check(mp)

@@ -34,11 +34,14 @@ INSPECT = [
     ("B3", "--word", "1,2,3,2"),
     ("B3", "--ideal-gen", "0,1,1;1,1,0"),
 ]
-# the theorem 2 encoding path on an exceptional type
+# the theorem 2 encoding path, and the pairing and fc deciders, on an
+# exceptional type
 E6_CASES = [
     "verify theorem2 --type E6",
     "atlas ideals --type E6 --format csv",
     "inspect --type E6 --ideal-gen 0,1,1,1,1,1",
+    "verify subspaces --type E6",
+    "atlas fc --type E6 --format csv",
 ]
 # run twice against one cache directory: the cold run computes with a pool,
 # the warm rerun reads the stored payload

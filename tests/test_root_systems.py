@@ -427,7 +427,7 @@ def test_cartan_type_is_a_frozen_value():
 # every table memoized on a root system, and the one memoized on an algebra
 SYSTEM_MEMOS = [(R, "_plane_table"), (R, "_irreducible_planes"), (R, "_poset_tables"),
                 (R, "_plane_parabolics"), (A, "_affine_codes"), (A, "_summable"),
-                (I, "_code_ladders"), (W, "_irreducible_plane_masks"), (S, "_weight_index")]
+                (I, "_code_ladders"), (W, "_negative_pairings"), (S, "_weight_index")]
 ALGEBRA_MEMOS = [(S, "quartic_obstructions")]
 
 

@@ -403,7 +403,7 @@ def test_a_mismatch_names_the_witness_of_its_subject(monkeypatch, theorem):
         total, spherical = rep["elements"], rep["spherical_count"]
         subjects = [W.from_word(rs, m["word"]).inv for m in rep["mismatches"]]
     else:
-        monkeypatch.setattr(I, "_is_fc_by_layers", lambda rs, layers: True)
+        monkeypatch.setattr(I, "_irreducible_planes", lambda rs: [0] * rs.num_positive)  # no base pairs
         rep = I.verify_theorem2(rs, L)
         total, spherical = rep["ideals"], rep["spherical"]
         subjects = [rs.posrootset([rs.root_from_coords(tuple(c)) for c in m["members"]])

@@ -1,10 +1,11 @@
 import pytest
 
-from conftest import get_rs, is_biclosed, is_biconvex, is_fc_by_positive_systems
+from conftest import get_rs, is_biclosed, is_biconvex, is_fc_by_positive_systems, reference_pairing_nonneg
 from liesph import affine as A
+from liesph import ideals as I
 from liesph import weyl as W
 from liesph.errors import LiesphError, MismatchedSystems
-from liesph.roots import PosRootSet, has_summing_pair, plane_parabolic
+from liesph.roots import PosRootSet, has_summing_pair, iter_bits, plane_parabolic
 
 
 def test_apply_simple():
@@ -251,8 +252,8 @@ def test_fc_counts_match_classical_formulas():
 
 @pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5", "F4"])
 def test_mask_deciders_match_pair_scans(name):
-    # containment of a plane's positive mask, or of a summing pair's mask,
-    # decides what the scans over pairs of inversions decide
+    # a base pair, or a summing pair, in the inversion mask decides what the
+    # scans over pairs of inversions decide
     rs = get_rs(name)
     for e in W.enumerate_weyl(rs):
         assert W.is_fc_inv(e) == W.is_fc_inv_base_pair(e), e.word
@@ -262,16 +263,40 @@ def test_mask_deciders_match_pair_scans(name):
 @pytest.mark.parametrize("name, planes", [("B4", 22), ("E6", 120), ("E8", 1120)])
 def test_irreducible_plane_masks(name, planes):
     rs = get_rs(name)
-    masks = W._irreducible_plane_masks(rs)
-    assert len(masks) == len(set(masks)) == planes
-    # each is the positive system of one irreducible plane: 3, 4 or 6 roots
-    # spanning that plane
-    for mask in masks:
-        members = list(PosRootSet(mask, rs.num_positive).indices())
-        assert len(members) in (3, 4, 6)
-        plane = plane_parabolic(rs, (0, members[0]), (0, members[1]))[0]
-        assert [f for _, f in plane if f < rs.num_positive] == members
-    assert W._irreducible_plane_masks(rs) is masks
+    partners = W._irreducible_planes(rs)
+    pairs = [(f, h) for f, mask in enumerate(partners) for h in iter_bits(mask) if f < h]
+    assert len(pairs) == planes
+    # each pair is the base of one irreducible plane, its two lowest positive
+    # roots, and the table is symmetric
+    spans = set()
+    for f, h in pairs:
+        members, irreducible, base = plane_parabolic(rs, (0, f), (0, h))
+        positive = [q for _, q in members if q < rs.num_positive]
+        assert irreducible and base and positive[:2] == [f, h] and len(positive) in (3, 4, 6)
+        assert partners[h] >> f & 1
+        spans.add(tuple(positive))
+    assert len(spans) == planes
+    assert W._irreducible_planes(rs) is partners
+
+
+PAIRING_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2", "E6"]
+
+
+@pytest.mark.parametrize("name", PAIRING_TYPES)
+def test_pairing_nonneg_matches_the_double_loop(name):
+    # the negative-pairing scan against every pair of members, on every
+    # Weyl element and every ideal; the table is symmetric, as the sign of
+    # <a, b> is that of (a, b)
+    rs = get_rs(name)
+    partners = W._negative_pairings(rs)
+    assert all(partners[b] >> a & 1 for a, mask in enumerate(partners) for b in iter_bits(mask))
+    subjects = [e.inv for e in W.enumerate_weyl(rs)] + I.enumerate_ideals(rs)
+    found = 0
+    for ps in subjects:
+        got = W.pairing_nonneg(rs, ps)
+        assert got == reference_pairing_nonneg(rs, ps), ps
+        found += got
+    assert 0 < found < len(subjects) or name == "A1"
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2", "F4"])
