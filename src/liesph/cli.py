@@ -289,7 +289,9 @@ def _cache_fetch(cache: str | None, key_fields: dict, expect: dict):
     with the entry's path.  An entry is served only when it is a JSON object
     whose fields in ``expect`` (the report's command, type and, for verify,
     seed) are the request's; anything else is an unreadable entry, warned
-    about and recomputed."""
+    about and recomputed.  A path that can never hold the entry (``cache``
+    a file, or the entry a directory) is an I/O error, raised before
+    anything is built."""
     if not cache:
         return None, None
     import hashlib  # only a cached run needs these
@@ -303,6 +305,8 @@ def _cache_fetch(cache: str | None, key_fields: dict, expect: dict):
             report = json.load(fh)
     except FileNotFoundError:
         return None, path
+    except (NotADirectoryError, IsADirectoryError):
+        raise  # no entry can ever be stored at this path: fail before any work
     except (OSError, ValueError):
         report = None
     if not isinstance(report, dict) or any(report.get(k) != v for k, v in expect.items()):

@@ -68,9 +68,9 @@ def _deepen(rs: RootSystem, mask: int, depth: list[int], todo: int) -> set[int]:
     """Raise ``depth`` to the depths in the ideal ``mask``, from the members
     in ``todo`` up; returns the codes the raises add to the encoding.
     Either ``depth`` is 0 everywhere and ``todo`` is ``mask``
-    (``_layers``), or ``todo`` is the member b of least height of J =
-    ``mask`` and ``depth`` holds the depths in I = J - b, 0 off I
-    (``_ideal_tree``).
+    (``_layers``), or ``todo`` is the lowest member b of J = ``mask``,
+    one of least height, and ``depth`` holds the depths in I = J - b, 0 off
+    I (``_ideal_tree``).
 
     The layers nest, so the deepest layer of a member, its depth, is 1 plus
     that of the deeper summand, over its decompositions into two members,
@@ -152,23 +152,27 @@ def minimal_generators(rs: RootSystem, ps: PosRootSet) -> list[int]:
 
 
 def enumerate_ideals(rs: RootSystem) -> list[PosRootSet]:
-    """All up-sets of the root poset, sorted by size then bit pattern."""
-    up = _poset_tables(rs)
-    npos = rs.num_positive
-    order = sorted(range(npos), key=lambda j: -rs.roots[j].height)
-    masks = []
+    """All up-sets of the root poset, sorted by size then bit pattern: a
+    walk by size, each ideal of size k + 1 a child of one of size k.
 
-    def rec(k: int, mask: int):
-        if k == len(order):
-            masks.append(mask)
-            return
-        i = order[k]
-        rec(k + 1, mask)
-        if up[i] & ~mask == 1 << i:  # everything strictly above is already in
-            rec(k + 1, mask | 1 << i)
-
-    rec(0, 0)
-    masks.sort(key=lambda m: (m.bit_count(), m))
+    The children of an ideal I are I + b for each root b of index below
+    I's lowest member (any root for I empty) with every root strictly
+    above b in I, b ascending.  Each is an up-set, and each nonempty ideal
+    J is listed once: root indices increase with height, so J's lowest
+    member b has least height and is minimal in J, J less b is an up-set,
+    and J is its child; and J is the child of no other, as a child's lowest
+    member is the root it added.  The order holds by induction on the
+    size: I's children differ from I only below its lowest member, so they
+    come in mask order, and if I < I' of one size, their highest differing
+    bit p is in I', I has a member below p, and every child of I is below
+    I', so below its children."""
+    up, npos = _poset_tables(rs), rs.num_positive
+    masks, last = [0], [0]  # last: the ideals of the latest size
+    while last:
+        last = [m | 1 << b for m in last
+                for b in range((m & -m or 1 << npos).bit_length() - 1)  # below m's lowest member
+                if up[b] & ~m == 1 << b]
+        masks += last
     return [PosRootSet(m, npos) for m in masks]
 
 
@@ -238,10 +242,10 @@ def _ideal_tree(rs: RootSystem, ideal_list: list[PosRootSet]):
     checked peel of its encoding, or None and the LiesphError the peel
     raised.
 
-    J's parent is I = J minus b, b the member ``enumerate_ideals`` adds
-    last: the highest-index member of least height, so I is an ideal of the
-    size before J's.  b's summands lie below J, so b has depth 1, and
-    ``_deepen`` carries I's depths from b.  The codes the raises
+    J's parent is I = J minus b, b its lowest member, the one
+    ``enumerate_ideals`` adds to I to reach J: it has least height, so I is
+    an ideal of the size before J's, b's summands lie below J, b has depth
+    1, and ``_deepen`` carries I's depths from b.  The codes the raises
     add are peeled from w_I's final images (``affine._peel_codes``): by
     induction M(w_I) = psi_hat(I), so a checked peel of the new codes ends
     at an element with M = psi_hat(J), and sticks or falls short exactly
@@ -250,21 +254,15 @@ def _ideal_tree(rs: RootSystem, ideal_list: list[PosRootSet]):
     states of the last two sizes are kept."""
     npos = rs.num_positive
     ladders = _code_ladders(rs)
-    by_height = {}
-    for i, r in enumerate(rs.positive_roots):
-        by_height[r.height] = by_height.get(r.height, 0) | 1 << i
-    level = [by_height[r.height] for r in rs.positive_roots]  # the roots of each root's height
     size, parents, states = 0, {}, {}
     for members in ideal_list:
         mask = members.mask
         if mask.bit_count() > size:  # the sizes step by one
             size, parents, states = size + 1, states, {}
         if mask:
-            low = (mask & -mask).bit_length() - 1  # a member of least height
-            b = (mask & level[low]).bit_length() - 1
-            depth, img = parents[mask ^ 1 << b]
+            depth, img = parents[mask & (mask - 1)]
             depth = depth.copy()
-            codes = _deepen(rs, mask, depth, 1 << b)
+            codes = _deepen(rs, mask, depth, mask & -mask)
         else:
             depth, img = [0] * npos, None
         if img is None:  # no parent, or its peel failed

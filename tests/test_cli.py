@@ -232,8 +232,25 @@ def _cache_entry(tmp_path, capsys, content):
     return argv
 
 
+def _cache_entry_directory(tmp_path, capsys):
+    """Cache one report, then put a directory where its entry was."""
+    argv = _cache_entry(tmp_path, capsys, "")
+    (entry,) = tmp_path.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    return argv
+
+
+def _cache_file(tmp_path, capsys):
+    """A regular file given as the cache directory."""
+    (tmp_path / "cache").write_text("")
+    return ["verify", "theorem2", "--type", "E8", "--cache", str(tmp_path / "cache")]
+
+
 # (failure, argv builder, exit code, start of the one stderr line)
 FAILURES = [
+    ("--cache onto a regular file", _cache_file, 4, "error: [Errno 20] Not a directory: "),
+    ("cache entry a directory", _cache_entry_directory, 4, "error: [Errno 21] Is a directory: "),
     ("truncated cache entry",
      lambda tmp, cap: _cache_entry(tmp, cap, '{\n  "command": "verify-the'),
      0, "warning: unreadable cache entry "),
@@ -272,12 +289,17 @@ FAILURES = [
 
 @pytest.mark.parametrize("build, code, line", [c[1:] for c in FAILURES],
                          ids=[c[0] for c in FAILURES])
-def test_io_failures_keep_their_exit_code(tmp_path, capsys, build, code, line):
+def test_io_failures_keep_their_exit_code(monkeypatch, tmp_path, capsys, build, code, line):
     argv = build(tmp_path, capsys)
     capsys.readouterr()
+    built, build_root_system = [], liesph.cli.build_root_system
+    monkeypatch.setattr(liesph.cli, "build_root_system",
+                        lambda *a, **k: built.append(a) or build_root_system(*a, **k))
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1 and err.startswith(line), err
+    if code == 4 and "--cache" in argv:
+        assert built == []  # a cache path that can never hold the entry fails before any work
     if code == 0:
         # the entry was recomputed, rewritten whole, and the report is unchanged
         (entry,) = tmp_path.glob("*.json")

@@ -77,6 +77,12 @@ MUTANTS = [
     ("summable-misses-a-root", "liesph.affine", "_summable",
      "if g is not None:", "if g is not None and f:",
      lambda mp: ideals_tests.test_encodings_match_references("C3", False)),
+    ("ideal-children-come-downward", "liesph.ideals", "enumerate_ideals",
+     "bit_length() - 1)", "bit_length() - 2, -1, -1)",
+     lambda mp: ideals_tests.test_ideal_counts()),
+    ("ideal-children-skip-root-0", "liesph.ideals", "enumerate_ideals",
+     "range(", "range(1, ",
+     lambda mp: ideals_tests.test_ideal_counts()),
     ("json-writes-a-quote-raw", "liesph.cli", "_json_str",
      """ and '"' not in text""", "",
      lambda mp: cli_tests.test_report_writer_is_json_dumps(
