@@ -27,9 +27,12 @@ depend only on the algebra and are computed once per algebra:
   inclusion-minimal, so only the first multiset of each minimal support is
   built, by a walk over the supports that never generates one containing a
   support already found (56 predicate calls for 37 entries on B4, where
-  706 multisets do not vanish; 255 calls for 255 entries on E6).  A lookup
-  reads only the supports whose lowest member lies in the set, indexed by
-  that member (``_by_lowest_member``).
+  706 multisets do not vanish; 255 calls for 255 entries on E6).  A set is
+  spherical iff no listed support lies in it, a member scan like the pair
+  flags' ``roots._has_pair``: the support masks are filed under their
+  lowest member (``_by_lowest_member``), and a lookup reads the files of
+  the set's members up to the first support inside.  The witness is the
+  list's first entry inside the set.
 """
 from __future__ import annotations
 
@@ -263,54 +266,43 @@ def quartic_obstructions(L: ChevalleyAlgebra) -> list[tuple[int, tuple[int, ...]
 _BY_LOWEST = "liesph.spherical._by_lowest_member"
 
 
-def _by_lowest_member(L: ChevalleyAlgebra, minimal: list) -> list[list[tuple]]:
-    """The entries of ``minimal``, L's obstruction list, as (position,
-    support mask, multiset) in ascending position, bucketed by the lowest
-    member of their support; kept on L beside the list, like a ``_memo``
-    table.  It is built from the list a lookup already holds, so that a
-    lookup asks for the list once."""
+def _by_lowest_member(L: ChevalleyAlgebra, minimal: list) -> list[list[int]]:
+    """The support masks of ``minimal``, L's obstruction list, bucketed by
+    their lowest member; kept on L beside the list, like a ``_memo`` table.
+    It is built from the list a lookup already holds, so that a lookup asks
+    for the list once."""
     buckets = L.__dict__.get(_BY_LOWEST)
     if buckets is None:
         buckets = L.__dict__[_BY_LOWEST] = [[] for _ in range(L.rs.num_positive)]
-        for pos, (mask, multiset) in enumerate(minimal):
-            buckets[(mask & -mask).bit_length() - 1].append((pos, mask, multiset))
+        for mask, _ in minimal:
+            buckets[(mask & -mask).bit_length() - 1].append(mask)
     return buckets
-
-
-def _support_inside(L: ChevalleyAlgebra, ps: PosRootSet, first: bool) -> tuple[int, ...] | None:
-    """The multiset of an obstruction list entry whose support lies in ps, or
-    None: the entry first in list order when ``first``, else any.  A support
-    inside ps has its lowest member in ps, so only the buckets of ps's
-    members are read, each up to its first hit."""
-    if ps.width != L.rs.num_positive:
-        raise MismatchedSystems("bit vector from another system")
-    minimal = quartic_obstructions(L)
-    buckets = _by_lowest_member(L, minimal)
-    inv = ps.mask
-    outside = ~inv
-    best, witness = len(minimal), None
-    for m in iter_bits(inv):
-        for pos, mask, multiset in buckets[m]:
-            if pos >= best:
-                break
-            if not mask & outside:
-                if not first:
-                    return multiset
-                best, witness = pos, multiset
-                break
-    return witness
 
 
 def spherical_witness(L: ChevalleyAlgebra, ps: PosRootSet) -> tuple[int, ...] | None:
     """A nonvanishing multiset supported in ps, or None when spherical: the
     first minimal-list entry inside ps, which is also the first nonvanishing
     multiset in ps in (support size, multiset) order."""
-    return _support_inside(L, ps, first=True)
+    if ps.width != L.rs.num_positive:
+        raise MismatchedSystems("bit vector from another system")
+    outside = ~ps.mask
+    return next((multiset for mask, multiset in quartic_obstructions(L) if not mask & outside), None)
 
 
 def is_spherical_subspace(L: ChevalleyAlgebra, ps: PosRootSet) -> bool:
-    """True iff ad(x)^4 = 0 for every x supported on ps."""
-    return _support_inside(L, ps, first=False) is None
+    """True iff ad(x)^4 = 0 for every x supported on ps: no support of the
+    obstruction list lies in ps.  A support inside ps has its lowest member
+    in ps, so only the buckets of ps's members are read, up to the first
+    support inside."""
+    if ps.width != L.rs.num_positive:
+        raise MismatchedSystems("bit vector from another system")
+    buckets = _by_lowest_member(L, quartic_obstructions(L))
+    outside = ~ps.mask
+    for m in iter_bits(ps.mask):
+        for mask in buckets[m]:
+            if not mask & outside:
+                return False
+    return True
 
 
 def witness_coords(L: ChevalleyAlgebra, ps: PosRootSet) -> list[list[int]] | None:

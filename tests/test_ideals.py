@@ -5,6 +5,7 @@ import pytest
 from conftest import get_algebra, get_rs, reference_irreducible_planes, reference_is_biconvex_affine
 from liesph import affine as A
 from liesph import ideals as I
+from liesph import spherical as S
 from liesph.chevalley import build_chevalley
 from liesph.errors import LiesphError
 from liesph.roots import PosRootSet, _has_pair, has_summing_pair, iter_bits
@@ -118,6 +119,42 @@ def test_maximal_abelian_ideals_are_as_many_as_long_simple_roots(name):
     maximal = [m for m in abelian if not any(m != o and m & o == m for o in abelian)]
     long_simple = [i for i in range(1, rs.rank + 1) if rs.simple_root(i).is_long]
     assert len(maximal) == len(long_simple) == LONG_SIMPLE[name]
+
+
+# every type up to rank 8 but E8, which runs in the slow tests
+RANK_8_TYPES = [f"{f}{n}" for f, least in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                for n in range(least, 9)] + ["E6", "E7", "F4", "G2"]
+
+
+def _check_abelian_ideals_are_spherical(name):
+    """Panyushev and Röhrle (Spherical orbits and abelian ideals, Adv.
+    Math. 2001): the G-saturation of an abelian ideal is the closure of a
+    spherical nilpotent orbit, so every abelian ideal is spherical.  The
+    statement is as the literature cites it; the source itself could not be
+    checked offline.  In simply laced types the two sets are equal: an
+    ideal is spherical iff w_I is fully commutative (theorem 2), fully
+    commutative is commutative there (Fan), and w_I is commutative iff I
+    is abelian.  Returns how many ideals are abelian."""
+    rs, L = get_rs(name), get_algebra(name)
+    simply = rs.cartan_type.is_simply_laced
+    abelian = 0
+    for J in I.enumerate_ideals(rs):
+        flag, spherical = I.is_abelian(rs, J), is_spherical_subspace(L, J)
+        assert spherical or not flag, (name, J)
+        assert spherical == flag or not simply, (name, J)
+        abelian += flag
+    return abelian
+
+
+@pytest.mark.parametrize("name", RANK_8_TYPES)
+def test_abelian_ideals_are_spherical(name):
+    # Peterson: a type of rank n has 2^n abelian ideals
+    assert _check_abelian_ideals_are_spherical(name) == 2 ** get_rs(name).rank
+
+
+@pytest.mark.slow
+def test_abelian_ideals_are_spherical_e8():
+    assert _check_abelian_ideals_are_spherical("E8") == 2**8
 
 
 def test_layers():
@@ -418,20 +455,38 @@ def _tree_parent(mask):
 
 
 def _check_tree(rs, L, monkeypatch):
-    """The carried depths give _layers' masks and codes, the carried final
-    images are the full peel's from the identity, and the theorem 2 report
-    is the per-ideal path's."""
-    ladders, masks = I._code_ladders(rs), set()
+    """Each ideal's state is carried from its tree parent's: ``_deepen``
+    starts from the parent's depths with the one member the parent lacks,
+    and the peel from the parent's final images.  The carried depths give
+    _layers' masks and codes, the carried final images are the full peel's
+    from the identity, and the theorem 2 report is the per-ideal path's."""
+    deepen, peel, carried, starts = I._deepen, I._checked_peel, [], []
+    monkeypatch.setattr(I, "_deepen", lambda rs, mask, depth, todo: carried.append(
+        (mask, depth.copy(), todo)) or deepen(rs, mask, depth, todo))
+    monkeypatch.setattr(I, "_checked_peel", lambda rs, codes, start=None: starts.append(
+        None if start is None else list(start)) or peel(rs, codes, start))
+    ladders, size, last, states = I._code_ladders(rs), 0, {}, {}
     for members, depth, img, error in I._ideal_tree(rs, I.enumerate_ideals(rs)):
         mask = members.mask
-        assert not mask or _tree_parent(mask) in masks
-        masks.add(mask)
+        if mask.bit_count() > size:  # the states of the last two sizes are kept
+            size, last, states = size + 1, states, {}
+        if mask:
+            parent_depth, parent_img = last[_tree_parent(mask)]
+            assert carried == [(mask, parent_depth, mask & -mask)], members
+            assert starts == [parent_img], members
+        else:
+            assert carried == [] and starts == [None]
+        states[mask] = depth, img
         want_layers, codes = I._layers(rs, mask)
         by_depth = [sum(1 << g for g in iter_bits(mask) if depth[g] >= k)
                     for k in range(1, max(depth) + 1)]
         assert (by_depth or [0]) == want_layers, members
         assert {c for g in iter_bits(mask) for c in ladders[g][:depth[g]]} == codes, members
         assert error is None and img == A._peel_codes(rs, codes)[1], members
+        carried.clear()
+        starts.clear()
+    monkeypatch.setattr(I, "_deepen", deepen)
+    monkeypatch.setattr(I, "_checked_peel", peel)
     want = I.verify_theorem2(rs, L)
     monkeypatch.setattr(I, "_ideal_tree", _per_ideal_states)
     assert I.verify_theorem2(rs, L) == want
@@ -448,6 +503,40 @@ def test_ideal_tree_matches_the_per_ideal_path(monkeypatch, name):
 @pytest.mark.slow
 def test_ideal_tree_matches_the_per_ideal_path_e8(monkeypatch):
     _check_tree(get_rs("E8"), get_algebra("E8"), monkeypatch)
+
+
+def _check_carried_flags(rs, L):
+    """On every tree edge I -> J = I + b, b J's lowest member, J's
+    sphericality, abelianness and fc are I's AND-ed with one check on b: no
+    support filed under b lies in J, b sums to a root with no member of J,
+    and b is the base of no irreducible plane with a member of J.  A
+    support, sum or plane inside J that avoids b lies in I, and one through
+    b has b as its lowest member.  Returns how many edges each check fails."""
+    by_lowest = S._by_lowest_member(L, S.quartic_obstructions(L))
+    summable, planes = A._summable(rs), I._irreducible_planes(rs)
+    flags, failed = {}, [0, 0, 0]
+    for J in I.enumerate_ideals(rs):
+        mask = J.mask
+        here = (is_spherical_subspace(L, J), I.is_abelian(rs, J), not _has_pair(planes, mask))
+        flags[mask] = here
+        if mask:
+            b = (mask & -mask).bit_length() - 1
+            step = (all(m & ~mask for m in by_lowest[b]), not summable[b] & mask,
+                    not planes[b] & mask)
+            parent = flags[_tree_parent(mask)]
+            assert here == tuple(p and q for p, q in zip(parent, step)), (rs.cartan_type.name, J)
+            failed = [n + (not q) for n, q in zip(failed, step)]
+    return failed
+
+
+@pytest.mark.parametrize("name", ["G2", "B2", "B4", "C4", "F4", "D5", "E6", "E7"])
+def test_flags_carry_along_the_ideal_tree(name):
+    assert all(_check_carried_flags(get_rs(name), get_algebra(name)))
+
+
+@pytest.mark.slow
+def test_flags_carry_along_the_ideal_tree_e8():
+    assert all(_check_carried_flags(get_rs("E8"), get_algebra("E8")))
 
 
 def test_a_failed_parent_leaves_its_children_checked_from_the_identity(monkeypatch):

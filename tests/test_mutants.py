@@ -22,6 +22,7 @@ import test_chevalley as chevalley_tests
 import test_cli as cli_tests
 import test_e6_slow as e6_tests
 import test_ideals as ideals_tests
+import test_spherical as spherical_tests
 import test_weyl as weyl_tests
 
 
@@ -71,6 +72,13 @@ MUTANTS = [
     ("quartic-list-drops-a-support-on-e6", "liesph.spherical", "quartic_obstructions",
      "    return minimal", "    return minimal[1:] if rs.cartan_type.name == 'E6' else minimal",
      lambda mp: e6_tests.test_e6_theorem1_exhaustive()),
+    ("abelian-ideal-holds-a-support-on-e6", "liesph.spherical", "quartic_obstructions",
+     "    return minimal",
+     "    return minimal + [(1 << npos - 1, (npos - 1,) * 4)] if rs.cartan_type.name == 'E6' else minimal",
+     lambda mp: ideals_tests.test_abelian_ideals_are_spherical("E6")),
+    ("sphericality-skips-the-lowest-bucket", "liesph.spherical", "is_spherical_subspace",
+     "iter_bits(ps.mask)", "iter_bits(ps.mask & ps.mask - 1)",
+     lambda mp: spherical_tests.test_member_index_matches_the_list_scan_on_ideals("B4")),
     ("peel-ignores-start", "liesph.affine", "_peel_codes",
      "if start is None else list(start)", "if start is None or True else list(start)",
      lambda mp: ideals_tests.test_ideal_tree_matches_the_per_ideal_path(mp, "B4")),

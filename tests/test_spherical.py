@@ -925,17 +925,19 @@ def test_member_index_matches_the_list_scan_on_ideals_e8():
 
 
 def test_member_index_is_kept_beside_the_list_it_indexes():
-    # the first lookup builds the index from the list it read, keeps it on
-    # the algebra, and later lookups read it
+    # the first sphericality lookup builds the index from the list it read,
+    # keeps it on the algebra, and later lookups read it: per positive
+    # root, the support masks whose lowest member it is, in list order
     L = _fresh_algebra("B3")
     before = set(vars(L))
-    minimal = S.quartic_obstructions(L)
     full = L.rs.posrootset(range(L.rs.num_positive))
-    assert S.spherical_witness(L, full) == minimal[0][1]
+    assert not S.is_spherical_subspace(L, full)
+    minimal = S.quartic_obstructions(L)
     (key,) = set(vars(L)) - before - {"liesph.spherical.quartic_obstructions"}
     index = vars(L)[key]
-    assert sorted((pos, mask, multiset) for bucket in index for pos, mask, multiset in bucket) \
-        == [(pos, mask, multiset) for pos, (mask, multiset) in enumerate(minimal)]
+    assert index == [[mask for mask, _ in minimal if mask & -mask == 1 << b]
+                     for b in range(L.rs.num_positive)]
+    assert S.spherical_witness(L, full) == minimal[0][1]
     assert not S.is_spherical_subspace(L, full)
     assert vars(L)[key] is index
 
